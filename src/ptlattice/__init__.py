@@ -6,11 +6,6 @@ t, locates exceptional points, and constructs metric operators Theta
 solving H^T Theta = Theta H together with their positivity intervals.
 """
 
-from .charpoly import (
-    charpoly_coefficients,
-    eigenvalues_charpoly_oracle,
-    model_oracle_eigenvalues,
-)
 from .custom import evaluate, infer_validity, load_custom_model, parse_expression
 from .domains import (
     DomainReport,
@@ -164,3 +159,19 @@ __all__ = [
     "vec_sym",
     "vector_angle",
 ]
+
+# The characteristic-polynomial oracle needs mpmath, which takes longer to
+# import than the rest of the package; it loads on first use.
+_ORACLE_NAMES = (
+    "charpoly_coefficients",
+    "eigenvalues_charpoly_oracle",
+    "model_oracle_eigenvalues",
+)
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import charpoly
+
+        return getattr(charpoly, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

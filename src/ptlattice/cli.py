@@ -16,7 +16,14 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .custom import load_custom_model
-from .domains import domain_report, reality_islands, reality_profile
+from .domains import (
+    check_bracket,
+    check_eps_real,
+    domain_report,
+    grid_steps,
+    reality_islands,
+    reality_profile,
+)
 from .errors import (
     InvalidSpecError,
     ModelDomainError,
@@ -35,7 +42,7 @@ from .models import Model, get_family, model_names
 from .report import ReportBundle, Table
 from .spectra import eigenvalues, matching_distance, sweep_eigenvalues
 from .svgplot import LinePlot
-from .tolerances import EPS_REAL
+from .tolerances import EPS_REAL, PROFILE_PLOT_STEPS
 from .lattice import is_pt_symmetric
 
 try:
@@ -61,11 +68,12 @@ def _resolve_family(args):
     return load_custom_model(args.config)
 
 
-def _check_range(args) -> None:
-    if not args.t_min < args.t_max:
-        raise InvalidSpecError(
-            f"need --t-min < --t-max, got [{args.t_min}, {args.t_max}]"
-        )
+def _check_options(args) -> None:
+    """Reject the numeric options that no command can use."""
+    check_bracket(args.t_min, args.t_max, args.tol)
+    check_eps_real(args.eps_real)
+    if args.steps is not None:
+        grid_steps(args.t_min, args.t_max, args.steps)
 
 
 def _new_bundle(args, family, command: str) -> ReportBundle:
@@ -101,7 +109,7 @@ def _emit(args, bundle: ReportBundle) -> None:
 
 def cmd_spectrum(args) -> int:
     family = _resolve_family(args)
-    _check_range(args)
+    _check_options(args)
     family.check_validity(args.t_min)
     family.check_validity(args.t_max)
     grid = np.linspace(args.t_min, args.t_max, args.steps)
@@ -141,7 +149,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_domains(args) -> int:
     family = _resolve_family(args)
-    _check_range(args)
+    _check_options(args)
     report = domain_report(
         family,
         args.t_min,
@@ -174,7 +182,7 @@ def cmd_domains(args) -> int:
     _emit(args, bundle)
 
     if args.svg:
-        steps = args.steps if args.steps is not None else 801
+        steps = args.steps if args.steps is not None else PROFILE_PLOT_STEPS
         grid = np.linspace(args.t_min, args.t_max, steps)
         profile = reality_profile(family, grid, eps_real=args.eps_real)
         plot = LinePlot(
@@ -211,7 +219,7 @@ def _metric_candidate(args, family) -> MetricCandidate:
 
 def cmd_metric(args) -> int:
     family = _resolve_family(args)
-    _check_range(args)
+    _check_options(args)
     family.check_validity(args.t_min)
     family.check_validity(args.t_max)
     candidate = _metric_candidate(args, family)
@@ -260,7 +268,7 @@ def cmd_metric(args) -> int:
 
 def cmd_islands(args) -> int:
     family = _resolve_family(args)
-    _check_range(args)
+    _check_options(args)
     islands = reality_islands(
         family,
         args.t_min,
@@ -270,9 +278,7 @@ def cmd_islands(args) -> int:
         tol=args.tol,
         eps_real=args.eps_real,
     )
-    steps = args.steps
-    if steps is None:
-        steps = max(2, int(np.ceil((args.t_max - args.t_min) * 2001)) + 1)
+    steps = grid_steps(args.t_min, args.t_max, args.steps)
     spacing = (args.t_max - args.t_min) / (steps - 1)
     for lo, hi in islands:
         if hi - lo < spacing:
@@ -301,7 +307,7 @@ def cmd_islands(args) -> int:
 
 def cmd_ep(args) -> int:
     family = _resolve_family(args)
-    _check_range(args)
+    _check_options(args)
     report = domain_report(
         family,
         args.t_min,
@@ -335,7 +341,7 @@ def cmd_validate(args) -> int:
     from .errors import ConsistencyError
 
     family = _resolve_family(args)
-    _check_range(args)
+    _check_options(args)
     family.check_validity(args.t_min)
     family.check_validity(args.t_max)
     sample_ts = np.linspace(args.t_min, args.t_max, 11)

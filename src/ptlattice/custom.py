@@ -15,8 +15,6 @@ import math
 import re
 from dataclasses import dataclass
 
-import yaml
-
 from .errors import ExprError, ModelFileError
 from .lattice import Topology
 from .models import ModelFamily
@@ -264,7 +262,7 @@ def _has_sqrt(asts: list[tuple]) -> bool:
     return any(_radicands(ast) for ast in asts)
 
 
-def _yaml_location(exc: yaml.YAMLError) -> dict:
+def _yaml_location(exc) -> dict:
     mark = getattr(exc, "problem_mark", None)
     if mark is None:
         return {}
@@ -308,6 +306,8 @@ def load_custom_model(path: str) -> ModelFamily:
     n for rings).  Optional: t_range ([lo, hi]), mandatory when validity
     cannot be inferred from the sqrt radicands.
     """
+    import yaml  # deferred: only model documents need the parser
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)

@@ -23,7 +23,13 @@ from .errors import (
 )
 from .lattice import check_square
 from .spectra import count_real, min_pairwise_gap, vector_angle
-from .tolerances import ANGLE_TOL, EPS_GAP, EPS_REAL, POINTS_PER_UNIT
+from .tolerances import (
+    ANGLE_TOL,
+    EPS_GAP,
+    EPS_REAL,
+    MAX_GRID_POINTS,
+    POINTS_PER_UNIT,
+)
 
 _EPS = float(np.finfo(float).eps)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -79,6 +85,45 @@ class DomainReport:
     boundary_tol: float
 
 
+def grid_steps(lo: float, hi: float, steps: int | None = None) -> int:
+    """Number of grid points on [lo, hi], bounded by MAX_GRID_POINTS.
+
+    steps=None picks the automatic density of POINTS_PER_UNIT points per
+    unit of t.  A count below 2 or above the bound raises InvalidSpecError.
+    """
+    if steps is None:
+        density = min((hi - lo) * POINTS_PER_UNIT, MAX_GRID_POINTS)
+        steps = max(2, math.ceil(density) + 1)
+    if steps < 2:
+        raise InvalidSpecError(f"need at least 2 grid points (--steps), got {steps}")
+    if steps > MAX_GRID_POINTS:
+        raise InvalidSpecError(
+            f"the grid on [{lo}, {hi}] would exceed {MAX_GRID_POINTS} points; "
+            "give fewer --steps or a narrower --t-min/--t-max range"
+        )
+    return steps
+
+
+def check_bracket(lo: float, hi: float, tol: float) -> None:
+    """Reject a t-range that is not finite and increasing, or a bad tol."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidSpecError(
+            f"t-range (--t-min, --t-max) must be finite, got [{lo}, {hi}]"
+        )
+    if not lo < hi:
+        raise InvalidSpecError(f"need lo < hi (--t-min < --t-max), got [{lo}, {hi}]")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidSpecError(f"tol (--tol) must be positive and finite, got {tol}")
+
+
+def check_eps_real(eps_real: float) -> None:
+    """Reject a reality threshold that is negative or not finite."""
+    if not (math.isfinite(eps_real) and eps_real >= 0):
+        raise InvalidSpecError(
+            f"eps_real (--eps-real) must be non-negative and finite, got {eps_real}"
+        )
+
+
 def _grid_eigenvalues(family, grid: np.ndarray) -> np.ndarray:
     """Eigenvalue rows for each grid point (unsorted, no polish)."""
     family.check_validity(float(grid[0]))
@@ -91,6 +136,7 @@ def reality_profile(family, grid, *, eps_real: float = EPS_REAL) -> RealityProfi
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise InvalidSpecError("grid must be a nonempty 1-d array")
+    check_eps_real(eps_real)
     rows = _grid_eigenvalues(family, grid)
     counts = np.array([count_real(row, eps_real) for row in rows])
     return RealityProfile(grid=grid, counts=counts)
@@ -105,10 +151,8 @@ def refine_reality_boundary(
     eps_real: float = EPS_REAL,
 ) -> float:
     """Bisect a bracket whose endpoints have different real counts."""
-    if tol <= 0:
-        raise InvalidSpecError(f"tol must be positive, got {tol}")
-    if not lo < hi:
-        raise InvalidSpecError(f"need lo < hi, got [{lo}, {hi}]")
+    check_bracket(lo, hi, tol)
+    check_eps_real(eps_real)
 
     def count_at(t: float) -> int:
         return count_real(np.linalg.eigvals(family.matrix(t)), eps_real)
@@ -224,10 +268,7 @@ def locate_coalescence_ep(
     angle acceptance widen with the k-th root of machine epsilon because
     an order-k point cannot be resolved more sharply in floating point.
     """
-    if tol <= 0:
-        raise InvalidSpecError(f"tol must be positive, got {tol}")
-    if not lo < hi:
-        raise InvalidSpecError(f"need lo < hi, got [{lo}, {hi}]")
+    check_bracket(lo, hi, tol)
 
     def gap_at(t: float) -> float:
         return min_pairwise_gap(np.linalg.eigvals(family.matrix(t)))
@@ -296,20 +337,15 @@ def domain_report(
 ) -> DomainReport:
     """Partition [lo, hi] into constant-real-count intervals with EP markers.
 
-    The coarse grid density defaults to POINTS_PER_UNIT per unit of t.
-    Count transitions are refined by bisection and marked as
-    complexification points; strict local minima of the eigenvalue gap in
-    the interior of an interval are tested as coalescence candidates and
-    kept only when the eigenvector-alignment test accepts them.
+    The coarse grid has grid_steps(lo, hi, coarse_steps) points.  Count
+    transitions are refined by bisection and marked as complexification
+    points; strict local minima of the eigenvalue gap in the interior of an
+    interval are tested as coalescence candidates and kept only when the
+    eigenvector-alignment test accepts them.
     """
-    if not lo < hi:
-        raise InvalidSpecError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0:
-        raise InvalidSpecError(f"tol must be positive, got {tol}")
-    if coarse_steps is None:
-        coarse_steps = max(2, math.ceil((hi - lo) * POINTS_PER_UNIT) + 1)
-    if coarse_steps < 2:
-        raise InvalidSpecError(f"coarse_steps must be >= 2, got {coarse_steps}")
+    check_bracket(lo, hi, tol)
+    check_eps_real(eps_real)
+    coarse_steps = grid_steps(lo, hi, coarse_steps)
     grid = np.linspace(lo, hi, coarse_steps)
     rows = _grid_eigenvalues(family, grid)
     counts = np.array([count_real(row, eps_real) for row in rows])

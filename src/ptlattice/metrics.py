@@ -25,9 +25,10 @@ from .errors import (
     InvalidSpecError,
     TrackingError,
 )
+from .domains import check_bracket, grid_steps
 from .lattice import check_square
 from .spectra import count_real, eigenvalues, left_right_pairs, min_pairwise_gap
-from .tolerances import EPS_GAP, EPS_METRIC, EPS_REAL
+from .tolerances import EPS_GAP, EPS_METRIC, EPS_REAL, POSITIVITY_STEPS
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -341,13 +342,10 @@ def positivity_interval(
     of the widest positive run is then bisected to the requested bracket.
     If no sample is positive the report is empty (interval=None).
     """
-    if tol <= 0:
-        raise InvalidSpecError(f"tol must be positive, got {tol}")
-    if not lo < hi:
-        raise InvalidSpecError(f"need lo < hi, got [{lo}, {hi}]")
-    steps = coarse_steps if coarse_steps is not None else 1001
-    if steps < 2:
-        raise InvalidSpecError(f"coarse_steps must be >= 2, got {steps}")
+    check_bracket(lo, hi, tol)
+    steps = grid_steps(
+        lo, hi, coarse_steps if coarse_steps is not None else POSITIVITY_STEPS
+    )
     grid = np.linspace(lo, hi, steps)
     curve = np.array([_sample_min_eig(candidate, t) for t in grid])
     samples = np.column_stack([grid, curve])

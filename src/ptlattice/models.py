@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-import mpmath
 import numpy as np
 
 from .errors import ModelDomainError
@@ -39,18 +38,27 @@ class FloatField:
 
 
 class MpField:
-    """mpmath arithmetic namespace; precision is the caller's working dps."""
+    """mpmath arithmetic namespace; precision is the caller's working dps.
+
+    mpmath is imported on first use, so that only the oracle paths pay for it.
+    """
 
     @staticmethod
     def sqrt(x):
+        import mpmath
+
         return mpmath.sqrt(x)
 
     @staticmethod
     def num(text: str):
+        import mpmath
+
         return mpmath.mpf(text)
 
     @staticmethod
     def lift(t):
+        import mpmath
+
         # Exact binary lift: the mp matrix is the model at exactly this t.
         return mpmath.mpf(t)
 
@@ -99,8 +107,10 @@ class ModelFamily:
     def matrix(self, t: float) -> np.ndarray:
         return build_matrix(self.spec(t))
 
-    def matrix_mp(self, t: float) -> list[list[mpmath.mpf]]:
-        """Entries evaluated in mp precision, assembled as nested lists."""
+    def matrix_mp(self, t: float) -> list[list]:
+        """Entries evaluated in mp precision, assembled as nested lists of mpf."""
+        import mpmath
+
         self.check_validity(t)
         f = MpField
         tf = f.lift(t)

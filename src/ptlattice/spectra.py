@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     ConsistencyError,
@@ -28,6 +27,88 @@ from .lattice import check_square, is_pt_symmetric, parity
 from .tolerances import EPS_GAP, EPS_REAL, EPS_SPEC
 
 MAX_DENSE_N = 64
+
+
+def _min_sum_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-sum assignment of a square cost matrix.
+
+    When the row minima sit in distinct columns, that choice reaches the sum
+    of the row minima, a lower bound on every assignment, so it is optimal;
+    every other optimum also takes each row's minimum, so all optima share
+    their largest entry.  Otherwise the shortest-augmenting-path Hungarian
+    method solves the problem exactly.
+    """
+    cols = cost.argmin(axis=1)
+    if len(set(cols.tolist())) == cols.size:
+        return cols
+    if not np.isfinite(cost).all():
+        raise InvalidSpecError("assignment cost matrix has non-finite entries")
+    return np.array(_shortest_augmenting_path(cost.tolist()))
+
+
+def _shortest_augmenting_path(cost: list) -> list:
+    """O(n^3) Kuhn-Munkres method for a finite square cost matrix.
+
+    Crouse's variant (IEEE Trans. Aerosp. Electron. Syst. 52, 1679 (2016)):
+    rows join one at a time, each along a Dijkstra shortest augmenting path
+    in reduced costs, after which the dual potentials u, v are updated.  On
+    equal path costs it prefers a free column, and it scans columns from
+    the last to the first, so a constant matrix gives the identity.  These
+    are the steps of SciPy's linear_sum_assignment, so the two return the
+    same assignment, ties included.
+    """
+    n = len(cost)
+    u = [0.0] * n
+    v = [0.0] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    path = [-1] * n
+    for cur_row in range(n):
+        shortest = [math.inf] * n
+        remaining = list(range(n - 1, -1, -1))
+        scanned_rows = []
+        scanned_cols = []
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            scanned_rows.append(i)
+            row, ui = cost[i], u[i]
+            lowest = math.inf
+            index = -1
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (
+                    shortest[j] == lowest and row4col[j] == -1
+                ):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            scanned_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur_row] += min_val
+        for i in scanned_rows:
+            if i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in scanned_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
 
 
 def matching_distance(a, b) -> float:
@@ -44,8 +125,13 @@ def matching_distance(a, b) -> float:
     if a.size == 0:
         return 0.0
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    cols = _min_sum_assignment(cost)
+    distance = float(cost[np.arange(a.size), cols].max())
+    # A non-finite value fills its whole row or column of the cost matrix,
+    # so it always reaches the matched maximum.
+    if not math.isfinite(distance):
+        raise InvalidSpecError("spectra contain non-finite values")
+    return distance
 
 
 def canonical_sort(values: np.ndarray) -> np.ndarray:
@@ -231,7 +317,8 @@ def left_right_pairs(h, *, eps_gap: float = EPS_GAP) -> list[EigenPair]:
             f"{eps_gap * scale:.3e}; use degeneracy_order instead"
         )
     cost = np.abs(wt[:, None] - np.conj(w)[None, :])
-    rows, cols = linear_sum_assignment(cost)
+    cols = _min_sum_assignment(cost)
+    rows = np.arange(n)
     if float(cost[rows, cols].max()) > 1e-8 * scale:
         raise ConsistencyError(
             "eigenvalues of H and H^T do not match as conjugates"

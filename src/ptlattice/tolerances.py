@@ -29,3 +29,13 @@ ORACLE_DPS = 50
 
 # Default coarse-grid density for domain scans (points per unit t).
 POINTS_PER_UNIT = 2001
+
+# Points of the real-count curve that `domains --svg` draws by default.
+PROFILE_PLOT_STEPS = 801
+
+# Default coarse-scan points of a metric positivity interval.
+POSITIVITY_STEPS = 1001
+
+# Largest grid a scan or sweep may build, about 50 units of t at the default
+# density.  Each point holds an n x n matrix and its eigenvalues at once.
+MAX_GRID_POINTS = 100_000

@@ -21,6 +21,8 @@ from ptlattice import (
     reality_profile,
     refine_reality_boundary,
 )
+from ptlattice.domains import grid_steps
+from ptlattice.tolerances import MAX_GRID_POINTS, POINTS_PER_UNIT
 
 
 def test_reality_profile_ec4():
@@ -154,3 +156,32 @@ def test_domain_report_validates_range():
     family = get_family(Model.EC4)
     with pytest.raises(InvalidSpecError):
         domain_report(family, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, options",
+    [
+        (0.0, math.inf, {}),
+        (-math.inf, 0.0, {}),
+        (math.nan, 1.0, {}),
+        (0.0, 1e6, {}),
+        (0.0, 1.0, {"coarse_steps": 1}),
+        (0.0, 1.0, {"coarse_steps": MAX_GRID_POINTS + 1}),
+        (0.0, 1.0, {"eps_real": -1e-9}),
+        (0.0, 1.0, {"eps_real": math.nan}),
+        (0.0, 1.0, {"tol": 0.0}),
+        (0.0, 1.0, {"tol": math.nan}),
+    ],
+)
+def test_domain_report_rejects_unbounded_inputs(lo, hi, options):
+    with pytest.raises(InvalidSpecError):
+        domain_report(get_family(Model.EC4), lo, hi, **options)
+
+
+def test_grid_steps_automatic_density_and_bound():
+    assert grid_steps(-0.4, 0.4) == math.ceil(0.8 * POINTS_PER_UNIT) + 1
+    assert grid_steps(0.0, 1e-9) == 2
+    assert grid_steps(0.0, 1.0, 201) == 201
+    assert grid_steps(0.0, 1.0, MAX_GRID_POINTS) == MAX_GRID_POINTS
+    with pytest.raises(InvalidSpecError, match="--steps"):
+        grid_steps(-1e308, 1e308)

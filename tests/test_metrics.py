@@ -141,6 +141,14 @@ def test_positivity_interval_empty_when_negative():
     assert (report.min_eig_samples[:, 1] < 0).all()
 
 
+@pytest.mark.parametrize(
+    "lo, hi, tol", [(0.0, math.inf, 1e-10), (math.nan, 1.0, 1e-10), (0.0, 1.0, 0.0)]
+)
+def test_positivity_interval_rejects_unbounded_inputs(lo, hi, tol):
+    with pytest.raises(InvalidSpecError):
+        positivity_interval(reference_metric_ec4(0.0), lo, hi, tol)
+
+
 def test_metric_section_tracks_identity_branch():
     section = MetricSection(EC4)
     theta0 = section.value(0.0)

@@ -286,3 +286,38 @@ class TestCli:
         )
         assert code == 2
         assert "usage" in err
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["domains", "--model", "ec4", "--t-min", "0", "--t-max", "inf"],
+             "--t-max"),
+            (["domains", "--model", "ec4", "--t-min=-inf", "--t-max", "0"],
+             "--t-min"),
+            (["ep", "--model", "ec4", "--t-min", "nan", "--t-max", "1"],
+             "--t-min"),
+            (["spectrum", "--model", "ec4", "--t-min", "-1.2", "--t-max", "1.2",
+              "--steps", "0"], "--steps"),
+            (["spectrum", "--model", "ec4", "--t-min", "-1.2", "--t-max", "1.2",
+              "--steps", "1"], "--steps"),
+            (["metric", "--model", "ec4", "--t-min", "0", "--t-max", "1.4",
+              "--steps", "-3"], "--steps"),
+            (["spectrum", "--model", "ec4", "--t-min", "0", "--t-max", "1",
+              "--steps", "100001"], "--steps"),
+            (["domains", "--model", "ec4", "--t-min", "0", "--t-max", "1e6"],
+             "--steps"),
+            (["domains", "--model", "ec4", "--t-min", "-1.6", "--t-max", "1.6",
+              "--eps-real", "-1"], "--eps-real"),
+            (["islands", "--model", "ec4", "--t-min", "0", "--t-max", "1.6",
+              "--k", "2", "--eps-real", "inf"], "--eps-real"),
+            (["domains", "--model", "ec4", "--t-min", "-1.6", "--t-max", "1.6",
+              "--tol", "0"], "--tol"),
+            (["ep", "--model", "ec4", "--t-min", "1.0", "--t-max", "1.45",
+              "--tol=-1e-10"], "--tol"),
+        ],
+    )
+    def test_input_without_bound_exits_2(self, args, flag, capsys):
+        code, out, err = run(args, capsys)
+        assert code == 2
+        assert err.startswith("error:") and flag in err
+        assert out == ""
