@@ -40,8 +40,6 @@ from .lattice import (
     LatticeSpec,
     Topology,
     build_matrix,
-    build_open_chain,
-    build_ring,
     is_pt_symmetric,
     parity,
 )
@@ -115,8 +113,6 @@ __all__ = [
     "Topology",
     "TrackingError",
     "build_matrix",
-    "build_open_chain",
-    "build_ring",
     "charpoly_coefficients",
     "count_real",
     "degeneracy_order",

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ExprError, ModelFileError
-from .lattice import Topology
+from .lattice import Topology, coupling_count, is_ring_size
 from .models import ModelFamily
 
 _TOKEN_RE = re.compile(
@@ -339,14 +339,13 @@ def load_custom_model(path: str) -> ModelFamily:
             f"{path}: topology must be one of: {choices}", field="topology"
         ) from None
 
-    if topology is Topology.RING and (n % 2 != 0 or n < 4):
+    if topology is Topology.RING and not is_ring_size(n):
         raise ModelFileError(
             f"{path}: ring models need an even n >= 4, got {n}", field="n"
         )
 
-    coupling_count = n if topology is Topology.RING else n - 1
     diag_asts = _expr_list(doc, "diag", n, path)
-    upper_asts = _expr_list(doc, "couplings", coupling_count, path)
+    upper_asts = _expr_list(doc, "couplings", coupling_count(n, topology), path)
     all_asts = diag_asts + upper_asts
 
     if "t_range" in doc:

@@ -276,7 +276,7 @@ def locate_coalescence_ep(
     for endpoint in (lo, hi):
         h = family.matrix(endpoint)
         scale = max(1.0, float(np.linalg.norm(h)))
-        if gap_at(endpoint) <= eps_gap * scale:
+        if min_pairwise_gap(np.linalg.eigvals(h)) <= eps_gap * scale:
             raise DegenerateSpectrumError(
                 f"spectrum already degenerate at bracket endpoint t={endpoint}"
             )

@@ -4,7 +4,8 @@ The CLI maps these onto exit codes:
 
 * configuration / usage problems (:class:`InvalidSpecError`,
   :class:`ModelFileError`) -> 2
-* parameter outside a model's validity range (:class:`ModelDomainError`) -> 3
+* parameter outside a model's validity range, or an entry undefined
+  there (:class:`ModelDomainError`) -> 3
 * numerical failures (:class:`NumericalError` subclasses) -> 4
 """
 
@@ -20,10 +21,13 @@ class InvalidSpecError(PtLatticeError):
 
 
 class ModelDomainError(PtLatticeError):
-    """The parameter t lies outside a model's validity range."""
+    """t lies outside a model's validity range, or an entry is undefined at t."""
 
-    def __init__(self, message: str, *, radical: str | None = None):
+    def __init__(
+        self, message: str, *, t: float | None = None, radical: str | None = None
+    ):
         super().__init__(message)
+        self.t = t
         self.radical = radical
 
 

@@ -1,10 +1,12 @@
-"""Builders for open-chain and ring lattice Hamiltonians.
+"""The one matrix assembler for open-chain and ring lattice Hamiltonians.
 
-Sign conventions are fixed once for the whole package: the subdiagonal is
-the negative of the superdiagonal (b_i = -c_i), and a ring closes through
-corner entries (1, n) = -c_n and (n, 1) = +c_n.  Every model in scope obeys
-this antisymmetric pattern, so the builders deliberately do not accept
-independent lower couplings.
+Sign conventions are fixed once for the whole package, in :func:`layout`:
+the subdiagonal is the negative of the superdiagonal (b_i = -c_i), and a
+ring closes through corner entries (1, n) = -c_n and (n, 1) = +c_n.  Every
+model in scope obeys this antisymmetric pattern, so the assembler
+deliberately does not accept independent lower couplings.  The float path
+(:func:`build_matrix`) and the mpmath path (``ModelFamily.matrix_mp``) both
+go through it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,16 @@ from .tolerances import EPS_STRUCT
 class Topology(Enum):
     OPEN = "open"
     RING = "ring"
+
+
+def coupling_count(n: int, topology: Topology) -> int:
+    """n - 1 couplings on a chain; n on a ring, the last being the corner bond."""
+    return n if topology is Topology.RING else n - 1
+
+
+def is_ring_size(n: int) -> bool:
+    """Rings need an even n >= 4; at n = 2 the corner would overwrite the band bond."""
+    return n % 2 == 0 and n >= 4
 
 
 @dataclass(frozen=True)
@@ -46,53 +58,41 @@ class LatticeSpec:
             raise InvalidSpecError(
                 f"diag length {len(self.diag)} does not match n={self.n}"
             )
-        expected = self.n - 1 if self.topology is Topology.OPEN else self.n
+        expected = coupling_count(self.n, self.topology)
         if len(self.upper) != expected:
             raise InvalidSpecError(
                 f"{self.topology.value} topology with n={self.n} needs "
                 f"{expected} couplings, got {len(self.upper)}"
             )
-        if self.topology is Topology.RING:
-            if self.n % 2 != 0:
-                raise InvalidSpecError(f"ring requires even n, got n={self.n}")
-            # n=2 would let the corner bond overwrite the single band bond.
-            if self.n < 4:
-                raise InvalidSpecError("ring requires n >= 4")
+        if self.topology is Topology.RING and not is_ring_size(self.n):
+            raise InvalidSpecError(f"ring requires an even n >= 4, got n={self.n}")
         if not all(math.isfinite(x) for x in self.diag + self.upper):
             raise InvalidSpecError("matrix entries must be finite")
 
 
-def build_open_chain(spec: LatticeSpec) -> np.ndarray:
-    """Tridiagonal matrix with diagonal a_i, superdiagonal c_i, subdiagonal -c_i."""
-    if spec.topology is not Topology.OPEN:
-        raise InvalidSpecError("build_open_chain requires open topology")
-    h = np.diag(np.asarray(spec.diag, dtype=float))
-    for i, c in enumerate(spec.upper):
-        h[i, i + 1] = c
-        h[i + 1, i] = -c
-    return h
+def layout(n: int, diag, upper, topology: Topology, zero) -> list[list]:
+    """Rows of the n x n lattice matrix; entries keep the type they come in.
 
-
-def build_ring(spec: LatticeSpec) -> np.ndarray:
-    """Tridiagonal-plus-corners matrix; corners (1,n) = -c_n, (n,1) = +c_n."""
-    if spec.topology is not Topology.RING:
-        raise InvalidSpecError("build_ring requires ring topology")
-    n = spec.n
-    h = np.diag(np.asarray(spec.diag, dtype=float))
-    for i, c in enumerate(spec.upper[: n - 1]):
-        h[i, i + 1] = c
-        h[i + 1, i] = -c
-    corner = spec.upper[n - 1]
-    h[0, n - 1] = -corner
-    h[n - 1, 0] = corner
-    return h
+    Diagonal a_i, band (i, i+1) = c_i and (i+1, i) = -c_i, and on a ring the
+    corners (1, n) = -c_n and (n, 1) = +c_n.  ``zero`` fills every other
+    entry.
+    """
+    rows = [[zero] * n for _ in range(n)]
+    for i, a in enumerate(diag):
+        rows[i][i] = a
+    for i, c in enumerate(upper[: n - 1]):
+        rows[i][i + 1] = c
+        rows[i + 1][i] = -c
+    if topology is Topology.RING:
+        corner = upper[n - 1]
+        rows[0][n - 1] = -corner
+        rows[n - 1][0] = corner
+    return rows
 
 
 def build_matrix(spec: LatticeSpec) -> np.ndarray:
-    """Dispatch on topology."""
-    if spec.topology is Topology.OPEN:
-        return build_open_chain(spec)
-    return build_ring(spec)
+    """The float matrix of a validated spec."""
+    return np.array(layout(spec.n, spec.diag, spec.upper, spec.topology, 0.0))
 
 
 def parity(n: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ModelDomainError
-from .lattice import LatticeSpec, Topology, build_matrix
+from .lattice import LatticeSpec, Topology, build_matrix, layout
 
 
 class FloatField:
@@ -47,6 +47,9 @@ class MpField:
     def sqrt(x):
         import mpmath
 
+        # As math.sqrt: mpmath would return an mpc for a negative radicand.
+        if x < 0:
+            raise ValueError("math domain error")
         return mpmath.sqrt(x)
 
     @staticmethod
@@ -90,44 +93,39 @@ class ModelFamily:
             raise ModelDomainError(
                 f"model {self.name}: t={t} outside validity range "
                 f"[{self.t_min}, {self.t_max}]{detail}",
+                t=t,
                 radical=self.radical,
             )
 
-    def spec(self, t: float) -> LatticeSpec:
+    def _entries(self, t: float, field) -> tuple[list, list]:
+        """Diagonal and couplings at t in the field's arithmetic."""
         self.check_validity(t)
-        f = FloatField
-        tf = f.lift(t)
-        return LatticeSpec(
-            n=self.n,
-            diag=tuple(self.diag_fn(tf, f)),
-            upper=tuple(self.upper_fn(tf, f)),
-            topology=self.topology,
-        )
+        tf = field.lift(t)
+        try:
+            return self.diag_fn(tf, field), self.upper_fn(tf, field)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ModelDomainError(
+                f"model {self.name}: an entry is undefined at t={t} ({exc})",
+                t=t,
+                radical=self.radical,
+            ) from None
 
     def matrix(self, t: float) -> np.ndarray:
-        return build_matrix(self.spec(t))
+        diag, upper = self._entries(t, FloatField)
+        return build_matrix(LatticeSpec(self.n, diag, upper, self.topology))
 
     def matrix_mp(self, t: float) -> list[list]:
         """Entries evaluated in mp precision, assembled as nested lists of mpf."""
         import mpmath
 
-        self.check_validity(t)
-        f = MpField
-        tf = f.lift(t)
-        diag = [mpmath.mpf(x) for x in self.diag_fn(tf, f)]
-        upper = [mpmath.mpf(x) for x in self.upper_fn(tf, f)]
-        n = self.n
-        zero = mpmath.mpf(0)
-        h = [[zero for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            h[i][i] = diag[i]
-        for i in range(n - 1):
-            h[i][i + 1] = upper[i]
-            h[i + 1][i] = -upper[i]
-        if self.topology is Topology.RING:
-            h[0][n - 1] = -upper[n - 1]
-            h[n - 1][0] = upper[n - 1]
-        return h
+        diag, upper = self._entries(t, MpField)
+        return layout(
+            self.n,
+            [mpmath.mpf(x) for x in diag],
+            [mpmath.mpf(x) for x in upper],
+            self.topology,
+            mpmath.mpf(0),
+        )
 
 
 class Model(Enum):
@@ -225,11 +223,6 @@ def get_family(model: Model | str) -> ModelFamily:
             f"unknown model {model!r}; known models: {', '.join(model_names())}"
         )
     return REGISTRY[model]
-
-
-def registry_model(model: Model | str, t: float) -> np.ndarray:
-    """The registry matrix at parameter t (validity enforced)."""
-    return get_family(model).matrix(t)
 
 
 def iter_families():

@@ -209,3 +209,30 @@ class TestLoading:
             hm = family.matrix_mp(0.5)
         h = family.matrix(0.5)
         assert abs(float(hm[0][1]) - h[0, 1]) < 1e-15
+
+
+class TestUndefinedEntries:
+    """An explicit t_range may cover points where an entry has no value."""
+
+    @pytest.mark.parametrize("build", ["matrix", "matrix_mp"])
+    @pytest.mark.parametrize(
+        "coupling, t",
+        [("sqrt(t*t - 4)", 0.5), ("1/t", 0.0)],
+        ids=["negative-radicand", "zero-divisor"],
+    )
+    def test_undefined_entry_is_a_domain_error(self, tmp_path, build, coupling, t):
+        import mpmath
+
+        doc = dict(EC4_DOC, couplings=[coupling, "t", "t", "t"], t_range=[-1, 1])
+        family = load_custom_model(write_yaml(tmp_path, doc))
+        with mpmath.workdps(30), pytest.raises(ModelDomainError) as err:
+            getattr(family, build)(t)
+        assert err.value.t == t
+        assert f"undefined at t={t}" in str(err.value)
+
+    def test_mp_sqrt_rejects_negative_radicand(self):
+        import mpmath
+
+        with pytest.raises(ValueError):
+            MpField.sqrt(mpmath.mpf(-1))
+        assert MpField.sqrt(mpmath.mpf(4)) == 2

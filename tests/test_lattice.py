@@ -8,8 +8,6 @@ from ptlattice import (
     LatticeSpec,
     Topology,
     build_matrix,
-    build_open_chain,
-    build_ring,
     is_pt_symmetric,
     parity,
 )
@@ -19,7 +17,7 @@ def test_open_chain_layout():
     spec = LatticeSpec(
         n=4, diag=(-3, -1, 1, 3), upper=(0.5, 0.6, 0.7), topology=Topology.OPEN
     )
-    h = build_open_chain(spec)
+    h = build_matrix(spec)
     expected = np.array(
         [
             [-3, 0.5, 0, 0],
@@ -35,22 +33,11 @@ def test_ring_corner_signs():
     spec = LatticeSpec(
         n=4, diag=(-3, -1, 1, 3), upper=(0.5, 0.6, 0.7, 0.9), topology=Topology.RING
     )
-    h = build_ring(spec)
+    h = build_matrix(spec)
     # band bonds: (i, i+1) positive coupling, (i+1, i) its negative
     assert h[0, 1] == 0.5 and h[1, 0] == -0.5
     # closing bond crosses the corner with the opposite sign convention
     assert h[0, 3] == -0.9 and h[3, 0] == 0.9
-
-
-def test_build_matrix_dispatches_on_topology():
-    open_spec = LatticeSpec(
-        n=3, diag=(0, 0, 0), upper=(1.0, 2.0), topology=Topology.OPEN
-    )
-    ring_spec = LatticeSpec(
-        n=4, diag=(0, 0, 0, 0), upper=(1.0, 2.0, 3.0, 4.0), topology=Topology.RING
-    )
-    assert np.array_equal(build_matrix(open_spec), build_open_chain(open_spec))
-    assert np.array_equal(build_matrix(ring_spec), build_ring(ring_spec))
 
 
 def test_parity_alternates_signs():
@@ -78,7 +65,7 @@ def test_pt_symmetry_holds_for_antisymmetric_coupling():
     spec = LatticeSpec(
         n=4, diag=(-3, -1, 1, 3), upper=(0.3, 0.4, 0.5), topology=Topology.OPEN
     )
-    assert is_pt_symmetric(build_open_chain(spec))
+    assert is_pt_symmetric(build_matrix(spec))
 
 
 def test_pt_symmetry_fails_for_symmetric_coupling():
@@ -94,6 +81,6 @@ def test_diagonal_must_be_real_antisymmetric_convention():
         upper=(1.0, 2.0, 3.0, 2.0, 1.0),
         topology=Topology.OPEN,
     )
-    h = build_open_chain(spec)
+    h = build_matrix(spec)
     assert np.array_equal(np.diag(h), spec.diag)
     assert np.allclose(h + h.T, 2 * np.diag(spec.diag))

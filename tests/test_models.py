@@ -1,5 +1,6 @@
 """Registry model families: entries, validity ranges, and mp lifts."""
 
+import hashlib
 import math
 
 import mpmath
@@ -15,6 +16,7 @@ from ptlattice import (
     iter_families,
     model_names,
 )
+from ptlattice.tolerances import ORACLE_DPS
 
 
 def test_registry_is_complete():
@@ -119,3 +121,41 @@ def test_matrix_mp_precision_exceeds_doubles():
         # sqrt(5 * 0.5) to 40 digits differs from the double rounding
         exact = mpmath.sqrt(mpmath.mpf(5) * (1 - mpmath.mpf(0.5)))
         assert abs(hm[0][1] - exact) < mpmath.mpf(10) ** -38
+
+
+# SHA-256 of family.matrix(t) as little-endian doubles and of the 50-digit
+# strings of family.matrix_mp(t), recorded from the separate open-chain and
+# ring builders before they were merged into one assembler.  Any change to
+# an entry, a sign or a corner on either path changes a digest.
+REGISTRY_DIGESTS = {
+    ("mdg6-open", -0.4): ("caeff679124cbbce1c6d2e72383949d93a871f76cbb0845e966948b550ea201e", "b6a6b48276ce7ff6117c977615f1c2ef4a66719bb584ea5a6c6718f9a814a463"),
+    ("mdg6-open", 0.3): ("4204a39eb82e6cd26058d84345612134ebeae62fb0e3a5f1e659faba2398c1b4", "546b7c7141e00ef2822475892ff24df3c1f4035364c7f7df49ee363429966c0f"),
+    ("mdg6-open", 0.9): ("f2a0e218ef03a5b0a722268ebcec9b911ef2048df26b3d57c8661e76b05718d6", "85004850fbff44e4f6f9656d0925d56bfde2e815370a22e9cb6c913940b6b1c0"),
+    ("mdg6-w1", -0.4): ("f38043fd97af8d6c3c1c5abf551dd9494c3893ef40c18eea333a1299539f8035", "9a55c658c2711b9662dd0f61a45869a64fb9d0b207bd665a52c4d4fd73eb5aaa"),
+    ("mdg6-w1", 0.3): ("b4343a274c153150b59878b5894689297a73b41bb2fdc1f5717a4323a0cc4e58", "3544430a85d8f72833780892c63b68f9dd8f25a9e74bd4c01ed8aa4fc09693d0"),
+    ("mdg6-w1", 0.9): ("9c280190066dd50a73875cf82c83f268273a565f8e8f195e446659e0ffc632ac", "f64b7bc074447be1e5c3d90b0ac0242cf50a4a20e5517efe6595e59ef43ded0e"),
+    ("mdg6-w2", -0.4): ("1f509e7d944724cd34dd07ed4c0a380ea5fa622e4cd39a4e20080361f95c1439", "1d0f13cc8ebaeb2615744242419c880fe5c872c335ed9eb63be5c01e526f0b3e"),
+    ("mdg6-w2", 0.3): ("4abe380080929acadb0a9429cd293c09c28955ade3a63a8634ab3d9d2a7c45cf", "0607eaa0390f0437a59ab93624510b4244bde59703b40d7077f1445228397ba1"),
+    ("mdg6-w2", 0.9): ("86276a5f65000e0e393f68e9b7ea15b8b0282710feec8fe07c77cb49fad950f1", "48740b1a94c1c3ac3192cff9f0acd168e5a5298332c560238c37df764fbd86d1"),
+    ("ec4", -0.4): ("07f71a6d966f497f2e7907458ee249f9716b48f3f27ffc62e36d77a5208deeb5", "3a4525cbc9c39ab349ce498608f640fbb83b191cf331112022b0295af3b0373e"),
+    ("ec4", 0.3): ("6e226b628a436b1d15cdd9d019d1c2602cd8cc034fe136a0d3f9361171cef867", "195358bb82749a85da2cee3559e805e5172481c8faa68e0948409427cc306bde"),
+    ("ec4", 0.9): ("06c525b4ece64c71fede5ad658c1dbb8f8aaf92cba471f816bb91693aff6c2a0", "e2b8507a738d3d87c26965058be2b0ba8269bd7b304eb2700f0f93736080febb"),
+    ("ec4-strongbond", -0.4): ("59dfbd312170bd2c86cc2542d24e74deb89e27a81d457edded8df05d93a38816", "fbaa0944998e16765f8d4c397f83da323073a7b0c5e859bf4c6857673f693676"),
+    ("ec4-strongbond", 0.3): ("663084c44c716c5fe53aee0b6fee9412ec0311571e99cd034a7e83614e50f60e", "26855c7a5e2e9d17b77bb004a71190bc5fd7c18e2689fae5c59100a97490ac7f"),
+    ("ec4-strongbond", 0.9): ("187906722d3b20dd3a5190c681c879dcb9f2bb8cbd9f139d3966ab64e148db27", "739c64968a4791bd7eeafbf594f89f8fc37d24748b90b663b4cbfd5ba39a77cd"),
+    ("ec4-recoupled", -0.4): ("ae79fa8748a16ffbe639652f2840fad981a572b367b9a6fe08198ebf62f53c77", "57ddc6124359ce91370e74a7641c3418b78a06ea7519f41fe9598112b95c6d53"),
+    ("ec4-recoupled", 0.3): ("73c90796d51348b01ddf89473d4d5770ef7c7db6b3aee58b246dc0e1b64c9dfe", "36a6f4d64c31660c8f68ab5c5032cba705f9fc4f73443fc67186da963515c540"),
+    ("ec4-recoupled", 0.9): ("9a19af60b8a2c3cd3111d4eba389bd23fb2f6372dea564d2db5235466fd1b2d9", "c0a6f8f30f2fdba41474121315e80b1f38085f4d9ad49e059ec04abb47a2365a"),
+}
+
+
+@pytest.mark.parametrize("model,t", sorted(REGISTRY_DIGESTS))
+def test_registry_matrices_are_bit_exact(model, t):
+    float_digest, mp_digest = REGISTRY_DIGESTS[model, t]
+    family = get_family(model)
+    h = family.matrix(t)
+    assert hashlib.sha256(h.astype("<f8").tobytes()).hexdigest() == float_digest
+    with mpmath.workdps(ORACLE_DPS):
+        rows = family.matrix_mp(t)
+        text = "\n".join(" ".join(mpmath.nstr(x, 50) for x in row) for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == mp_digest

@@ -12,8 +12,6 @@ from ptlattice import (
     Model,
     Topology,
     build_matrix,
-    build_open_chain,
-    build_ring,
     count_real,
     eigenvalues,
     eigenvalues_charpoly_oracle,
@@ -72,13 +70,13 @@ def ring_specs():
 @settings(deadline=None, max_examples=50)
 @given(open_specs())
 def test_every_open_chain_is_pt_symmetric(spec):
-    assert is_pt_symmetric(build_open_chain(spec))
+    assert is_pt_symmetric(build_matrix(spec))
 
 
 @settings(deadline=None, max_examples=50)
 @given(ring_specs())
 def test_every_ring_is_pt_symmetric(spec):
-    assert is_pt_symmetric(build_ring(spec))
+    assert is_pt_symmetric(build_matrix(spec))
 
 
 @settings(deadline=None, max_examples=30)
@@ -91,12 +89,12 @@ def test_parity_is_an_involution(n):
 @settings(deadline=None, max_examples=50)
 @given(ring_specs())
 def test_ring_with_cut_corner_equals_open_chain(spec):
-    ring = build_ring(spec)
+    ring = build_matrix(spec)
     ring[0, -1] = ring[-1, 0] = 0.0
     open_spec = LatticeSpec(
         n=spec.n, diag=spec.diag, upper=spec.upper[:-1], topology=Topology.OPEN
     )
-    assert np.array_equal(ring, build_open_chain(open_spec))
+    assert np.array_equal(ring, build_matrix(open_spec))
 
 
 @settings(deadline=None, max_examples=50)

@@ -279,6 +279,34 @@ class TestCli:
         assert code == 3
         assert "validity" in err
 
+    @pytest.mark.parametrize(
+        "coupling", ["sqrt(t*t - 4)", "1/t"], ids=["negative-radicand", "zero-divisor"]
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["domains", "--t-min", "-1", "--t-max", "1"],
+            ["spectrum", "--t-min", "-1", "--t-max", "1", "--steps", "3"],
+            ["validate", "--t-min", "-1", "--t-max", "1"],
+        ],
+        ids=["domains", "spectrum", "validate"],
+    )
+    def test_undefined_entry_exits_3(self, tmp_path, command, coupling, capsys):
+        doc = {
+            "name": "undefined",
+            "n": 4,
+            "topology": "ring",
+            "diag": ["-3", "-1", "1", "3"],
+            "couplings": [coupling, "t", "t", "t"],
+            "t_range": [-1, 1],
+        }
+        path = tmp_path / "undefined.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        code, out, err = run(command + ["--config", str(path)], capsys)
+        assert code == 3
+        assert err.startswith("error:") and "undefined at t=" in err
+        assert out == ""
+
     def test_argparse_usage_error_is_2(self, capsys):
         code, _, err = run(
             ["spectrum", "--model", "ec4", "--t-min", "zero", "--t-max", "1"],
