@@ -269,6 +269,12 @@ def _yaml_location(exc) -> dict:
     return {"line": mark.line + 1, "column": mark.column + 1}
 
 
+# Names of the YAML node types that safe_load turns into these Python types.
+_YAML_KINDS = {
+    str: "string", bool: "boolean", type(None): "null", list: "sequence", dict: "mapping"
+}
+
+
 def _require(doc: dict, key: str, kind, path: str):
     if key not in doc:
         raise ModelFileError(f"{path}: missing required field {key!r}", field=key)
@@ -350,12 +356,16 @@ def load_custom_model(path: str) -> ModelFamily:
 
     if "t_range" in doc:
         raw_range = doc["t_range"]
-        if (
-            not isinstance(raw_range, list)
-            or len(raw_range) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw_range)
-            or not raw_range[0] < raw_range[1]
-        ):
+        is_pair = isinstance(raw_range, list) and len(raw_range) == 2
+        for i, x in enumerate(raw_range if is_pair else ()):
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                kind = _YAML_KINDS.get(type(x), type(x).__name__)
+                raise ModelFileError(
+                    f"{path}: t_range[{i}] is {x!r}, a YAML {kind}, not a number; "
+                    "YAML 1.1 needs a dot in an exponent literal, as in 1.0e10",
+                    field="t_range",
+                )
+        if not is_pair or not raw_range[0] < raw_range[1]:
             raise ModelFileError(
                 f"{path}: t_range must be [lo, hi] with lo < hi", field="t_range"
             )

@@ -142,6 +142,22 @@ def reality_profile(family, grid, *, eps_real: float = EPS_REAL) -> RealityProfi
     return RealityProfile(grid=grid, counts=counts)
 
 
+def bisect_edge(keep, inside: float, outside: float, tol: float) -> float:
+    """Midpoint of a bracket bisected to width tol around where keep(t) flips.
+
+    keep must hold at inside and fail at outside; inside may lie on either
+    side of outside.  Every t-edge in the package (reality boundaries,
+    positivity edges, the loss of a tracked section) is refined here.
+    """
+    while abs(outside - inside) > tol:
+        mid = (inside + outside) / 2
+        if keep(mid):
+            inside = mid
+        else:
+            outside = mid
+    return (inside + outside) / 2
+
+
 def refine_reality_boundary(
     family,
     lo: float,
@@ -163,13 +179,7 @@ def refine_reality_boundary(
         raise BracketError(
             f"real count is {c_lo} at both endpoints of [{lo}, {hi}]"
         )
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if count_at(mid) == c_lo:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    return bisect_edge(lambda t: count_at(t) == c_lo, lo, hi, tol)
 
 
 def _largest_cluster(values: np.ndarray, threshold: float) -> int:
@@ -203,7 +213,11 @@ def degeneracy_order(h, tol: float) -> int:
     return _largest_cluster(np.linalg.eigvals(h), tol * scale)
 
 
-def maximal_jordan_block(h, *, rank_rel: float = 1e-10) -> bool:
+# Singular values below this fraction of max(1, s_max) count as zero.
+_JORDAN_RANK_REL = 1e-10
+
+
+def maximal_jordan_block(h) -> bool:
     """Whether h is one maximal Jordan block up to numerical rank.
 
     A single n-fold Jordan block at the mean eigenvalue mu = trace/n has
@@ -213,7 +227,7 @@ def maximal_jordan_block(h, *, rank_rel: float = 1e-10) -> bool:
     n = h.shape[0]
     mu = np.trace(h) / n
     s = np.linalg.svd(h - mu * np.eye(n), compute_uv=False)
-    rank = int((s > rank_rel * max(1.0, float(s[0]))).sum())
+    rank = int((s > _JORDAN_RANK_REL * max(1.0, float(s[0]))).sum())
     return rank == n - 1
 
 
@@ -256,9 +270,6 @@ def locate_coalescence_ep(
     lo: float,
     hi: float,
     tol: float,
-    *,
-    angle_tol: float = ANGLE_TOL,
-    eps_gap: float = EPS_GAP,
 ) -> EPLocation:
     """Find an eigenvalue coalescence inside (lo, hi) by gap minimization.
 
@@ -276,7 +287,7 @@ def locate_coalescence_ep(
     for endpoint in (lo, hi):
         h = family.matrix(endpoint)
         scale = max(1.0, float(np.linalg.norm(h)))
-        if min_pairwise_gap(np.linalg.eigvals(h)) <= eps_gap * scale:
+        if min_pairwise_gap(np.linalg.eigvals(h)) <= EPS_GAP * scale:
             raise DegenerateSpectrumError(
                 f"spectrum already degenerate at bracket endpoint t={endpoint}"
             )
@@ -298,7 +309,7 @@ def locate_coalescence_ep(
     ]
     _, i, j = min(pairs)
     angle = vector_angle(vectors[:, i], vectors[:, j])
-    acceptance = max(angle_tol, 50.0 * _EPS ** (1.0 / order))
+    acceptance = max(ANGLE_TOL, 50.0 * _EPS ** (1.0 / order))
     if angle > acceptance:
         raise EpNotFoundError(
             f"closest eigenvectors stay {angle:.3e} apart at t={t_star!r}; "
@@ -333,7 +344,6 @@ def domain_report(
     coarse_steps: int | None = None,
     tol: float = 1e-10,
     eps_real: float = EPS_REAL,
-    angle_tol: float = ANGLE_TOL,
 ) -> DomainReport:
     """Partition [lo, hi] into constant-real-count intervals with EP markers.
 
@@ -380,9 +390,7 @@ def domain_report(
         for i in inside:
             if gaps[i] < gaps[i - 1] and gaps[i] <= gaps[i + 1]:
                 try:
-                    ep = locate_coalescence_ep(
-                        family, grid[i - 1], grid[i + 1], tol, angle_tol=angle_tol
-                    )
+                    ep = locate_coalescence_ep(family, grid[i - 1], grid[i + 1], tol)
                 except (EpNotFoundError, DegenerateSpectrumError):
                     continue
                 if any(abs(ep.t_star - other.t_star) <= spacing for other in interior):

@@ -4,8 +4,8 @@ The CLI maps these onto exit codes:
 
 * configuration / usage problems (:class:`InvalidSpecError`,
   :class:`ModelFileError`) -> 2
-* parameter outside a model's validity range, or an entry undefined
-  there (:class:`ModelDomainError`) -> 3
+* parameter outside a model's validity range, or an entry undefined or
+  not finite there (:class:`ModelDomainError`) -> 3
 * numerical failures (:class:`NumericalError` subclasses) -> 4
 """
 
@@ -21,7 +21,7 @@ class InvalidSpecError(PtLatticeError):
 
 
 class ModelDomainError(PtLatticeError):
-    """t lies outside a model's validity range, or an entry is undefined at t."""
+    """t is outside a model's validity range, or an entry there is not a finite number."""
 
     def __init__(
         self, message: str, *, t: float | None = None, radical: str | None = None

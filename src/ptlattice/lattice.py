@@ -114,7 +114,7 @@ def check_square(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def is_pt_symmetric(h: np.ndarray, *, eps_struct: float = EPS_STRUCT) -> bool:
+def is_pt_symmetric(h: np.ndarray) -> bool:
     """Check the structural symmetry H^T P = P H with the alternating parity.
 
     For real matrices transposition plays the role of time reversal, so this
@@ -123,4 +123,4 @@ def is_pt_symmetric(h: np.ndarray, *, eps_struct: float = EPS_STRUCT) -> bool:
     """
     h = check_square(h)
     p = parity(h.shape[0])
-    return float(np.max(np.abs(h.T @ p - p @ h))) <= eps_struct
+    return float(np.max(np.abs(h.T @ p - p @ h))) <= EPS_STRUCT

@@ -25,10 +25,10 @@ from .errors import (
     InvalidSpecError,
     TrackingError,
 )
-from .domains import check_bracket, grid_steps
+from .domains import bisect_edge, check_bracket, grid_steps
 from .lattice import check_square
 from .spectra import count_real, eigenvalues, left_right_pairs, min_pairwise_gap
-from .tolerances import EPS_GAP, EPS_METRIC, EPS_REAL, POSITIVITY_STEPS
+from .tolerances import EPS_GAP, EPS_METRIC, POSITIVITY_STEPS
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -89,13 +89,11 @@ def intertwiner_residual(theta, h) -> float:
     return float(np.linalg.norm(h.T @ theta - theta @ h)) / denom
 
 
-def intertwiner_basis(
-    h,
-    *,
-    rank_rel: float = 1e-9,
-    eps_real: float = EPS_REAL,
-    eps_gap: float = EPS_GAP,
-) -> SolutionBasis:
+# Singular values below this fraction of max(1, s_max) span the kernel.
+_KERNEL_RANK_REL = 1e-9
+
+
+def intertwiner_basis(h) -> SolutionBasis:
     """Kernel of Theta -> H^T Theta - Theta H over symmetric matrices.
 
     Requires a simple, fully real spectrum; there the kernel dimension is
@@ -106,14 +104,14 @@ def intertwiner_basis(
     n = h.shape[0]
     scale = max(1.0, float(np.linalg.norm(h)))
     vals = eigenvalues(h).values
-    if count_real(vals, eps_real) != n:
+    if count_real(vals) != n:
         raise BrokenPhaseError(
             "intertwiner basis requires a fully real spectrum"
         )
     gap = min_pairwise_gap(vals)
-    if gap <= eps_gap * scale:
+    if gap <= EPS_GAP * scale:
         raise DegenerateSpectrumError(
-            f"minimal eigenvalue gap {gap:.3e} below the gate {eps_gap * scale:.3e}"
+            f"minimal eigenvalue gap {gap:.3e} below the gate {EPS_GAP * scale:.3e}"
         )
     sym_dim = n * (n + 1) // 2
     columns = []
@@ -127,7 +125,7 @@ def intertwiner_basis(
             columns.append(_vec_antisym(h.T @ b - b @ h))
     a = np.column_stack(columns) if columns else np.zeros((0, sym_dim))
     _, s, vt = np.linalg.svd(a, full_matrices=True)
-    threshold = rank_rel * max(1.0, float(s.max()) if s.size else 0.0)
+    threshold = _KERNEL_RANK_REL * max(1.0, float(s.max()) if s.size else 0.0)
     rank = int((s > threshold).sum())
     kernel_dim = sym_dim - rank
     if kernel_dim != n:
@@ -353,53 +351,37 @@ def positivity_interval(
     if not positive.any():
         return PositivityReport(interval=None, min_eig_samples=samples, tol=tol)
 
-    runs = []
-    start = None
-    for i, flag in enumerate(positive):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(grid) - 1))
+    edges = np.diff(positive.astype(int), prepend=0, append=0)
+    runs = zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1)
     first, last = max(runs, key=lambda r: grid[r[1]] - grid[r[0]])
 
-    def bisect(neg_t: float, pos_t: float) -> float:
-        while abs(pos_t - neg_t) > tol:
-            mid = (neg_t + pos_t) / 2
-            if _sample_positive(candidate, mid):
-                pos_t = mid
-            else:
-                neg_t = mid
-        return (neg_t + pos_t) / 2
+    def bisect(pos_t: float, neg_t: float) -> float:
+        return bisect_edge(lambda t: _sample_positive(candidate, t), pos_t, neg_t, tol)
 
-    left = grid[first] if first == 0 else bisect(grid[first - 1], grid[first])
-    right = grid[last] if last == len(grid) - 1 else bisect(grid[last + 1], grid[last])
+    left = grid[first] if first == 0 else bisect(grid[first], grid[first - 1])
+    right = grid[last] if last == len(grid) - 1 else bisect(grid[last], grid[last + 1])
     return PositivityReport(interval=(float(left), float(right)), min_eig_samples=samples, tol=tol)
+
+
+# Longest t-step of a section march, and the least share of the norm a
+# projection onto the next kernel may keep before the branch counts as lost.
+_SECTION_STEP = 1.0 / 400.0
+_SECTION_MIN_OVERLAP = 0.5
 
 
 class MetricSection:
     """One continuous branch of the intertwiner kernel along t.
 
     Kernel bases from a generic solver are arbitrarily gauged per call, so
-    the section marches in bounded steps from the seed, projecting the
-    previous metric onto each new kernel and renormalizing the trace.  A
-    projection that loses more than half the norm means the branch was
-    lost and raises.  Anchors are cached so repeated probes stay cheap.
+    the section marches in steps of at most _SECTION_STEP from the seed,
+    projecting the previous metric onto each new kernel and renormalizing
+    the trace.  A projection that loses more than half the norm means the
+    branch was lost and raises.  Anchors are cached so repeated probes stay
+    cheap.
     """
 
-    def __init__(
-        self,
-        family,
-        *,
-        t_seed: float = 0.0,
-        max_step: float = 1.0 / 400.0,
-        min_overlap: float = 0.5,
-    ):
+    def __init__(self, family, *, t_seed: float = 0.0):
         self.family = family
-        self.max_step = float(max_step)
-        self.min_overlap = float(min_overlap)
         n = family.n
         basis = intertwiner_basis(family.matrix(t_seed))
         seed = self._project(np.eye(n), basis, t_seed)
@@ -411,7 +393,7 @@ class MetricSection:
         overlap = float(np.linalg.norm(theta)) / max(
             float(np.linalg.norm(theta_prev)), np.finfo(float).tiny
         )
-        if overlap < self.min_overlap:
+        if overlap < _SECTION_MIN_OVERLAP:
             raise TrackingError(
                 f"section lost at t={t}: projection kept only {overlap:.2f} of the norm"
             )
@@ -428,7 +410,7 @@ class MetricSection:
         distance = abs(t - anchor_t)
         if distance == 0.0:
             return theta
-        steps = max(1, math.ceil(distance / self.max_step))
+        steps = max(1, math.ceil(distance / _SECTION_STEP))
         for k in range(1, steps + 1):
             tk = anchor_t + (t - anchor_t) * k / steps
             basis = intertwiner_basis(self.family.matrix(tk))
@@ -438,13 +420,9 @@ class MetricSection:
 
 
 def tracked_positivity_boundary(
-    family,
-    tol: float,
-    *,
-    t_seed: float = 0.0,
-    search_max: float = 1.2,
+    family, tol: float, *, search_max: float = 1.2
 ) -> float:
-    """First loss of positivity of the tracked metric section above the seed.
+    """First loss of positivity of the tracked metric section above t = 0.
 
     Probes march upward in section steps; a probe counts as lost when the
     tracked metric stops being positive definite or the kernel itself
@@ -460,7 +438,7 @@ def tracked_positivity_boundary(
     """
     if tol <= 0:
         raise InvalidSpecError(f"tol must be positive, got {tol}")
-    section = MetricSection(family, t_seed=t_seed)
+    section = MetricSection(family)
 
     def alive(t: float) -> bool:
         try:
@@ -468,31 +446,22 @@ def tracked_positivity_boundary(
         except _SECTION_GAPS:
             return False
 
-    good = t_seed
-    t = t_seed
+    good = 0.0
+    t = 0.0
     while t < search_max:
-        t = min(search_max, t + section.max_step)
+        t = min(search_max, t + _SECTION_STEP)
         if not alive(t):
             break
         good = t
     else:
         raise BracketError(
-            f"metric stayed positive on [{t_seed}, {search_max}]; no boundary found"
+            f"metric stayed positive on [0.0, {search_max}]; no boundary found"
         )
-    bad = t
-    while bad - good > tol:
-        mid = (good + bad) / 2
-        if alive(mid):
-            good = mid
-        else:
-            bad = mid
-    return (good + bad) / 2
+    return bisect_edge(alive, good, t, tol)
 
 
-def recoupled_metric_boundary(tol: float, *, search_max: float = 1.2) -> float:
+def recoupled_metric_boundary(tol: float) -> float:
     """Positivity boundary of the numerically tracked recoupled-ring metric."""
     from .models import Model, get_family
 
-    return tracked_positivity_boundary(
-        get_family(Model.EC4_RECOUPLED), tol, search_max=search_max
-    )
+    return tracked_positivity_boundary(get_family(Model.EC4_RECOUPLED), tol)

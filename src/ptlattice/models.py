@@ -112,6 +112,13 @@ class ModelFamily:
 
     def matrix(self, t: float) -> np.ndarray:
         diag, upper = self._entries(t, FloatField)
+        if not all(map(math.isfinite, diag + upper)):
+            raise ModelDomainError(
+                f"model {self.name}: an entry is not finite in double precision "
+                f"at t={t}",
+                t=t,
+                radical=self.radical,
+            )
         return build_matrix(LatticeSpec(self.n, diag, upper, self.topology))
 
     def matrix_mp(self, t: float) -> list[list]:

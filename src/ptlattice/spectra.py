@@ -173,14 +173,13 @@ class Spectrum:
         values,
         *,
         trace: float | None = None,
-        check: bool = True,
         tol: float = EPS_SPEC,
     ) -> "Spectrum":
         values = np.asarray(values, dtype=complex).ravel()
         if not np.all(np.isfinite(values)):
             raise ConsistencyError("spectrum contains non-finite values")
         spec = cls(values)
-        if check and spec.n:
+        if spec.n:
             scale = max(1.0, float(np.abs(spec.values).max()))
             closure = matching_distance(spec.values, np.conj(spec.values))
             if closure > tol * scale:
@@ -213,14 +212,18 @@ def eigenvalues(h) -> Spectrum:
     return Spectrum.from_values(vals, trace=float(np.trace(h)))
 
 
-def sweep_eigenvalues(matrix_fn, ts, *, polish_rel: float = 1e-5) -> np.ndarray:
+# Relative eigenvalue gap below which a sweep row is re-solved by the oracle.
+_POLISH_REL = 1e-5
+
+
+def sweep_eigenvalues(matrix_fn, ts) -> np.ndarray:
     """Eigenvalues along a parameter grid, one canonically sorted row per t.
 
     All grid matrices go through a single stacked LAPACK call.  Rows whose
-    minimal eigenvalue gap falls below polish_rel * max(1, ||H||_F) sit near
-    a coalescence where QR accuracy degrades to u^(1/k); those rows are
+    minimal eigenvalue gap falls below _POLISH_REL * max(1, ||H||_F) sit
+    near a coalescence where QR accuracy degrades to u^(1/k); those rows are
     re-solved through the characteristic polynomial of the same matrix in
-    arbitrary precision.  Pass polish_rel=0 to disable the refinement.
+    arbitrary precision.
     """
     ts = np.asarray(ts, dtype=float).ravel()
     mats = [check_square(matrix_fn(float(t))) for t in ts]
@@ -234,12 +237,11 @@ def sweep_eigenvalues(matrix_fn, ts, *, polish_rel: float = 1e-5) -> np.ndarray:
     out = np.empty(vals.shape, dtype=complex)
     for i in range(vals.shape[0]):
         row = canonical_sort(np.asarray(vals[i], dtype=complex))
-        if polish_rel > 0:
-            scale = max(1.0, float(np.linalg.norm(stack[i])))
-            if min_pairwise_gap(row) < polish_rel * scale:
-                from .charpoly import eigenvalues_charpoly_oracle
+        scale = max(1.0, float(np.linalg.norm(stack[i])))
+        if min_pairwise_gap(row) < _POLISH_REL * scale:
+            from .charpoly import eigenvalues_charpoly_oracle
 
-                row = eigenvalues_charpoly_oracle(stack[i]).values
+            row = eigenvalues_charpoly_oracle(stack[i]).values
         out[i] = row
     return out
 
@@ -296,7 +298,7 @@ class EigenPair:
     left: np.ndarray
 
 
-def left_right_pairs(h, *, eps_gap: float = EPS_GAP) -> list[EigenPair]:
+def left_right_pairs(h) -> list[EigenPair]:
     """Biorthogonal eigenpairs of a real matrix with a simple spectrum.
 
     Left vectors are right eigenvectors of the transpose: for real H the
@@ -311,10 +313,10 @@ def left_right_pairs(h, *, eps_gap: float = EPS_GAP) -> list[EigenPair]:
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigensolver failed to converge: {exc}") from exc
     gap = min_pairwise_gap(w)
-    if gap <= eps_gap * scale:
+    if gap <= EPS_GAP * scale:
         raise DegenerateSpectrumError(
             f"minimal eigenvalue gap {gap:.3e} is below the gate "
-            f"{eps_gap * scale:.3e}; use degeneracy_order instead"
+            f"{EPS_GAP * scale:.3e}; use degeneracy_order instead"
         )
     cost = np.abs(wt[:, None] - np.conj(w)[None, :])
     cols = _min_sum_assignment(cost)
@@ -368,30 +370,28 @@ class PtPhase:
         return float(self.evidence.max()) if self.evidence.size else 0.0
 
 
-def pt_phase(
-    h,
-    *,
-    eps_real: float = EPS_REAL,
-    defect_tol: float = 1e-6,
-    eps_gap: float = EPS_GAP,
-) -> PtPhase:
+# Largest pairing defect sin(angle(P|R_k>, |L_k>)) that counts as proportional.
+_DEFECT_TOL = 1e-6
+
+
+def pt_phase(h) -> PtPhase:
     """Classify the PT phase by two independent criteria and cross-check them.
 
-    Criterion one: every eigenvalue real within eps_real.  Criterion two:
+    Criterion one: every eigenvalue real within EPS_REAL.  Criterion two:
     P|R_k> proportional to |L_k> for every k.  The two must agree; a
-    disagreement beyond defect_tol raises.
+    disagreement beyond _DEFECT_TOL raises.
     """
     h = check_square(h)
     if not is_pt_symmetric(h):
         raise InvalidSpecError("matrix is not PT-symmetric under the alternating parity")
-    pairs = left_right_pairs(h, eps_gap=eps_gap)
+    pairs = left_right_pairs(h)
     p = parity(h.shape[0])
     defects = np.array(
         [math.sin(vector_angle(p @ pair.right, pair.left)) for pair in pairs]
     )
     values = np.array([pair.eigenvalue for pair in pairs])
-    all_real = count_real(values, eps_real) == h.shape[0]
-    all_proportional = bool(defects.max() <= defect_tol)
+    all_real = count_real(values) == h.shape[0]
+    all_proportional = bool(defects.max() <= _DEFECT_TOL)
     if all_real != all_proportional:
         raise ConsistencyError(
             f"reality ({all_real}) and proportionality ({all_proportional}) "

@@ -30,11 +30,14 @@ def _fmt(x: float) -> str:
     return "%.6g" % x
 
 
-def nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick positions (1/2/5 x 10^k spacing) covering [lo, hi]."""
+_TICK_TARGET = 6
+
+
+def nice_ticks(lo: float, hi: float) -> list[float]:
+    """About _TICK_TARGET round tick positions (1/2/5 x 10^k) covering [lo, hi]."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(1, target)
+    raw = (hi - lo) / _TICK_TARGET
     power = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * power

@@ -194,6 +194,21 @@ class TestLoading:
         with pytest.raises(ModelFileError):
             load_custom_model(write_yaml(tmp_path, doc))
 
+    def test_t_range_exponent_without_dot_is_named(self, tmp_path):
+        # YAML 1.1 reads 1e10 (no dot) as a string, not as a float.
+        path = tmp_path / "model.yaml"
+        path.write_text(
+            yaml.safe_dump(EC4_DOC) + "t_range: [0, 1e10]\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ModelFileError) as err:
+            load_custom_model(str(path))
+        assert err.value.field == "t_range"
+        message = str(err.value)
+        assert "t_range[1] is '1e10', a YAML string, not a number" in message
+        assert "1.0e10" in message
+        assert "lo < hi" not in message
+
     def test_mp_lift_of_custom_model(self, tmp_path):
         import mpmath
 
@@ -229,6 +244,20 @@ class TestUndefinedEntries:
             getattr(family, build)(t)
         assert err.value.t == t
         assert f"undefined at t={t}" in str(err.value)
+
+    def test_overflowing_entry_is_a_domain_error(self, tmp_path):
+        # 50 factors of t overflow a double at t = 1e10 but not at t = 10.
+        doc = dict(
+            EC4_DOC,
+            couplings=["t", "t", "t", "*".join(["t"] * 50)],
+            t_range=[0.0, 1e10],
+        )
+        family = load_custom_model(write_yaml(tmp_path, doc))
+        with pytest.raises(ModelDomainError) as err:
+            family.matrix(1e10)
+        assert err.value.t == 1e10
+        assert "not finite" in str(err.value) and "t=10000000000.0" in str(err.value)
+        assert np.isfinite(family.matrix(10.0)).all()
 
     def test_mp_sqrt_rejects_negative_radicand(self):
         import mpmath

@@ -142,6 +142,23 @@ def test_positivity_interval_empty_when_negative():
 
 
 @pytest.mark.parametrize(
+    "runs, expected",
+    [
+        ([(-1.0, 0.2), (0.41, 0.77), (0.9, 2.0)], (0.41, 0.77)),  # widest run wins
+        ([(-1.0, 0.25), (0.75, 2.0)], (0.0, 0.25)),  # a tie goes to the first run
+        ([(-1.0, 2.0)], (0.0, 1.0)),  # a run at a grid end is not bisected
+    ],
+)
+def test_positivity_interval_picks_the_widest_sampled_run(runs, expected):
+    def theta(t):
+        return np.eye(2) * (1.0 if any(a < t < b for a, b in runs) else -1.0)
+
+    candidate = MetricCandidate(provenance=MetricProvenance.BASIS_COMBINATION, family=theta)
+    report = positivity_interval(candidate, 0.0, 1.0, 1e-10, coarse_steps=11)
+    assert report.interval == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize(
     "lo, hi, tol", [(0.0, math.inf, 1e-10), (math.nan, 1.0, 1e-10), (0.0, 1.0, 0.0)]
 )
 def test_positivity_interval_rejects_unbounded_inputs(lo, hi, tol):

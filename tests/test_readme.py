@@ -1,0 +1,20 @@
+"""The Python examples in README.md run as written."""
+
+import pathlib
+import re
+
+import pytest
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(
+    r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S
+)
+
+
+def test_readme_has_python_examples():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("source", BLOCKS, ids=lambda s: s.splitlines()[0][:40])
+def test_readme_python_block_runs(source):
+    exec(compile(source, str(README), "exec"), {"__name__": "readme_example"})

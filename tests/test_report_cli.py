@@ -307,6 +307,27 @@ class TestCli:
         assert err.startswith("error:") and "undefined at t=" in err
         assert out == ""
 
+    def test_overflowing_entry_exits_3(self, tmp_path, capsys):
+        doc = {
+            "name": "overflow",
+            "n": 4,
+            "topology": "ring",
+            "diag": ["-3", "-1", "1", "3"],
+            "couplings": ["t", "t", "t", "*".join(["t"] * 50)],
+            "t_range": [0.0, 1e10],
+        }
+        path = tmp_path / "overflow.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        code, out, err = run(
+            ["spectrum", "--config", str(path), "--t-min", "0", "--t-max", "1e10",
+             "--steps", "3"],
+            capsys,
+        )
+        assert code == 3
+        assert err.startswith("error:") and "not finite" in err
+        assert "t=5000000000.0" in err
+        assert out == ""
+
     def test_argparse_usage_error_is_2(self, capsys):
         code, _, err = run(
             ["spectrum", "--model", "ec4", "--t-min", "zero", "--t-max", "1"],
