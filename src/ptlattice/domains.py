@@ -5,6 +5,12 @@ with a constant number of real eigenvalues.  This module scans such
 profiles, refines the transition points by bisection, classifies the
 exceptional points sitting at domain boundaries or inside domains, and
 extracts "islands" where exactly k eigenvalues stay real.
+
+A coarse grid is one batch: ``ModelFamily.matrices`` assembles its whole
+stack, one stacked LAPACK call solves it, and the row-wise rules of
+``spectra`` give every real count and gap at once.  Bisection and
+golden-section search stay point by point, since each step depends on the
+one before.
 """
 
 from __future__ import annotations
@@ -22,7 +28,13 @@ from .errors import (
     InvalidSpecError,
 )
 from .lattice import check_square
-from .spectra import count_real, min_pairwise_gap, vector_angle
+from .spectra import (
+    count_real,
+    count_real_rows,
+    min_pairwise_gap,
+    min_pairwise_gaps,
+    vector_angle,
+)
 from .tolerances import (
     ANGLE_TOL,
     EPS_GAP,
@@ -125,10 +137,14 @@ def check_eps_real(eps_real: float) -> None:
 
 
 def _grid_eigenvalues(family, grid: np.ndarray) -> np.ndarray:
-    """Eigenvalue rows for each grid point (unsorted, no polish)."""
+    """Eigenvalue rows for each grid point (unsorted, no polish).
+
+    The grid ends are checked first, so a range reaching past the validity
+    interval is reported at its end; family.matrices checks every point.
+    """
     family.check_validity(float(grid[0]))
     family.check_validity(float(grid[-1]))
-    return np.linalg.eigvals(np.stack([family.matrix(t) for t in grid]))
+    return np.linalg.eigvals(family.matrices(grid))
 
 
 def reality_profile(family, grid, *, eps_real: float = EPS_REAL) -> RealityProfile:
@@ -137,8 +153,7 @@ def reality_profile(family, grid, *, eps_real: float = EPS_REAL) -> RealityProfi
     if grid.ndim != 1 or grid.size < 1:
         raise InvalidSpecError("grid must be a nonempty 1-d array")
     check_eps_real(eps_real)
-    rows = _grid_eigenvalues(family, grid)
-    counts = np.array([count_real(row, eps_real) for row in rows])
+    counts = count_real_rows(_grid_eigenvalues(family, grid), eps_real)
     return RealityProfile(grid=grid, counts=counts)
 
 
@@ -358,8 +373,8 @@ def domain_report(
     coarse_steps = grid_steps(lo, hi, coarse_steps)
     grid = np.linspace(lo, hi, coarse_steps)
     rows = _grid_eigenvalues(family, grid)
-    counts = np.array([count_real(row, eps_real) for row in rows])
-    gaps = np.array([min_pairwise_gap(row) for row in rows])
+    counts = count_real_rows(rows, eps_real)
+    gaps = min_pairwise_gaps(rows)
 
     boundaries = []
     for i in range(len(grid) - 1):
@@ -380,22 +395,17 @@ def domain_report(
     markers = [_boundary_ep(family, b, tol) for b in boundaries]
 
     spacing = (hi - lo) / (coarse_steps - 1)
+    minima = 1 + np.flatnonzero((gaps[1:-1] < gaps[:-2]) & (gaps[1:-1] <= gaps[2:]))
     interior: list[EPLocation] = []
     for a, b, _ in intervals:
-        inside = [
-            i
-            for i in range(1, len(grid) - 1)
-            if a < grid[i - 1] and grid[i + 1] < b
-        ]
-        for i in inside:
-            if gaps[i] < gaps[i - 1] and gaps[i] <= gaps[i + 1]:
-                try:
-                    ep = locate_coalescence_ep(family, grid[i - 1], grid[i + 1], tol)
-                except (EpNotFoundError, DegenerateSpectrumError):
-                    continue
-                if any(abs(ep.t_star - other.t_star) <= spacing for other in interior):
-                    continue
-                interior.append(ep)
+        for i in minima[(a < grid[minima - 1]) & (grid[minima + 1] < b)]:
+            try:
+                ep = locate_coalescence_ep(family, grid[i - 1], grid[i + 1], tol)
+            except (EpNotFoundError, DegenerateSpectrumError):
+                continue
+            if any(abs(ep.t_star - other.t_star) <= spacing for other in interior):
+                continue
+            interior.append(ep)
 
     eps = tuple(sorted(markers + interior, key=lambda e: e.t_star))
     return DomainReport(

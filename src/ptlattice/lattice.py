@@ -4,9 +4,10 @@ Sign conventions are fixed once for the whole package, in :func:`layout`:
 the subdiagonal is the negative of the superdiagonal (b_i = -c_i), and a
 ring closes through corner entries (1, n) = -c_n and (n, 1) = +c_n.  Every
 model in scope obeys this antisymmetric pattern, so the assembler
-deliberately does not accept independent lower couplings.  The float path
-(:func:`build_matrix`) and the mpmath path (``ModelFamily.matrix_mp``) both
-go through it.
+deliberately does not accept independent lower couplings.  Every assembly
+path goes through it: :func:`build_matrix` for a validated spec, and
+``ModelFamily.matrix``, ``matrix_mp`` and ``matrices`` (a whole stack of
+matrices at once) for model families.
 """
 
 from __future__ import annotations
@@ -70,14 +71,18 @@ class LatticeSpec:
             raise InvalidSpecError("matrix entries must be finite")
 
 
-def layout(n: int, diag, upper, topology: Topology, zero) -> list[list]:
+def layout(n: int, diag, upper, topology: Topology, zero=None, rows=None):
     """Rows of the n x n lattice matrix; entries keep the type they come in.
 
     Diagonal a_i, band (i, i+1) = c_i and (i+1, i) = -c_i, and on a ring the
     corners (1, n) = -c_n and (n, 1) = +c_n.  ``zero`` fills every other
-    entry.
+    entry of a new list of rows.  Given ``rows``, the entries are written
+    into it instead and it is returned: an (n, n, m) view of a stack of m
+    zero matrices takes each entry as a length-m vector, or as a scalar
+    that numpy broadcasts along the stack.
     """
-    rows = [[zero] * n for _ in range(n)]
+    if rows is None:
+        rows = [[zero] * n for _ in range(n)]
     for i, a in enumerate(diag):
         rows[i][i] = a
     for i, c in enumerate(upper[: n - 1]):

@@ -11,6 +11,7 @@ kernel along t.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -377,7 +378,7 @@ class MetricSection:
     projecting the previous metric onto each new kernel and renormalizing
     the trace.  A projection that loses more than half the norm means the
     branch was lost and raises.  Anchors are cached so repeated probes stay
-    cheap.
+    cheap, and kept in sorted order so the nearest one is found by bisection.
     """
 
     def __init__(self, family, *, t_seed: float = 0.0):
@@ -385,7 +386,33 @@ class MetricSection:
         n = family.n
         basis = intertwiner_basis(family.matrix(t_seed))
         seed = self._project(np.eye(n), basis, t_seed)
-        self._anchors: dict[float, np.ndarray] = {float(t_seed): seed}
+        # Anchor t -> (insertion rank, Theta), and the anchor ts sorted.
+        self._anchors: dict[float, tuple[int, np.ndarray]] = {}
+        self._keys: list[float] = []
+        self._store(float(t_seed), seed)
+
+    def _store(self, t: float, theta: np.ndarray) -> None:
+        if t in self._anchors:
+            self._anchors[t] = (self._anchors[t][0], theta)
+        else:
+            self._anchors[t] = (len(self._anchors), theta)
+            insort(self._keys, t)
+
+    def _nearest_anchor(self, t: float) -> float:
+        """The nearest anchor to t; on a tie, the one inserted first.
+
+        Rounded distances |t - a| never shrink away from t, so the anchors
+        at the least distance form one run of sorted keys beside t.
+        """
+        keys = self._keys
+        p = bisect_left(keys, t)
+        best = min(abs(t - keys[i]) for i in (p - 1, p) if 0 <= i < len(keys))
+        lo = hi = p
+        while lo > 0 and abs(t - keys[lo - 1]) == best:
+            lo -= 1
+        while hi < len(keys) and abs(t - keys[hi]) == best:
+            hi += 1
+        return min(keys[lo:hi], key=lambda a: self._anchors[a][0])
 
     def _project(self, theta_prev: np.ndarray, basis: SolutionBasis, t: float) -> np.ndarray:
         coeffs = np.array([float(np.tensordot(b, theta_prev)) for b in basis.elements])
@@ -405,8 +432,8 @@ class MetricSection:
     def value(self, t: float) -> np.ndarray:
         """Tracked Theta(t); marches from the nearest cached anchor."""
         t = float(t)
-        anchor_t = min(self._anchors, key=lambda a: abs(t - a))
-        theta = self._anchors[anchor_t]
+        anchor_t = self._nearest_anchor(t)
+        theta = self._anchors[anchor_t][1]
         distance = abs(t - anchor_t)
         if distance == 0.0:
             return theta
@@ -415,7 +442,7 @@ class MetricSection:
             tk = anchor_t + (t - anchor_t) * k / steps
             basis = intertwiner_basis(self.family.matrix(tk))
             theta = self._project(theta, basis, tk)
-            self._anchors[float(tk)] = theta
+            self._store(float(tk), theta)
         return theta
 
 

@@ -1,11 +1,12 @@
 """The named parametric models and the model-family interface.
 
 Every family exposes its entries as closed-form functions of t that can be
-evaluated either in double precision (for LAPACK work) or in mpmath
-arbitrary precision (for the characteristic-polynomial oracle, where entry
-rounding would otherwise dominate near high-order degeneracies).  Constants
-inside the entry expressions are integers and exact rationals so that the
-mp evaluation carries no double-rounding.
+evaluated in double precision (for LAPACK work), over a whole float64
+vector of t at once (for grid scans, ``ModelFamily.matrices``), or in
+mpmath arbitrary precision (for the characteristic-polynomial oracle, where
+entry rounding would otherwise dominate near high-order degeneracies).
+Constants inside the entry expressions are integers and exact rationals so
+that the mp evaluation carries no double-rounding.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ModelDomainError
-from .lattice import LatticeSpec, Topology, build_matrix, layout
+from .lattice import Topology, layout
 
 
 class FloatField:
@@ -35,6 +36,30 @@ class FloatField:
     @staticmethod
     def lift(t):
         return float(t)
+
+
+class ArrayField:
+    """Elementwise float64 arithmetic over a vector of t.
+
+    IEEE operations and the square root round each element exactly as the
+    scalar FloatField does, so every entry is bit for bit the same.
+    """
+
+    @staticmethod
+    def sqrt(x):
+        return np.sqrt(x)
+
+    @staticmethod
+    def num(text: str):
+        value = float(text)
+        if not math.isfinite(value):
+            # inf / 0 raises in the scalar path but raises no numpy flag.
+            raise OverflowError(f"literal {text} is not a finite double")
+        return value
+
+    @staticmethod
+    def lift(t):
+        return np.asarray(t, dtype=float)
 
 
 class MpField:
@@ -71,7 +96,9 @@ class ModelFamily:
     """A t-parametrized Hamiltonian family with entry closed forms.
 
     ``diag_fn``/``upper_fn`` take (t, field) and return entry lists; t is
-    already lifted into the field's arithmetic.  ``t_min``/``t_max`` bound
+    already lifted into the field's arithmetic.  With ArrayField, t is a
+    float64 vector and each entry is a vector or a constant scalar, so the
+    closures must compute elementwise.  ``t_min``/``t_max`` bound
     the closed validity interval (infinite where unconstrained).
     """
 
@@ -119,7 +146,36 @@ class ModelFamily:
                 t=t,
                 radical=self.radical,
             )
-        return build_matrix(LatticeSpec(self.n, diag, upper, self.topology))
+        return np.array(layout(self.n, diag, upper, self.topology, 0.0), dtype=float)
+
+    def matrices(self, ts) -> np.ndarray:
+        """The (len(ts), n, n) stack of matrix(t) for a vector of t, bit for bit.
+
+        The entry closures run once over the whole vector in ArrayField
+        arithmetic.  From finite t and finite literals an inf or nan can
+        only come out of an operation numpy flags, and every such flag
+        raises here, because a later operation may hide it: 1/(1/0) comes
+        back as a finite 0 where the scalar path raises.  On any t outside
+        the validity range, any exception or any non-finite entry, the stack
+        is built from matrix(t) at each t in order instead, so the result,
+        or the error with its t, is matrix's own.
+        """
+        ts = ArrayField.lift(ts).ravel()
+        if np.all((self.t_min <= ts) & (ts <= self.t_max) & np.isfinite(ts)):
+            stack = np.zeros((ts.size, self.n, self.n))
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    diag = self.diag_fn(ts, ArrayField)
+                    upper = self.upper_fn(ts, ArrayField)
+                layout(self.n, diag, upper, self.topology, rows=stack.transpose(1, 2, 0))
+            except Exception:
+                # The closures may be any caller's; the scalar replay below
+                # raises whatever is a genuine error of the model.
+                pass
+            else:
+                if np.isfinite(stack).all():
+                    return stack
+        return np.stack([self.matrix(t) for t in ts])
 
     def matrix_mp(self, t: float) -> list[list]:
         """Entries evaluated in mp precision, assembled as nested lists of mpf."""

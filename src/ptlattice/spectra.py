@@ -1,15 +1,19 @@
 """Spectra, eigenpairs, and PT-phase classification for small real matrices.
 
 Dense spectra come from LAPACK via numpy; grid sweeps batch all matrices
-into one stacked eigenvalue call.  Near-degenerate sweep points are
-re-solved through the arbitrary-precision characteristic-polynomial path,
-because a backward-stable QR eigensolver can only resolve an order-k
-coalescence to about u^(1/k) (u = machine epsilon), while the polynomial of
-the same matrix loses nothing.
+into one stacked eigenvalue call.  The real-count and gap rules classify a
+whole (m, n) array of eigenvalue rows at once (``count_real_rows``,
+``min_pairwise_gaps``); ``count_real`` and ``min_pairwise_gap`` are their
+one-row calls.  Near-degenerate sweep points are re-solved through the
+arbitrary-precision characteristic-polynomial path, because a
+backward-stable QR eigensolver can only resolve an order-k coalescence to
+about u^(1/k) (u = machine epsilon), while the polynomial of the same
+matrix loses nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -141,15 +145,36 @@ def canonical_sort(values: np.ndarray) -> np.ndarray:
     return values[order]
 
 
+@functools.lru_cache(maxsize=MAX_DENSE_N)
+def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the pairs i < j, read-only as the cache shares them.
+
+    Built once per n: np.triu_indices costs more than a one-row gap.
+    """
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
+def min_pairwise_gaps(rows) -> np.ndarray:
+    """Smallest |lambda_i - lambda_j| over i < j, for each row of an (m, n) array.
+
+    |lambda_j - lambda_i| is bit for bit |lambda_i - lambda_j|, so the pairs
+    i < j alone give the minimum over all distinct pairs.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    m, n = rows.shape
+    if n < 2:
+        return np.full(m, math.inf)
+    i, j = _index_pairs(n)
+    return np.abs(rows[:, i] - rows[:, j]).min(axis=1)
+
+
 def min_pairwise_gap(values) -> float:
     """Smallest |lambda_i - lambda_j| over distinct index pairs."""
     values = np.asarray(values, dtype=complex).ravel()
-    n = values.size
-    if n < 2:
-        return math.inf
-    diff = np.abs(values[:, None] - values[None, :])
-    diff[np.diag_indices(n)] = math.inf
-    return float(diff.min())
+    return float(min_pairwise_gaps(values[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -246,21 +271,35 @@ def sweep_eigenvalues(matrix_fn, ts) -> np.ndarray:
     return out
 
 
+def count_real_rows(rows, eps_real: float = EPS_REAL) -> np.ndarray:
+    """Real count of each row of an (m, n) eigenvalue array.
+
+    An eigenvalue counts as real when |Im| <= eps_real * max(1, spectral
+    radius of its row).  Complex eigenvalues of a real matrix pair up, so
+    an odd complex count raises ConsistencyError, for the first such row.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    m, n = rows.shape
+    if n == 0:
+        return np.zeros(m, dtype=int)
+    # fmax, unlike maximum, keeps the floor 1.0 for a row holding a nan.
+    threshold = eps_real * np.fmax(1.0, np.abs(rows).max(axis=1))
+    counts = (np.abs(rows.imag) <= threshold[:, None]).sum(axis=1)
+    odd = (n - counts) % 2
+    if odd.any():
+        raise ConsistencyError(
+            f"{n - counts[odd.argmax()]} eigenvalues classified complex; "
+            "conjugate pairing demands an even number"
+        )
+    return counts
+
+
 def count_real(spectrum, eps_real: float = EPS_REAL) -> int:
     """Number of eigenvalues with |Im| <= eps_real * max(1, spectral radius)."""
     values = spectrum.values if isinstance(spectrum, Spectrum) else None
     if values is None:
         values = np.asarray(spectrum, dtype=complex).ravel()
-    if values.size == 0:
-        return 0
-    threshold = eps_real * max(1.0, float(np.abs(values).max()))
-    count = int((np.abs(values.imag) <= threshold).sum())
-    if (values.size - count) % 2 != 0:
-        raise ConsistencyError(
-            f"{values.size - count} eigenvalues classified complex; "
-            "conjugate pairing demands an even number"
-        )
-    return count
+    return int(count_real_rows(values[None, :], eps_real)[0])
 
 
 def normalize_vector(v: np.ndarray) -> np.ndarray:

@@ -7,21 +7,29 @@ import pytest
 
 from ptlattice import (
     BracketError,
+    ConsistencyError,
     DegenerateSpectrumError,
     EPKind,
     EpNotFoundError,
     InvalidSpecError,
     Model,
+    ModelDomainError,
+    count_real,
     degeneracy_order,
     domain_report,
     get_family,
+    iter_families,
+    load_custom_model,
     locate_coalescence_ep,
     maximal_jordan_block,
+    min_pairwise_gap,
     reality_islands,
     reality_profile,
     refine_reality_boundary,
 )
+from ptlattice.cli import main
 from ptlattice.domains import grid_steps
+from ptlattice.spectra import count_real_rows, min_pairwise_gaps
 from ptlattice.tolerances import MAX_GRID_POINTS, POINTS_PER_UNIT
 
 
@@ -185,3 +193,78 @@ def test_grid_steps_automatic_density_and_bound():
     assert grid_steps(0.0, 1.0, MAX_GRID_POINTS) == MAX_GRID_POINTS
     with pytest.raises(InvalidSpecError, match="--steps"):
         grid_steps(-1e308, 1e308)
+
+
+def _scan_rows():
+    """Eigenvalue rows of every registry family across a dense grid."""
+    for family in iter_families():
+        ts = np.linspace(max(family.t_min, -2.0), min(family.t_max, 2.0), 801)
+        yield np.linalg.eigvals(family.matrices(ts))
+    # A repeated eigenvalue, pairs with |Im| at the reality threshold, a nan.
+    yield np.array(
+        [
+            [1.0, 1.0, 2.0, 3.0],
+            [1.0 + 1e-9j, 1.0 - 1e-9j, -2.0, 0.5],
+            [4.0 + 4e-9j, 4.0 - 4e-9j, 1.0, 1.0],
+            [math.nan, 1.0, 2.0, 3.0],
+        ]
+    )
+
+
+def test_row_rules_match_the_one_row_calls():
+    for rows in _scan_rows():
+        counts = count_real_rows(rows)
+        gaps = min_pairwise_gaps(rows)
+        assert counts.tolist() == [count_real(row) for row in rows]
+        # Bit for bit, nan included.
+        expected = np.array([min_pairwise_gap(row) for row in rows])
+        assert gaps.tobytes() == expected.tobytes()
+    assert min_pairwise_gaps(np.ones((3, 1))).tolist() == [math.inf] * 3
+    assert count_real_rows(np.ones((2, 0))).tolist() == [0, 0]
+
+
+def test_row_count_rejects_the_first_odd_complex_row():
+    rows = np.array([[1.0, 2.0, 3.0], [1.0j, 2.0, 3.0], [1.0j, 2.0j, 3.0j]])
+    with pytest.raises(ConsistencyError) as err:
+        count_real_rows(rows)
+    with pytest.raises(ConsistencyError) as one_row:
+        count_real(rows[1])
+    assert str(err.value) == str(one_row.value)
+    assert str(err.value).startswith("1 eigenvalues classified complex")
+
+
+def test_reality_profile_checks_every_point_of_an_unsorted_grid():
+    family = get_family(Model.MDG6_OPEN)
+    with pytest.raises(ModelDomainError) as err:
+        reality_profile(family, [0.5, -0.2, 1.25, 0.0, 0.9])
+    assert err.value.t == 1.25
+
+
+# Undefined for |t| < 1/4, inside the stated range.
+HOLE_DOC = """\
+name: hole
+n: 4
+topology: open
+diag: ["2", "-1", "1", "-2"]
+couplings: ["sqrt(t*t - 0.0625)", "t", "t"]
+t_range: [-1, 1]
+"""
+
+
+def test_undefined_entry_inside_the_range_is_reported_at_its_first_grid_point(
+    tmp_path, capsys
+):
+    path = tmp_path / "hole.yaml"
+    path.write_text(HOLE_DOC, encoding="utf-8")
+    family = load_custom_model(str(path))
+    grid = np.linspace(-1.0, 1.0, grid_steps(-1.0, 1.0))
+    first = grid[grid * grid - 0.0625 < 0][0]
+    with pytest.raises(ModelDomainError) as err:
+        domain_report(family, -1.0, 1.0)
+    assert err.value.t == first
+    code = main(["domains", "--config", str(path), "--t-min", "-1", "--t-max", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: {err.value}\n"
+    assert f"undefined at t={first}" in captured.err

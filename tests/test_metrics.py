@@ -201,3 +201,52 @@ def test_candidate_without_family_refuses_at():
     )
     with pytest.raises(InvalidSpecError):
         candidate.at(0.5)
+
+
+def _linear_nearest(section, t):
+    # The reference rule: min over anchors in insertion order.
+    return min(section._anchors, key=lambda a: abs(t - a))
+
+
+def test_nearest_anchor_matches_the_linear_scan_on_every_tracked_probe(
+    monkeypatch, capsys
+):
+    from ptlattice.cli import main
+
+    lookup = MetricSection._nearest_anchor
+    probes = []
+
+    def checked(self, t):
+        anchor = lookup(self, t)
+        assert anchor == _linear_nearest(self, t), t
+        probes.append(t)
+        return anchor
+
+    monkeypatch.setattr(MetricSection, "_nearest_anchor", checked)
+    args = ["metric", "--model", "mdg6-w1", "--t-min", "0.2", "--t-max", "0.9", "--track"]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert len(probes) > 500
+
+
+def test_nearest_anchor_tie_goes_to_the_first_inserted():
+    section = MetricSection(EC4)  # seed anchor at t = 0
+    theta = np.eye(4)
+    for t in (1.0, -1.0, 3.0, 2.0, 2.0 + 1e-17, 1.0):
+        section._store(t, theta)
+    assert section._keys == sorted(section._anchors)
+    assert list(section._anchors) == [0.0, 1.0, -1.0, 3.0, 2.0]
+    # Ties at 0.5, -0.5 and 2.5; 2 + 1e-17 rounds to 2.0, so it is no new anchor.
+    for t in (0.5, -0.5, 2.5, 1.5, 10.0, -10.0, 0.0, 2.0, 1.0 + 2**-52):
+        assert section._nearest_anchor(t) == _linear_nearest(section, t), t
+    assert section._nearest_anchor(0.5) == 0.0
+    assert section._nearest_anchor(2.5) == 3.0
+
+
+def test_nearest_anchor_tie_can_reach_past_the_neighbours():
+    # From t = 1 all three anchors round to distance 1.0; the first inserted
+    # is the one farthest from t.
+    section = MetricSection(EC4)
+    for t in (3e-17, 1e-17):
+        section._store(t, np.eye(4))
+    assert section._nearest_anchor(1.0) == _linear_nearest(section, 1.0) == 0.0

@@ -14,6 +14,7 @@ from ptlattice import (
     get_family,
     is_pt_symmetric,
     iter_families,
+    load_custom_model,
     model_names,
 )
 from ptlattice.tolerances import ORACLE_DPS
@@ -159,3 +160,86 @@ def test_registry_matrices_are_bit_exact(model, t):
         rows = family.matrix_mp(t)
         text = "\n".join(" ".join(mpmath.nstr(x, 50) for x in row) for row in rows)
     assert hashlib.sha256(text.encode()).hexdigest() == mp_digest
+
+
+# Validity [-2, 1] is inferred from the two radicands; "2" is a constant
+# entry, which the stacked assembly must broadcast along the stack.
+SQRT_DOC = """\
+name: two-radicands
+n: 4
+topology: ring
+diag: ["-3", "-1", "1", "2"]
+couplings: ["sqrt(1 - t)", "t / 3", "sqrt(t + 2) * t", "1 - t * t"]
+"""
+
+
+def _stack_families(tmp_path):
+    path = tmp_path / "two-radicands.yaml"
+    path.write_text(SQRT_DOC, encoding="utf-8")
+    return [*iter_families(), load_custom_model(str(path))]
+
+
+def test_matrices_is_the_stack_of_matrix_bit_for_bit(tmp_path):
+    for family in _stack_families(tmp_path):
+        lo, hi = max(family.t_min, -2.0), min(family.t_max, 2.0)
+        ts = np.linspace(lo, hi, 401)
+        assert ts[0] == lo and ts[-1] == hi
+        expected = np.stack([family.matrix(t) for t in ts])
+        stack = family.matrices(ts)
+        assert stack.dtype == expected.dtype and stack.shape == expected.shape
+        assert stack.tobytes() == expected.tobytes(), family.name
+
+
+def test_custom_document_validity_is_inferred_for_the_stack(tmp_path):
+    family = _stack_families(tmp_path)[-1]
+    assert (family.t_min, family.t_max) == (-2.0, 1.0)
+
+
+def test_matrices_reports_the_first_point_outside_the_range():
+    family = get_family(Model.MDG6_OPEN)
+    with pytest.raises(ModelDomainError) as err:
+        family.matrices([0.5, 1.25, -0.3, 1.5])
+    assert err.value.t == 1.25
+
+
+@pytest.mark.parametrize(
+    "coupling, bad_t",
+    [
+        ("sqrt(t*t - 0.0625)", 0.0),
+        ("1/(1/(t - 0.5))", 0.5),
+        ("1/(1e400/(t - 0.5))", 0.5),
+    ],
+    ids=["negative-radicand", "hidden-zero-divisor", "infinite-literal"],
+)
+def test_matrices_raises_what_matrix_raises(tmp_path, coupling, bad_t):
+    # numpy turns each of these into a finite entry or a nan at bad_t alone,
+    # where the scalar path raises.
+    doc = SQRT_DOC.replace('"sqrt(1 - t)"', f'"{coupling}"').replace(
+        "topology: ring", "topology: ring\nt_range: [-1, 1]"
+    )
+    path = tmp_path / "undefined.yaml"
+    path.write_text(doc, encoding="utf-8")
+    family = load_custom_model(str(path))
+    ts = np.array([0.75, -0.5, bad_t, -1.0])
+    with pytest.raises(ModelDomainError) as scalar:
+        for t in ts:
+            family.matrix(t)
+    with pytest.raises(ModelDomainError) as stacked:
+        family.matrices(ts)
+    assert stacked.value.t == scalar.value.t == bad_t
+    assert str(stacked.value) == str(scalar.value)
+
+
+def test_matrices_replays_an_infinite_t(tmp_path):
+    # Unbounded validity admits t = inf, where t/(1/t) divides inf by zero:
+    # the scalar path raises, numpy raises no flag and 1/inf is a finite 0.
+    doc = SQRT_DOC.replace('"sqrt(1 - t)"', '"1/(t/(1/t))"').replace(
+        '"t / 3", "sqrt(t + 2) * t", "1 - t * t"', '"1", "1/t", "2"'
+    )
+    path = tmp_path / "unbounded.yaml"
+    path.write_text(doc, encoding="utf-8")
+    family = load_custom_model(str(path))
+    assert family.t_max == math.inf
+    with pytest.raises(ModelDomainError) as err:
+        family.matrices([0.5, math.inf])
+    assert err.value.t == math.inf
