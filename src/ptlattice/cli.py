@@ -113,7 +113,7 @@ def cmd_spectrum(args) -> int:
     family.check_validity(args.t_min)
     family.check_validity(args.t_max)
     grid = np.linspace(args.t_min, args.t_max, args.steps)
-    rows = sweep_eigenvalues(family.matrix, grid)
+    rows = sweep_eigenvalues(family.matrices(grid))
     n = family.n
 
     bundle = _new_bundle(args, family, "spectrum")

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .lattice import check_square
 from .spectra import (
+    _index_pairs,
     count_real,
     count_real_rows,
     min_pairwise_gap,
@@ -208,10 +209,10 @@ def _largest_cluster(values: np.ndarray, threshold: float) -> int:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= threshold:
-                parent[find(i)] = find(j)
+    i, j = _index_pairs(n)
+    linked = np.abs(values[i] - values[j]) <= threshold
+    for a, b in zip(i[linked].tolist(), j[linked].tolist()):
+        parent[find(a)] = find(b)
     sizes: dict[int, int] = {}
     for i in range(n):
         r = find(i)
@@ -317,12 +318,10 @@ def locate_coalescence_ep(
         raise EpNotFoundError(
             f"no eigenvalue cluster at the gap minimum t={t_star!r}"
         )
-    pairs = [
-        (abs(values[i] - values[j]), i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
-    _, i, j = min(pairs)
+    # The closest pair; on a tie, the first in row-major order.
+    i, j = _index_pairs(n)
+    closest = np.abs(values[i] - values[j]).argmin()
+    i, j = i[closest], j[closest]
     angle = vector_angle(vectors[:, i], vectors[:, j])
     acceptance = max(ANGLE_TOL, 50.0 * _EPS ** (1.0 / order))
     if angle > acceptance:

@@ -10,6 +10,7 @@ kernel along t.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -28,44 +29,49 @@ from .errors import (
 )
 from .domains import bisect_edge, check_bracket, grid_steps
 from .lattice import check_square
-from .spectra import count_real, eigenvalues, left_right_pairs, min_pairwise_gap
+from .spectra import (
+    _index_pairs, count_real, eigenvalues, left_right_pairs, min_pairwise_gap,
+)
 from .tolerances import EPS_GAP, EPS_METRIC, POSITIVITY_STEPS
 
 _SQRT2 = math.sqrt(2.0)
 
 
+@functools.lru_cache(maxsize=8)
+def _sym_layout(n: int) -> tuple[np.ndarray, ...]:
+    """The vec_sym layout of n x n matrices, read-only as the cache shares it.
+
+    Index arrays (i, j) of the entries i <= j in row-major order, their
+    weights (1 on the diagonal, sqrt2 off it), and the unit matrices B_k
+    with vec_sym(B_k) = e_k, n^3 (n+1) / 2 floats, so few sizes are kept.
+    """
+    rows, cols = np.triu_indices(n)
+    weights = np.where(rows == cols, 1.0, _SQRT2)
+    units = np.zeros((rows.size, n, n))
+    k = np.arange(rows.size)
+    units[k, rows, cols] = units[k, cols, rows] = 1.0 / weights
+    for array in (rows, cols, weights, units):
+        array.setflags(write=False)
+    return rows, cols, weights, units
+
+
 def vec_sym(m: np.ndarray) -> np.ndarray:
-    """Isometric vectorization of a symmetric matrix (off-diagonals x sqrt2)."""
+    """Isometric vectorization of a symmetric matrix (off-diagonals x sqrt2).
+
+    A stack of matrices in the last two axes gives a stack of vectors.
+    """
     m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    out = []
-    for i in range(n):
-        out.append(m[i, i])
-        for j in range(i + 1, n):
-            out.append(_SQRT2 * m[i, j])
-    return np.asarray(out)
+    rows, cols, weights, _ = _sym_layout(m.shape[-1])
+    return weights * m[..., rows, cols]
 
 
 def unvec_sym(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of vec_sym."""
-    m = np.zeros((n, n))
-    k = 0
-    for i in range(n):
-        m[i, i] = v[k]
-        k += 1
-        for j in range(i + 1, n):
-            m[i, j] = m[j, i] = v[k] / _SQRT2
-            k += 1
+    """Inverse of vec_sym, also for a stack of vectors in the last axis."""
+    rows, cols, weights, _ = _sym_layout(n)
+    entries = np.asarray(v, dtype=float) / weights
+    m = np.zeros(entries.shape[:-1] + (n, n))
+    m[..., rows, cols] = m[..., cols, rows] = entries
     return m
-
-
-def _vec_antisym(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(_SQRT2 * m[i, j])
-    return np.asarray(out)
 
 
 @dataclass(frozen=True)
@@ -114,42 +120,33 @@ def intertwiner_basis(h) -> SolutionBasis:
         raise DegenerateSpectrumError(
             f"minimal eigenvalue gap {gap:.3e} below the gate {EPS_GAP * scale:.3e}"
         )
-    sym_dim = n * (n + 1) // 2
-    columns = []
-    for i in range(n):
-        for j in range(i, n):
-            b = np.zeros((n, n))
-            if i == j:
-                b[i, i] = 1.0
-            else:
-                b[i, j] = b[j, i] = 1.0 / _SQRT2
-            columns.append(_vec_antisym(h.T @ b - b @ h))
-    a = np.column_stack(columns) if columns else np.zeros((0, sym_dim))
+    *_, units = _sym_layout(n)
+    # Column k is the strict upper triangle of H^T B_k - B_k H, x sqrt2.
+    i, j = _index_pairs(n)
+    a = (_SQRT2 * (h.T @ units - units @ h)[:, i, j]).T
     _, s, vt = np.linalg.svd(a, full_matrices=True)
     threshold = _KERNEL_RANK_REL * max(1.0, float(s.max()) if s.size else 0.0)
     rank = int((s > threshold).sum())
-    kernel_dim = sym_dim - rank
+    kernel_dim = len(vt) - rank
     if kernel_dim != n:
         raise ConsistencyError(
             f"intertwiner kernel dimension {kernel_dim}, expected {n}"
         )
-    elements = []
-    for row in vt[rank:]:
-        theta = unvec_sym(row, n)
+    elements = tuple(unvec_sym(vt[rank:], n))
+    for theta in elements:
         residual = float(np.linalg.norm(h.T @ theta - theta @ h))
         if residual > EPS_METRIC * scale:
             raise ConsistencyError(
                 f"kernel element residual {residual:.3e} above bound"
             )
-        elements.append(theta)
-    return SolutionBasis(elements=tuple(elements), dim=kernel_dim)
+    return SolutionBasis(elements=elements, dim=kernel_dim)
 
 
 def expand_in_basis(theta, basis: SolutionBasis) -> tuple[np.ndarray, float]:
     """Least-squares coefficients and relative residual of theta in the basis."""
     theta = check_square(theta)
     target = vec_sym(theta)
-    m = np.column_stack([vec_sym(b) for b in basis.elements])
+    m = vec_sym(np.stack(basis.elements)).T
     coeffs, *_ = np.linalg.lstsq(m, target, rcond=None)
     norm = float(np.linalg.norm(target))
     if norm == 0.0:
@@ -256,8 +253,8 @@ def spectral_metric(h, weights) -> MetricCandidate:
     weights = np.asarray(weights, dtype=float).ravel()
     if weights.size != n:
         raise InvalidSpecError(f"need {n} weights, got {weights.size}")
-    if np.any(weights <= 0):
-        raise InvalidSpecError("weights must be positive")
+    if not np.all(np.isfinite(weights) & (weights > 0)):
+        raise InvalidSpecError("weights must be positive and finite")
     vals = eigenvalues(h).values
     if count_real(vals) != n:
         raise BrokenPhaseError(
@@ -463,8 +460,7 @@ def tracked_positivity_boundary(
     whole solution cone degenerates at once -- is the endpoint
     section-independent and comparable across constructions.
     """
-    if tol <= 0:
-        raise InvalidSpecError(f"tol must be positive, got {tol}")
+    check_bracket(0.0, search_max, tol)
     section = MetricSection(family)
 
     def alive(t: float) -> bool:

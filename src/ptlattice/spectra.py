@@ -241,34 +241,37 @@ def eigenvalues(h) -> Spectrum:
 _POLISH_REL = 1e-5
 
 
-def sweep_eigenvalues(matrix_fn, ts) -> np.ndarray:
-    """Eigenvalues along a parameter grid, one canonically sorted row per t.
+def sweep_eigenvalues(stack) -> np.ndarray:
+    """Eigenvalues of an (m, n, n) matrix stack, one canonically sorted row each.
 
-    All grid matrices go through a single stacked LAPACK call.  Rows whose
+    All matrices go through a single stacked LAPACK call.  Rows whose
     minimal eigenvalue gap falls below _POLISH_REL * max(1, ||H||_F) sit
     near a coalescence where QR accuracy degrades to u^(1/k); those rows are
     re-solved through the characteristic polynomial of the same matrix in
     arbitrary precision.
     """
-    ts = np.asarray(ts, dtype=float).ravel()
-    mats = [check_square(matrix_fn(float(t))) for t in ts]
-    if not mats:
-        return np.zeros((0, 0), dtype=complex)
-    stack = np.stack(mats)
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise InvalidSpecError(
+            f"expected a stack of square matrices, got shape {stack.shape}"
+        )
+    if not np.all(np.isfinite(stack)):
+        raise InvalidSpecError("matrix entries must be finite")
     try:
-        vals = np.linalg.eigvals(stack)
+        vals = np.linalg.eigvals(stack).astype(complex)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"stacked eigensolver failed: {exc}") from exc
-    out = np.empty(vals.shape, dtype=complex)
-    for i in range(vals.shape[0]):
-        row = canonical_sort(np.asarray(vals[i], dtype=complex))
-        scale = max(1.0, float(np.linalg.norm(stack[i])))
-        if min_pairwise_gap(row) < _POLISH_REL * scale:
-            from .charpoly import eigenvalues_charpoly_oracle
+    rows = np.take_along_axis(vals, np.lexsort((vals.imag, vals.real), axis=-1), -1)
+    # Each norm as np.linalg.norm(h) takes it, the root of one dot product;
+    # a norm over the stack axes sums in another order.
+    m, n, _ = stack.shape
+    flat = stack.reshape(m, 1, n * n)
+    scales = np.fmax(1.0, np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel())
+    for i in np.flatnonzero(min_pairwise_gaps(rows) < _POLISH_REL * scales):
+        from .charpoly import eigenvalues_charpoly_oracle
 
-            row = eigenvalues_charpoly_oracle(stack[i]).values
-        out[i] = row
-    return out
+        rows[i] = eigenvalues_charpoly_oracle(stack[i]).values
+    return rows
 
 
 def count_real_rows(rows, eps_real: float = EPS_REAL) -> np.ndarray:

@@ -93,7 +93,7 @@ W1_UPPER_FACTOR = [
 def test_criterion_01_ec4_spectrum_matches_closed_form():
     family = get_family(Model.EC4)
     grid = np.linspace(-1.6, 1.6, 321)
-    rows = sweep_eigenvalues(family.matrix, grid)
+    rows = sweep_eigenvalues(family.matrices(grid))
     worst = max(
         matching_distance(row, ec4_closed_form(float(t)).values)
         for t, row in zip(grid, rows)

@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 
 from ptlattice import (
+    BracketError,
     BrokenPhaseError,
     InvalidSpecError,
     MetricCandidate,
     MetricProvenance,
     MetricSection,
     Model,
+    ModelFamily,
+    Topology,
     expand_in_basis,
     get_family,
     intertwiner_basis,
     intertwiner_residual,
+    iter_families,
     positivity_interval,
     recoupled_metric_boundary,
     reference_metric_ec4,
@@ -38,6 +42,69 @@ def test_vec_sym_is_an_isometry():
     v = vec_sym(m)
     assert np.linalg.norm(v) == pytest.approx(np.linalg.norm(m))
     assert np.allclose(unvec_sym(v, 4), m)
+
+
+def test_vec_sym_and_unvec_sym_on_a_stack_match_the_single_calls():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((2, 3, 5, 5))
+    stack = a + np.swapaxes(a, -1, -2)
+    vectors = vec_sym(stack)
+    assert vectors.shape == (2, 3, 15)
+    back = unvec_sym(vectors, 5)
+    for k in np.ndindex(2, 3):
+        assert np.array_equal(vectors[k], vec_sym(stack[k]))
+        assert np.array_equal(back[k], unvec_sym(vectors[k], 5))
+
+
+def _loop_basis(h):
+    """The kernel built entry by entry: one unit B_k and one SVD column at a time."""
+    n = h.shape[0]
+    r2 = math.sqrt(2.0)
+    columns = []
+    for i in range(n):
+        for j in range(i, n):
+            b = np.zeros((n, n))
+            if i == j:
+                b[i, i] = 1.0
+            else:
+                b[i, j] = b[j, i] = 1.0 / r2
+            d = h.T @ b - b @ h
+            columns.append([r2 * d[p, q] for p in range(n) for q in range(p + 1, n)])
+    _, s, vt = np.linalg.svd(np.column_stack(columns), full_matrices=True)
+    rank = int((s > 1e-9 * max(1.0, float(s.max()))).sum())
+    elements = []
+    for row in vt[rank:]:
+        theta = np.zeros((n, n))
+        k = 0
+        for i in range(n):
+            theta[i, i] = row[k]
+            k += 1
+            for j in range(i + 1, n):
+                theta[i, j] = theta[j, i] = row[k] / r2
+                k += 1
+        elements.append(theta)
+    return elements
+
+
+_UNBROKEN_POINTS = {
+    "mdg6-open": (0.05, 0.3, 0.9),
+    "mdg6-w1": (0.2, 0.5, 0.9),
+    "mdg6-w2": (0.5, 0.6, 0.9),
+    "ec4": (-0.6, 0.1, 0.9, 1.35),
+    "ec4-strongbond": (-0.6, 0.1, 0.9),
+    "ec4-recoupled": (-0.6, 0.1, 0.9),
+}
+
+
+@pytest.mark.parametrize("family", list(iter_families()), ids=lambda f: f.name)
+def test_intertwiner_basis_equals_the_entrywise_construction(family):
+    for t in _UNBROKEN_POINTS[family.name]:
+        h = family.matrix(t)
+        elements = intertwiner_basis(h).elements
+        reference = _loop_basis(h)
+        assert len(elements) == len(reference) == family.n
+        for theta, expected in zip(elements, reference):
+            assert np.array_equal(theta, expected)
 
 
 def test_intertwiner_basis_dimension_and_residuals():
@@ -107,6 +174,12 @@ def test_spectral_metric_rejects_bad_weights():
         spectral_metric(h, [1.0, -1.0, 1.0, 1.0])
     with pytest.raises(InvalidSpecError):
         spectral_metric(h, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spectral_metric_rejects_non_finite_weights(bad):
+    with pytest.raises(InvalidSpecError):
+        spectral_metric(EC4.matrix(0.9), [1.0, bad, 1.0, 1.0])
 
 
 def test_spectral_metric_requires_unbroken_phase():
@@ -188,6 +261,29 @@ def test_tracked_boundary_ec4_inside_unbroken_phase():
     assert 1.0 < boundary < math.sqrt(2.0)
     again = tracked_positivity_boundary(EC4, 1e-8, search_max=1.45)
     assert again == pytest.approx(boundary, abs=1e-7)
+
+
+# A t-independent ring: its tracked metric stays positive for every t.
+_FLAT_RING = ModelFamily(
+    name="flat-ring", n=4, topology=Topology.RING,
+    diag_fn=lambda t, f: [-3, -1, 1, 3], upper_fn=lambda t, f: [0.1] * 4,
+)
+
+
+def test_tracked_boundary_reports_a_section_that_stays_positive():
+    with pytest.raises(BracketError, match=r"stayed positive on \[0.0, 0.5\]"):
+        tracked_positivity_boundary(_FLAT_RING, 1e-8, search_max=0.5)
+
+
+def test_tracked_boundary_rejects_an_unbounded_search():
+    with pytest.raises(InvalidSpecError):
+        tracked_positivity_boundary(_FLAT_RING, 1e-8, search_max=math.inf)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8, math.inf])
+def test_tracked_boundary_rejects_a_bad_tol(tol):
+    with pytest.raises(InvalidSpecError):
+        tracked_positivity_boundary(get_family(Model.EC4_RECOUPLED), tol)
 
 
 def test_recoupled_boundary_closed_form():

@@ -8,6 +8,7 @@ import pytest
 from ptlattice import (
     ConsistencyError,
     DegenerateSpectrumError,
+    InvalidSpecError,
     Model,
     ModelDomainError,
     Spectrum,
@@ -23,7 +24,8 @@ from ptlattice import (
     sweep_eigenvalues,
     vector_angle,
 )
-from ptlattice.spectra import canonical_sort
+from ptlattice.charpoly import eigenvalues_charpoly_oracle
+from ptlattice.spectra import _POLISH_REL, canonical_sort
 
 
 def test_eigenvalues_of_diagonal_matrix():
@@ -76,15 +78,48 @@ def test_count_real_rejects_odd_complex_count():
 def test_sweep_matches_closed_form_across_phases():
     family = get_family(Model.EC4)
     grid = np.linspace(-1.6, 1.6, 65)
-    rows = sweep_eigenvalues(family.matrix, grid)
+    rows = sweep_eigenvalues(family.matrices(grid))
     for t, row in zip(grid, rows):
         assert matching_distance(row, ec4_closed_form(float(t)).values) < 1e-9
 
 
 def test_sweep_polish_handles_exact_degeneracy():
     family = get_family(Model.EC4)
-    rows = sweep_eigenvalues(family.matrix, [1.5])
+    rows = sweep_eigenvalues(family.matrices([1.5]))
     assert matching_distance(rows[0], np.array([-1.0, 0.0, 0.0, 1.0])) < 1e-9
+
+
+def _one_row_sweep(h):
+    """A sweep row built alone: sorted eigenvalues, polished by the one-row rule."""
+    row = canonical_sort(np.linalg.eigvals(h))
+    polish = min_pairwise_gap(row) < _POLISH_REL * max(1.0, float(np.linalg.norm(h)))
+    return (eigenvalues_charpoly_oracle(h).values if polish else row), polish
+
+
+@pytest.mark.parametrize(
+    "model, grid, polished",
+    [
+        (Model.EC4, np.linspace(1.0, 2.0, 401), [200]),  # the EP at t = 1.5
+        # LAPACK scatters the order-6 point t = 0 beyond the polish gate.
+        (Model.MDG6_OPEN, np.linspace(-1.0, 1.0, 51), []),
+    ],
+)
+def test_sweep_rows_equal_the_one_row_construction(model, grid, polished):
+    stack = get_family(model).matrices(grid)
+    rows = sweep_eigenvalues(stack)
+    reference = [_one_row_sweep(h) for h in stack]
+    assert rows.shape == (grid.size, stack.shape[1])
+    for row, (expected, _) in zip(rows, reference):
+        assert np.array_equal(row, expected)
+    assert [k for k, (_, polish) in enumerate(reference) if polish] == polished
+
+
+@pytest.mark.parametrize(
+    "stack", [np.zeros((4, 4)), np.zeros((2, 3, 4)), np.full((2, 3, 3), np.nan)]
+)
+def test_sweep_rejects_a_bad_stack(stack):
+    with pytest.raises(InvalidSpecError):
+        sweep_eigenvalues(stack)
 
 
 def test_left_right_pairs_satisfy_eigen_relations():
