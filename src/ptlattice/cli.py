@@ -2,9 +2,9 @@
 
 Subcommands: spectrum, domains, metric, islands, ep, validate.  Models come
 from the built-in registry (--model) or a YAML document (--config).  All
-numeric output is written as deterministic CSV bundles; --svg adds a static
-plot.  Exit codes: 0 success, 2 usage error, 3 validity-range error,
-4 numerical failure.
+numeric output is written as deterministic CSV bundles; spectrum, domains
+and metric take --svg for a static plot.  Exit codes: 0 success, 2 usage
+error, 3 validity-range error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .domains import (
     reality_profile,
 )
 from .errors import (
+    ConsistencyError,
     InvalidSpecError,
     ModelDomainError,
     ModelFileError,
@@ -42,7 +43,12 @@ from .models import Model, get_family, model_names
 from .report import ReportBundle, Table
 from .spectra import eigenvalues, matching_distance, sweep_eigenvalues
 from .svgplot import LinePlot
-from .tolerances import EPS_REAL, PROFILE_PLOT_STEPS
+from .tolerances import (
+    EPS_REAL,
+    POINTS_PER_UNIT,
+    POSITIVITY_STEPS,
+    PROFILE_PLOT_STEPS,
+)
 from .lattice import is_pt_symmetric
 
 try:
@@ -72,7 +78,7 @@ def _check_options(args) -> None:
     """Reject the numeric options that no command can use."""
     check_bracket(args.t_min, args.t_max, args.tol)
     check_eps_real(args.eps_real)
-    if args.steps is not None:
+    if getattr(args, "steps", None) is not None:
         grid_steps(args.t_min, args.t_max, args.steps)
 
 
@@ -87,10 +93,8 @@ def _new_bundle(args, family, command: str) -> ReportBundle:
     bundle.add_header("t_max", float(args.t_max))
     if getattr(args, "steps", None) is not None:
         bundle.add_header("steps", args.steps)
-    if hasattr(args, "eps_real"):
-        bundle.add_header("eps_real", float(args.eps_real))
-    if hasattr(args, "tol"):
-        bundle.add_header("tol", float(args.tol))
+    bundle.add_header("eps_real", float(args.eps_real))
+    bundle.add_header("tol", float(args.tol))
     if args.stamp:
         bundle.add_header(
             "generated", datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -99,19 +103,32 @@ def _new_bundle(args, family, command: str) -> ReportBundle:
 
 
 def _emit(args, bundle: ReportBundle) -> None:
-    text = bundle.to_csv()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        bundle.write(args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(bundle.to_csv())
 
 
-def cmd_spectrum(args) -> int:
-    family = _resolve_family(args)
-    _check_options(args)
-    family.check_validity(args.t_min)
-    family.check_validity(args.t_max)
+def _domain_report(args, family):
+    return domain_report(
+        family,
+        args.t_min,
+        args.t_max,
+        coarse_steps=args.steps,
+        tol=args.tol,
+        eps_real=args.eps_real,
+    )
+
+
+def _ep_table(name: str, report) -> Table:
+    return Table(
+        name=name,
+        columns=("t_star", "order", "kind", "residual"),
+        rows=[(ep.t_star, ep.order, ep.kind.value, ep.residual) for ep in report.eps],
+    )
+
+
+def cmd_spectrum(args, family) -> int:
     grid = np.linspace(args.t_min, args.t_max, args.steps)
     rows = sweep_eigenvalues(family.matrices(grid))
     n = family.n
@@ -147,17 +164,8 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def cmd_domains(args) -> int:
-    family = _resolve_family(args)
-    _check_options(args)
-    report = domain_report(
-        family,
-        args.t_min,
-        args.t_max,
-        coarse_steps=args.steps,
-        tol=args.tol,
-        eps_real=args.eps_real,
-    )
+def cmd_domains(args, family) -> int:
+    report = _domain_report(args, family)
     bundle = _new_bundle(args, family, "domains")
     bundle.add_table(
         Table(
@@ -169,16 +177,7 @@ def cmd_domains(args) -> int:
             ],
         )
     )
-    bundle.add_table(
-        Table(
-            name="ep_markers",
-            columns=("t_star", "order", "kind", "residual"),
-            rows=[
-                (ep.t_star, ep.order, ep.kind.value, ep.residual)
-                for ep in report.eps
-            ],
-        )
-    )
+    bundle.add_table(_ep_table("ep_markers", report))
     _emit(args, bundle)
 
     if args.svg:
@@ -217,11 +216,7 @@ def _metric_candidate(args, family) -> MetricCandidate:
     )
 
 
-def cmd_metric(args) -> int:
-    family = _resolve_family(args)
-    _check_options(args)
-    family.check_validity(args.t_min)
-    family.check_validity(args.t_max)
+def cmd_metric(args, family) -> int:
     candidate = _metric_candidate(args, family)
     report = positivity_interval(
         candidate, args.t_min, args.t_max, args.tol, coarse_steps=args.steps
@@ -266,9 +261,7 @@ def cmd_metric(args) -> int:
     return 0
 
 
-def cmd_islands(args) -> int:
-    family = _resolve_family(args)
-    _check_options(args)
+def cmd_islands(args, family) -> int:
     islands = reality_islands(
         family,
         args.t_min,
@@ -305,67 +298,42 @@ def cmd_islands(args) -> int:
     return 0
 
 
-def cmd_ep(args) -> int:
-    family = _resolve_family(args)
-    _check_options(args)
-    report = domain_report(
-        family,
-        args.t_min,
-        args.t_max,
-        coarse_steps=args.steps,
-        tol=args.tol,
-        eps_real=args.eps_real,
-    )
+def cmd_ep(args, family) -> int:
+    report = _domain_report(args, family)
     if not report.eps:
         print(
             "notice: no exceptional point found in the scanned range",
             file=sys.stderr,
         )
     bundle = _new_bundle(args, family, "ep")
-    bundle.add_table(
-        Table(
-            name="eps",
-            columns=("t_star", "order", "kind", "residual"),
-            rows=[
-                (ep.t_star, ep.order, ep.kind.value, ep.residual)
-                for ep in report.eps
-            ],
-        )
-    )
+    bundle.add_table(_ep_table("eps", report))
     _emit(args, bundle)
     return 0
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, family) -> int:
     from .charpoly import MAX_ORACLE_N, eigenvalues_charpoly_oracle
-    from .errors import ConsistencyError
 
-    family = _resolve_family(args)
-    _check_options(args)
-    family.check_validity(args.t_min)
-    family.check_validity(args.t_max)
-    sample_ts = np.linspace(args.t_min, args.t_max, 11)
+    sample_ts = np.linspace(args.t_min, args.t_max, 11).tolist()
+    points = list(zip(sample_ts, family.matrices(sample_ts)))
     checks = []
 
-    for t in sample_ts:
-        h = family.matrix(t)
+    for t, h in points:
         if not is_pt_symmetric(h):
             raise ConsistencyError(
                 f"PT structure violated at t={t!r} for model {family.name}"
             )
-    checks.append(("pt-structure", "ok", f"{len(sample_ts)} sample points"))
+    checks.append(("pt-structure", "ok", f"{len(points)} sample points"))
 
-    for t in sample_ts:
-        eigenvalues(family.matrix(t))  # conjugate closure + trace gates inside
-    checks.append(("conjugate-closure", "ok", f"{len(sample_ts)} sample points"))
+    spectra = [eigenvalues(h) for _, h in points]  # closure + trace gates inside
+    checks.append(("conjugate-closure", "ok", f"{len(points)} sample points"))
 
     if family.n <= MAX_ORACLE_N:
         worst = 0.0
-        for t in sample_ts:
-            h = family.matrix(t)
+        for (t, h), spectrum in zip(points, spectra):
             scale = max(1.0, float(np.linalg.norm(h)))
             dist = matching_distance(
-                eigenvalues(h).values, eigenvalues_charpoly_oracle(h).values
+                spectrum.values, eigenvalues_charpoly_oracle(h).values
             )
             worst = max(worst, dist / scale)
             if dist > 1e-8 * scale:
@@ -386,32 +354,36 @@ def cmd_validate(args) -> int:
         bundle.add_table(
             Table(name="checks", columns=("check", "status", "detail"), rows=checks)
         )
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(bundle.to_csv())
+        bundle.write(args.out)
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, *, steps_default) -> None:
+_AUTO_STEPS = f"grid points (default: {POINTS_PER_UNIT} per unit of t)"
+
+
+def _add_command(subs, name, func, summary, *, steps=None, svg=False):
+    """Subparser with the options every command reads, plus --steps (given
+    as a (default, help) pair) and --svg only where the command reads them."""
+    sub = subs.add_parser(name, help=summary)
     sub.add_argument("--model", help="registry model name")
     sub.add_argument("--config", help="path to a YAML model document")
     sub.add_argument("--t-min", type=float, required=True, dest="t_min")
     sub.add_argument("--t-max", type=float, required=True, dest="t_max")
-    sub.add_argument(
-        "--steps",
-        type=int,
-        default=steps_default,
-        help="grid points (default: %(default)s; domains/islands/ep default "
-        "to an automatic density when omitted)",
-    )
+    if steps is not None:
+        default, steps_help = steps
+        sub.add_argument("--steps", type=int, default=default, help=steps_help)
     sub.add_argument("--eps-real", type=float, default=EPS_REAL, dest="eps_real")
     sub.add_argument("--tol", type=float, default=1e-10)
     sub.add_argument("--out", help="write the CSV bundle here instead of stdout")
-    sub.add_argument("--svg", help="also write an SVG plot to this path")
+    if svg:
+        sub.add_argument("--svg", help="also write an SVG plot to this path")
     sub.add_argument(
         "--stamp",
         action="store_true",
         help="include a generation timestamp (breaks byte-identical reruns)",
     )
+    sub.set_defaults(func=func)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,47 +397,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=_VERSION)
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    sub = subs.add_parser("spectrum", help="eigenvalue sweep over t")
-    _add_common(sub, steps_default=201)
-    sub.set_defaults(func=cmd_spectrum)
-
-    sub = subs.add_parser("domains", help="reality-domain partition of t")
-    _add_common(sub, steps_default=None)
-    sub.set_defaults(func=cmd_domains)
-
-    sub = subs.add_parser("metric", help="metric positivity interval in t")
-    _add_common(sub, steps_default=None)
+    _add_command(
+        subs, "spectrum", cmd_spectrum, "eigenvalue sweep over t",
+        steps=(201, "grid points (default: %(default)s)"), svg=True,
+    )
+    _add_command(
+        subs, "domains", cmd_domains, "reality-domain partition of t",
+        steps=(None, _AUTO_STEPS), svg=True,
+    )
+    sub = _add_command(
+        subs, "metric", cmd_metric, "metric positivity interval in t",
+        steps=(None, f"coarse scan points (default: {POSITIVITY_STEPS})"),
+        svg=True,
+    )
     sub.add_argument(
         "--track",
         action="store_true",
         help="follow one kernel section numerically instead of a closed form",
     )
-    sub.set_defaults(func=cmd_metric)
-
-    sub = subs.add_parser("islands", help="intervals with exactly k real eigenvalues")
-    _add_common(sub, steps_default=None)
+    sub = _add_command(
+        subs, "islands", cmd_islands, "intervals with exactly k real eigenvalues",
+        steps=(None, _AUTO_STEPS),
+    )
     sub.add_argument("--k", type=int, required=True, help="real-eigenvalue count")
-    sub.set_defaults(func=cmd_islands)
-
-    sub = subs.add_parser("ep", help="exceptional points in a t-range")
-    _add_common(sub, steps_default=None)
-    sub.set_defaults(func=cmd_ep)
-
-    sub = subs.add_parser("validate", help="structural and oracle self-checks")
-    _add_common(sub, steps_default=None)
-    sub.set_defaults(func=cmd_validate)
-
+    _add_command(
+        subs, "ep", cmd_ep, "exceptional points in a t-range", steps=(None, _AUTO_STEPS)
+    )
+    _add_command(subs, "validate", cmd_validate, "structural and oracle self-checks")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        family = _resolve_family(args)
+        _check_options(args)
+        family.check_validity(args.t_min)
+        family.check_validity(args.t_max)
+        return args.func(args, family)
     except (InvalidSpecError, ModelFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

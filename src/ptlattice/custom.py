@@ -26,6 +26,12 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[()+\-*/])"
 )
 
+# Token cap per expression.  Parsing, folding and evaluation recurse once or
+# twice per nesting level; at this length every shape (127 nested
+# parentheses, 255 unary signs, 85 nested sqrt, a 128-term sum) stays well
+# inside Python's default recursion limit.
+MAX_EXPR_TOKENS = 256
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -47,6 +53,13 @@ def _tokenize(text: str, field_name: str) -> list[_Token]:
             )
         kind = m.lastgroup
         if kind != "ws":
+            if len(tokens) == MAX_EXPR_TOKENS:
+                raise ExprError(
+                    f"{field_name}: expression longer than {MAX_EXPR_TOKENS} "
+                    f"tokens at column {pos + 1}",
+                    field=field_name,
+                    column=pos + 1,
+                )
             tokens.append(_Token(kind=kind, text=m.group(), column=pos + 1))
         pos = m.end()
     tokens.append(_Token(kind="end", text="", column=len(text) + 1))

@@ -72,6 +72,32 @@ class TestGrammar:
         assert err.value.field == "couplings[0]"
 
 
+# The longest expression of each shape that fits MAX_EXPR_TOKENS (256).
+LONGEST = {
+    "parentheses": "(" * 127 + "t" + ")" * 127,  # 255 tokens
+    "unary-minus": "-" * 255 + "t",  # 256 tokens
+    "nested-sqrt": "sqrt(" * 85 + "t" + ")" * 85,  # 256 tokens
+    "sum": "+".join(["t"] * 128),  # 255 tokens
+}
+
+
+class TestExpressionLength:
+    @pytest.mark.parametrize("text", LONGEST.values(), ids=LONGEST)
+    def test_longest_expressions_load_and_evaluate(self, tmp_path, text):
+        doc = dict(EC4_DOC, couplings=[text, "t", "t", "t"], t_range=[0.0, 1.0])
+        family = load_custom_model(write_yaml(tmp_path, doc))
+        assert np.isfinite(family.matrices([0.25, 0.5])).all()
+        assert np.isfinite(family.matrix(0.5)).all()
+        family.matrix_mp(0.5)
+
+    def test_one_token_more_is_rejected(self):
+        with pytest.raises(ExprError) as err:
+            parse_expression("-" * 256 + "t", "couplings[0]")
+        assert err.value.field == "couplings[0]"
+        assert err.value.column == 257
+        assert "longer than 256 tokens" in str(err.value)
+
+
 class TestValidityInference:
     def test_affine_radicand_clips_above(self):
         lo, hi = infer_validity([parse_expression("sqrt(1 - t)")])

@@ -370,3 +370,79 @@ class TestCli:
         assert code == 2
         assert err.startswith("error:") and flag in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["ep", "--model", "ec4", "--t-min", "1.0", "--t-max", "1.45"], "--svg"),
+            (["islands", "--model", "mdg6-w2", "--t-min", "-0.7", "--t-max", "0.4",
+              "--k", "4"], "--svg"),
+            (["validate", "--model", "ec4", "--t-min", "0", "--t-max", "1"], "--svg"),
+            (["validate", "--model", "ec4", "--t-min", "0", "--t-max", "1"],
+             "--steps"),
+        ],
+    )
+    def test_option_the_command_does_not_read_exits_2(
+        self, tmp_path, args, option, capsys
+    ):
+        value = str(tmp_path / "plot.svg") if option == "--svg" else "7"
+        code, out, err = run(args + [option, value], capsys)
+        assert code == 2
+        assert f"unrecognized arguments: {option} {value}" in err
+        assert out == ""
+        assert not (tmp_path / "plot.svg").exists()
+
+    def test_validate_out_writes_checks_table(self, tmp_path, capsys):
+        out = tmp_path / "checks.csv"
+        code, stdout, _ = run(
+            ["validate", "--model", "ec4-strongbond", "--t-min", "0.2",
+             "--t-max", "1.0", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert "# command: validate" in lines
+        assert not any(line.startswith("# steps:") for line in lines)
+        start = lines.index("# table: checks")
+        assert lines[start + 1] == "check,status,detail"
+        rows = [line.split(",") for line in lines[start + 2:]]
+        assert [(r[0], r[1]) for r in rows] == [
+            ("pt-structure", "ok"),
+            ("conjugate-closure", "ok"),
+            ("oracle-agreement", "ok"),
+        ]
+        assert stdout.splitlines()[0] == "pt-structure: ok (11 sample points)"
+
+    def test_range_is_checked_before_the_island_count(self, capsys):
+        code, out, err = run(
+            ["islands", "--model", "mdg6-w1", "--t-min", "-0.4", "--t-max", "1.5",
+             "--k", "3"],
+            capsys,
+        )
+        assert code == 3
+        assert err.startswith("error:") and "t=1.5" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "coupling",
+        ["(" * 400 + "t" + ")" * 400, "+".join(["t"] * 3000)],
+        ids=["nested-parentheses", "long-sum"],
+    )
+    def test_overlong_expression_exits_2(self, tmp_path, coupling, capsys):
+        doc = {
+            "name": "overlong",
+            "n": 4,
+            "topology": "ring",
+            "diag": ["-3", "-1", "1", "3"],
+            "couplings": [coupling, "t", "t", "t"],
+        }
+        path = tmp_path / "overlong.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        code, out, err = run(
+            ["domains", "--config", str(path), "--t-min", "0", "--t-max", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: couplings[0]: expression longer than 256")
+        assert "Traceback" not in err
+        assert out == ""
