@@ -43,24 +43,25 @@ from .lattice import (
     is_pt_symmetric,
     parity,
 )
+from .intertwiner import (
+    SolutionBasis,
+    intertwiner_bases,
+    intertwiner_basis,
+    intertwiner_residual,
+    unvec_sym,
+    vec_sym,
+)
 from .metrics import (
     MetricCandidate,
     MetricProvenance,
     MetricSection,
     PositivityReport,
-    SolutionBasis,
-    expand_in_basis,
-    intertwiner_basis,
-    intertwiner_residual,
     positivity_interval,
-    recoupled_metric_boundary,
     reference_metric_ec4,
     reference_metric_ec4_eigenvalues,
     reference_metric_ec4_strong,
     spectral_metric,
     tracked_positivity_boundary,
-    unvec_sym,
-    vec_sym,
 )
 from .models import Model, ModelFamily, get_family, iter_families, model_names
 from .spectra import (
@@ -122,9 +123,9 @@ __all__ = [
     "eigenvalues",
     "eigenvalues_charpoly_oracle",
     "evaluate",
-    "expand_in_basis",
     "get_family",
     "infer_validity",
+    "intertwiner_bases",
     "intertwiner_basis",
     "intertwiner_residual",
     "is_pt_symmetric",
@@ -143,7 +144,6 @@ __all__ = [
     "pt_phase",
     "reality_islands",
     "reality_profile",
-    "recoupled_metric_boundary",
     "reference_metric_ec4",
     "reference_metric_ec4_eigenvalues",
     "reference_metric_ec4_strong",

@@ -3,8 +3,9 @@
 Subcommands: spectrum, domains, metric, islands, ep, validate.  Models come
 from the built-in registry (--model) or a YAML document (--config).  All
 numeric output is written as deterministic CSV bundles; spectrum, domains
-and metric take --svg for a static plot.  Exit codes: 0 success, 2 usage
-error, 3 validity-range error, 4 numerical failure.
+and metric take --svg for a static plot, written before any CSV reaches
+stdout.  Exit codes: 0 success, 2 usage error or an output path that
+cannot be written, 3 validity-range error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -144,7 +145,6 @@ def cmd_spectrum(args, family) -> int:
         for t, row in zip(grid, rows)
     ]
     bundle.add_table(Table(name="spectrum", columns=columns, rows=table_rows))
-    _emit(args, bundle)
 
     if args.svg:
         plot = LinePlot(
@@ -161,6 +161,7 @@ def cmd_spectrum(args, family) -> int:
                 grid, rows[:, k].imag, label="Im E" if k == 0 else "", dashed=True
             )
         plot.write(args.svg)
+    _emit(args, bundle)
     return 0
 
 
@@ -178,7 +179,6 @@ def cmd_domains(args, family) -> int:
         )
     )
     bundle.add_table(_ep_table("ep_markers", report))
-    _emit(args, bundle)
 
     if args.svg:
         steps = args.steps if args.steps is not None else PROFILE_PLOT_STEPS
@@ -191,6 +191,7 @@ def cmd_domains(args, family) -> int:
         )
         plot.add_curve(profile.grid, profile.counts, label="real count")
         plot.write(args.svg)
+    _emit(args, bundle)
     return 0
 
 
@@ -244,7 +245,6 @@ def cmd_metric(args, family) -> int:
             rows=[tuple(row) for row in report.min_eig_samples],
         )
     )
-    _emit(args, bundle)
 
     if args.svg:
         plot = LinePlot(
@@ -258,6 +258,7 @@ def cmd_metric(args, family) -> int:
             label="min eig",
         )
         plot.write(args.svg)
+    _emit(args, bundle)
     return 0
 
 
@@ -347,14 +348,14 @@ def cmd_validate(args, family) -> int:
             ("oracle-agreement", "skipped", f"n={family.n} above oracle limit")
         )
 
-    for name, status, detail in checks:
-        print(f"{name}: {status} ({detail})")
     if args.out:
         bundle = _new_bundle(args, family, "validate")
         bundle.add_table(
             Table(name="checks", columns=("check", "status", "detail"), rows=checks)
         )
         bundle.write(args.out)
+    for name, status, detail in checks:
+        print(f"{name}: {status} ({detail})")
     return 0
 
 
@@ -427,6 +428,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The library names a parameter where the command line has options for it.
+_OPTION_NAMES = (
+    ("t-range must", "t-range (--t-min, --t-max) must"),
+    ("need lo < hi,", "need lo < hi (--t-min < --t-max),"),
+    ("tol must", "tol (--tol) must"),
+    ("eps_real must", "eps_real (--eps-real) must"),
+)
+
+
+def _option_message(exc: Exception) -> str:
+    """The error message with the options named after the parameter."""
+    message = str(exc)
+    for parameter, option in _OPTION_NAMES:
+        if message.startswith(parameter):
+            return option + message[len(parameter):]
+    return message
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -439,7 +458,11 @@ def main(argv=None) -> int:
         family.check_validity(args.t_max)
         return args.func(args, family)
     except (InvalidSpecError, ModelFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_option_message(exc)}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an --out or --svg path that cannot be written
+        detail = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {detail}", file=sys.stderr)
         return 2
     except ModelDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

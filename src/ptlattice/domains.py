@@ -120,20 +120,18 @@ def grid_steps(lo: float, hi: float, steps: int | None = None) -> int:
 def check_bracket(lo: float, hi: float, tol: float) -> None:
     """Reject a t-range that is not finite and increasing, or a bad tol."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidSpecError(
-            f"t-range (--t-min, --t-max) must be finite, got [{lo}, {hi}]"
-        )
+        raise InvalidSpecError(f"t-range must be finite, got [{lo}, {hi}]")
     if not lo < hi:
-        raise InvalidSpecError(f"need lo < hi (--t-min < --t-max), got [{lo}, {hi}]")
+        raise InvalidSpecError(f"need lo < hi, got [{lo}, {hi}]")
     if not (math.isfinite(tol) and tol > 0):
-        raise InvalidSpecError(f"tol (--tol) must be positive and finite, got {tol}")
+        raise InvalidSpecError(f"tol must be positive and finite, got {tol}")
 
 
 def check_eps_real(eps_real: float) -> None:
     """Reject a reality threshold that is negative or not finite."""
     if not (math.isfinite(eps_real) and eps_real >= 0):
         raise InvalidSpecError(
-            f"eps_real (--eps-real) must be non-negative and finite, got {eps_real}"
+            f"eps_real must be non-negative and finite, got {eps_real}"
         )
 
 

@@ -1,20 +1,30 @@
 """Metric operators solving the intertwiner relation H^T Theta = Theta H.
 
-The solution space over symmetric matrices is computed as an SVD kernel,
-positive candidates are certified by minimum-eigenvalue sign, and two
-closed-form reference families are provided for the equal-coupling ring and
-its strengthened-bond variant.  For families without a closed form the
-positivity domain is mapped by tracking one continuous section of the
-kernel along t.
+The solution space over symmetric matrices is the SVD kernel of
+``intertwiner``; positive candidates are certified by minimum-eigenvalue
+sign, and two closed-form reference families are provided for the
+equal-coupling ring and its strengthened-bond variant.  For families
+without a closed form the positivity domain is mapped by tracking one
+continuous section of the kernel along t.
+
+A section march is planned before it runs.  The anchor and the steps t_k
+of each point depend on the anchor ts alone, so MetricSection.values plans
+a chunk of points, solves the kernels of all their steps in one stack
+(intertwiner_bases) and then projects step by step in order; its results
+and errors are those of value(t) called point after point.
+positivity_interval samples a tracked section that way, with one stacked
+eigvalsh per chunk, and tracked_positivity_boundary plans its upward
+probes chunk by chunk.  Bisection stays point by point.
 """
 
 from __future__ import annotations
 
-import functools
+import copy
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -28,131 +38,15 @@ from .errors import (
     TrackingError,
 )
 from .domains import bisect_edge, check_bracket, grid_steps
-from .lattice import check_square
-from .spectra import (
-    _index_pairs, count_real, eigenvalues, left_right_pairs, min_pairwise_gap,
+from .intertwiner import (
+    SolutionBasis,
+    intertwiner_bases,
+    intertwiner_basis,
+    intertwiner_residual,
 )
-from .tolerances import EPS_GAP, EPS_METRIC, POSITIVITY_STEPS
-
-_SQRT2 = math.sqrt(2.0)
-
-
-@functools.lru_cache(maxsize=8)
-def _sym_layout(n: int) -> tuple[np.ndarray, ...]:
-    """The vec_sym layout of n x n matrices, read-only as the cache shares it.
-
-    Index arrays (i, j) of the entries i <= j in row-major order, their
-    weights (1 on the diagonal, sqrt2 off it), and the unit matrices B_k
-    with vec_sym(B_k) = e_k, n^3 (n+1) / 2 floats, so few sizes are kept.
-    """
-    rows, cols = np.triu_indices(n)
-    weights = np.where(rows == cols, 1.0, _SQRT2)
-    units = np.zeros((rows.size, n, n))
-    k = np.arange(rows.size)
-    units[k, rows, cols] = units[k, cols, rows] = 1.0 / weights
-    for array in (rows, cols, weights, units):
-        array.setflags(write=False)
-    return rows, cols, weights, units
-
-
-def vec_sym(m: np.ndarray) -> np.ndarray:
-    """Isometric vectorization of a symmetric matrix (off-diagonals x sqrt2).
-
-    A stack of matrices in the last two axes gives a stack of vectors.
-    """
-    m = np.asarray(m, dtype=float)
-    rows, cols, weights, _ = _sym_layout(m.shape[-1])
-    return weights * m[..., rows, cols]
-
-
-def unvec_sym(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of vec_sym, also for a stack of vectors in the last axis."""
-    rows, cols, weights, _ = _sym_layout(n)
-    entries = np.asarray(v, dtype=float) / weights
-    m = np.zeros(entries.shape[:-1] + (n, n))
-    m[..., rows, cols] = m[..., cols, rows] = entries
-    return m
-
-
-@dataclass(frozen=True)
-class SolutionBasis:
-    """Orthonormal basis of symmetric solutions of H^T Theta = Theta H."""
-
-    elements: tuple
-    dim: int
-
-
-def intertwiner_residual(theta, h) -> float:
-    """Relative residual ||H^T Theta - Theta H||_F / (||H||_F ||Theta||_F)."""
-    theta = check_square(theta)
-    h = check_square(h)
-    if theta.shape != h.shape:
-        raise InvalidSpecError(
-            f"shape mismatch: theta {theta.shape} vs h {h.shape}"
-        )
-    denom = float(np.linalg.norm(h)) * float(np.linalg.norm(theta))
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(h.T @ theta - theta @ h)) / denom
-
-
-# Singular values below this fraction of max(1, s_max) span the kernel.
-_KERNEL_RANK_REL = 1e-9
-
-
-def intertwiner_basis(h) -> SolutionBasis:
-    """Kernel of Theta -> H^T Theta - Theta H over symmetric matrices.
-
-    Requires a simple, fully real spectrum; there the kernel dimension is
-    exactly n (one generator per eigenvalue).  The map sends symmetric to
-    antisymmetric matrices, so the operator is (n(n-1)/2) x (n(n+1)/2).
-    """
-    h = check_square(h)
-    n = h.shape[0]
-    scale = max(1.0, float(np.linalg.norm(h)))
-    vals = eigenvalues(h).values
-    if count_real(vals) != n:
-        raise BrokenPhaseError(
-            "intertwiner basis requires a fully real spectrum"
-        )
-    gap = min_pairwise_gap(vals)
-    if gap <= EPS_GAP * scale:
-        raise DegenerateSpectrumError(
-            f"minimal eigenvalue gap {gap:.3e} below the gate {EPS_GAP * scale:.3e}"
-        )
-    *_, units = _sym_layout(n)
-    # Column k is the strict upper triangle of H^T B_k - B_k H, x sqrt2.
-    i, j = _index_pairs(n)
-    a = (_SQRT2 * (h.T @ units - units @ h)[:, i, j]).T
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
-    threshold = _KERNEL_RANK_REL * max(1.0, float(s.max()) if s.size else 0.0)
-    rank = int((s > threshold).sum())
-    kernel_dim = len(vt) - rank
-    if kernel_dim != n:
-        raise ConsistencyError(
-            f"intertwiner kernel dimension {kernel_dim}, expected {n}"
-        )
-    elements = tuple(unvec_sym(vt[rank:], n))
-    for theta in elements:
-        residual = float(np.linalg.norm(h.T @ theta - theta @ h))
-        if residual > EPS_METRIC * scale:
-            raise ConsistencyError(
-                f"kernel element residual {residual:.3e} above bound"
-            )
-    return SolutionBasis(elements=elements, dim=kernel_dim)
-
-
-def expand_in_basis(theta, basis: SolutionBasis) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients and relative residual of theta in the basis."""
-    theta = check_square(theta)
-    target = vec_sym(theta)
-    m = vec_sym(np.stack(basis.elements)).T
-    coeffs, *_ = np.linalg.lstsq(m, target, rcond=None)
-    norm = float(np.linalg.norm(target))
-    if norm == 0.0:
-        return coeffs, 0.0
-    residual = float(np.linalg.norm(m @ coeffs - target)) / norm
-    return coeffs, residual
+from .lattice import check_square
+from .spectra import count_real, eigenvalues, left_right_pairs
+from .tolerances import EPS_METRIC, POSITIVITY_STEPS
 
 
 class MetricProvenance(Enum):
@@ -310,18 +204,48 @@ def _is_positive(m: np.ndarray) -> bool:
 _SECTION_GAPS = (BrokenPhaseError, DegenerateSpectrumError, TrackingError)
 
 
-def _sample_min_eig(candidate: MetricCandidate, t: float) -> float:
+def _sample(candidate: MetricCandidate, t: float):
+    """Theta(t), or the error where a tracked section cannot be continued."""
     try:
-        return _min_eig(candidate.at(t))
-    except _SECTION_GAPS:
-        return -math.inf
+        return candidate.at(t)
+    except _SECTION_GAPS as exc:
+        return exc.with_traceback(None)
 
 
-def _sample_positive(candidate: MetricCandidate, t: float) -> bool:
-    try:
-        return _is_positive(candidate.at(t))
-    except _SECTION_GAPS:
-        return False
+def _positive(theta) -> bool:
+    """Whether a sampled metric is positive definite; a gap error is not."""
+    return not isinstance(theta, Exception) and _is_positive(theta)
+
+
+def _tracked_section(candidate: MetricCandidate) -> "MetricSection | None":
+    """The section whose bound value method is the candidate's family, if any."""
+    section = getattr(candidate.family, "__self__", None)
+    if isinstance(section, MetricSection) and candidate.family == section.value:
+        return section
+    return None
+
+
+def _min_eig_curve(candidate: MetricCandidate, grid: np.ndarray) -> np.ndarray:
+    """The minimal eigenvalue of the candidate at each grid point, -inf in a gap.
+
+    A tracked section marches the grid through MetricSection.values; other
+    candidates are evaluated point by point.  Each chunk of metrics goes
+    through one stacked eigvalsh.
+    """
+    section = _tracked_section(candidate)
+    if section is not None:
+        thetas = section.values(grid)
+    else:
+        thetas = (_sample(candidate, t) for t in grid)
+    curve = np.full(grid.size, -math.inf)
+    for start in range(0, grid.size, _CHUNK_STEPS):
+        chunk = list(islice(thetas, _CHUNK_STEPS))
+        alive = [k for k, theta in enumerate(chunk) if not isinstance(theta, Exception)]
+        if alive:
+            stack = np.stack([chunk[k] for k in alive])
+            stack = (stack + stack.transpose(0, 2, 1)) / 2
+            curve[start + np.array(alive)] = np.linalg.eigvalsh(stack).min(axis=1)
+    return curve
 
 
 def positivity_interval(
@@ -336,14 +260,16 @@ def positivity_interval(
 
     The coarse scan locates sign runs of the minimal eigenvalue; each edge
     of the widest positive run is then bisected to the requested bracket.
-    If no sample is positive the report is empty (interval=None).
+    If no sample is positive the report is empty (interval=None).  A
+    candidate built on a MetricSection's value method samples the coarse
+    grid in planned chunks; bisection stays point by point.
     """
     check_bracket(lo, hi, tol)
     steps = grid_steps(
         lo, hi, coarse_steps if coarse_steps is not None else POSITIVITY_STEPS
     )
     grid = np.linspace(lo, hi, steps)
-    curve = np.array([_sample_min_eig(candidate, t) for t in grid])
+    curve = _min_eig_curve(candidate, grid)
     samples = np.column_stack([grid, curve])
     positive = curve > 0
     if not positive.any():
@@ -354,7 +280,7 @@ def positivity_interval(
     first, last = max(runs, key=lambda r: grid[r[1]] - grid[r[0]])
 
     def bisect(pos_t: float, neg_t: float) -> float:
-        return bisect_edge(lambda t: _sample_positive(candidate, t), pos_t, neg_t, tol)
+        return bisect_edge(lambda t: _positive(_sample(candidate, t)), pos_t, neg_t, tol)
 
     left = grid[first] if first == 0 else bisect(grid[first], grid[first - 1])
     right = grid[last] if last == len(grid) - 1 else bisect(grid[last], grid[last + 1])
@@ -365,6 +291,44 @@ def positivity_interval(
 # projection onto the next kernel may keep before the branch counts as lost.
 _SECTION_STEP = 1.0 / 400.0
 _SECTION_MIN_OVERLAP = 0.5
+# Steps whose kernels a planned march solves in one stack, and points whose
+# metrics share one stacked eigvalsh; it bounds what is held ahead of use.
+_CHUNK_STEPS = 32
+
+
+class _KernelQueue:
+    """Kernels of the planned steps t_k of a march, solved _CHUNK_STEPS at a time.
+
+    pop(tk) returns the kernel of the next planned step when tk is that
+    step, or raises the error intertwiner_basis raises there.  Once the
+    march leaves the plan it returns None, and the march solves its own
+    one-row kernels.  Each row is dropped when used.  Solving never raises:
+    a window that family.matrices or the stacked kernel rejects is left to
+    the one-row path, which raises whatever the model raises.
+    """
+
+    def __init__(self, family, steps: list):
+        self._family = family
+        self._steps = steps
+        self._next = 0
+        self._rows: list = []
+
+    def pop(self, tk: float):
+        k = self._next
+        if k >= len(self._steps) or self._steps[k] != tk:
+            self._steps = []
+            return None
+        if not self._rows:
+            window = self._steps[k:k + _CHUNK_STEPS]
+            try:
+                self._rows = intertwiner_bases(self._family.matrices(window))[::-1]
+            except Exception:
+                self._steps = []
+                return None
+        self._next = k + 1
+        if isinstance(self._rows[-1], Exception):
+            raise self._rows.pop()  # held by no local, so no cycle with its traceback
+        return self._rows.pop()
 
 
 class MetricSection:
@@ -376,6 +340,15 @@ class MetricSection:
     the trace.  A projection that loses more than half the norm means the
     branch was lost and raises.  Anchors are cached so repeated probes stay
     cheap, and kept in sorted order so the nearest one is found by bisection.
+
+    A march is a plan and its execution.  The plan (_plan) is the nearest
+    anchor and the steps t_k, which depend on the anchor ts alone.  values()
+    plans a chunk of points on a shadow copy of the anchors, solves the
+    chunk's kernels in stacks of _CHUNK_STEPS, then marches each point in
+    order with value(), which replans it on the real anchors.  While every
+    march succeeds the two plans agree; a point that fails ends its chunk,
+    and a step that finds no planned kernel solves its own.  So the result
+    and the point of failure are those of value(t) called point after point.
     """
 
     def __init__(self, family, *, t_seed: float = 0.0):
@@ -411,8 +384,20 @@ class MetricSection:
             hi += 1
         return min(keys[lo:hi], key=lambda a: self._anchors[a][0])
 
+    def _plan(self, t: float) -> tuple[float, list[float]]:
+        """The anchor a march to t starts from, and its steps t_k."""
+        anchor_t = self._nearest_anchor(t)
+        distance = abs(t - anchor_t)
+        if distance == 0.0:
+            return anchor_t, []
+        steps = max(1, math.ceil(distance / _SECTION_STEP))
+        return anchor_t, [anchor_t + (t - anchor_t) * k / steps for k in range(1, steps + 1)]
+
     def _project(self, theta_prev: np.ndarray, basis: SolutionBasis, t: float) -> np.ndarray:
-        coeffs = np.array([float(np.tensordot(b, theta_prev)) for b in basis.elements])
+        elements = np.stack(basis.elements)
+        # An (n, 1, k) @ (k, 1) product: one dot per element, bit for bit
+        # np.tensordot(b, theta_prev); the ordered sum below keeps its bits too.
+        coeffs = (elements.reshape(len(elements), 1, -1) @ theta_prev.reshape(-1, 1)).ravel()
         theta = sum(c * b for c, b in zip(coeffs, basis.elements))
         overlap = float(np.linalg.norm(theta)) / max(
             float(np.linalg.norm(theta_prev)), np.finfo(float).tiny
@@ -426,21 +411,68 @@ class MetricSection:
             raise TrackingError(f"section lost at t={t}: nonpositive trace")
         return theta * (self.family.n / trace)
 
-    def value(self, t: float) -> np.ndarray:
-        """Tracked Theta(t); marches from the nearest cached anchor."""
-        t = float(t)
-        anchor_t = self._nearest_anchor(t)
+    def value(self, t: float, *, kernels: _KernelQueue | None = None) -> np.ndarray:
+        """Tracked Theta(t); marches from the nearest cached anchor.
+
+        kernels is the queue of solved kernels that values() passes in.
+        """
+        anchor_t, steps = self._plan(float(t))
         theta = self._anchors[anchor_t][1]
-        distance = abs(t - anchor_t)
-        if distance == 0.0:
-            return theta
-        steps = max(1, math.ceil(distance / _SECTION_STEP))
-        for k in range(1, steps + 1):
-            tk = anchor_t + (t - anchor_t) * k / steps
-            basis = intertwiner_basis(self.family.matrix(tk))
+        for tk in steps:
+            basis = kernels.pop(tk) if kernels is not None else None
+            if basis is None:
+                basis = intertwiner_basis(self.family.matrix(tk))
             theta = self._project(theta, basis, tk)
-            self._store(float(tk), theta)
+            self._store(tk, theta)
         return theta
+
+    def _plan_chunk(self, ts: list, start: int) -> tuple[int, list[float]]:
+        """End of the chunk of ts from start, and the steps its marches plan.
+
+        The points are planned in order on a shadow copy of the anchors,
+        each as if every march before it had succeeded, until the chunk
+        holds at least _CHUNK_STEPS steps.
+        """
+        shadow = copy.copy(self)
+        shadow._anchors = dict(self._anchors)
+        shadow._keys = list(self._keys)
+        steps: list[float] = []
+        stop = start
+        while stop < len(ts) and len(steps) < _CHUNK_STEPS:
+            _, planned = shadow._plan(ts[stop])
+            for tk in planned:
+                shadow._store(tk, None)
+            steps += planned
+            stop += 1
+        return stop, steps
+
+    def values(self, ts):
+        """Tracked Theta at each t in order, as value(t) gives them one by one.
+
+        Yields value(t), or the BrokenPhaseError, DegenerateSpectrumError or
+        TrackingError that it raises; any other error propagates.  A chunk
+        is marched only as far as the caller takes its points.  After a
+        point fails, the next one marches alone without a plan, since a
+        plan made past a lost section would be spent on kernels no march
+        reaches; planning resumes after the next point that succeeds.
+        """
+        ts = [float(t) for t in ts]
+        start, lost = 0, False
+        while start < len(ts):
+            if lost:
+                stop, kernels = start + 1, None
+            else:
+                stop, steps = self._plan_chunk(ts, start)
+                kernels = _KernelQueue(self.family, steps)
+            for t in ts[start:stop]:
+                start += 1
+                try:
+                    theta, lost = self.value(t, kernels=kernels), False
+                except _SECTION_GAPS as exc:
+                    theta, lost = exc.with_traceback(None), True
+                yield theta
+                if lost:
+                    break
 
 
 def tracked_positivity_boundary(
@@ -451,7 +483,9 @@ def tracked_positivity_boundary(
     Probes march upward in section steps; a probe counts as lost when the
     tracked metric stops being positive definite or the kernel itself
     degenerates (broken phase or eigenvalue collision).  The edge is then
-    bisected to the requested bracket width.
+    bisected to the requested bracket width.  The probes are planned and
+    solved one chunk at a time through MetricSection.values, and marched
+    no further than the first lost one.
 
     The endpoint is a property of the projection-transported section: the
     kernel bundle admits many smooth sections through the same seed, and
@@ -462,29 +496,18 @@ def tracked_positivity_boundary(
     """
     check_bracket(0.0, search_max, tol)
     section = MetricSection(family)
+    candidate = MetricCandidate(MetricProvenance.BASIS_COMBINATION, family=section.value)
 
-    def alive(t: float) -> bool:
-        try:
-            return _is_positive(section.value(t))
-        except _SECTION_GAPS:
-            return False
-
-    good = 0.0
-    t = 0.0
+    good = t = 0.0
     while t < search_max:
-        t = min(search_max, t + _SECTION_STEP)
-        if not alive(t):
-            break
-        good = t
-    else:
-        raise BracketError(
-            f"metric stayed positive on [0.0, {search_max}]; no boundary found"
-        )
-    return bisect_edge(alive, good, t, tol)
-
-
-def recoupled_metric_boundary(tol: float) -> float:
-    """Positivity boundary of the numerically tracked recoupled-ring metric."""
-    from .models import Model, get_family
-
-    return tracked_positivity_boundary(get_family(Model.EC4_RECOUPLED), tol)
+        probes = []
+        while t < search_max and len(probes) < _CHUNK_STEPS:
+            t = min(search_max, t + _SECTION_STEP)
+            probes.append(t)
+        for t, theta in zip(probes, section.values(probes)):
+            if not _positive(theta):
+                return bisect_edge(lambda u: _positive(_sample(candidate, u)), good, t, tol)
+            good = t
+    raise BracketError(
+        f"metric stayed positive on [0.0, {search_max}]; no boundary found"
+    )

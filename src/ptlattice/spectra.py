@@ -4,8 +4,9 @@ Dense spectra come from LAPACK via numpy; grid sweeps batch all matrices
 into one stacked eigenvalue call.  The real-count and gap rules classify a
 whole (m, n) array of eigenvalue rows at once (``count_real_rows``,
 ``min_pairwise_gaps``); ``count_real`` and ``min_pairwise_gap`` are their
-one-row calls.  Near-degenerate sweep points are re-solved through the
-arbitrary-precision characteristic-polynomial path, because a
+one-row calls, and ``eigenvalue_rows`` runs the closure and trace gates of
+``eigenvalues`` over a stack.  Near-degenerate sweep points are re-solved
+through the arbitrary-precision characteristic-polynomial path, because a
 backward-stable QR eigensolver can only resolve an order-k coalescence to
 about u^(1/k) (u = machine epsilon), while the polynomial of the same
 matrix loses nothing.
@@ -25,6 +26,7 @@ from .errors import (
     DegenerateSpectrumError,
     InvalidSpecError,
     ModelDomainError,
+    PtLatticeError,
     SolverError,
 )
 from .lattice import check_square, is_pt_symmetric, parity
@@ -235,6 +237,52 @@ def eigenvalues(h) -> Spectrum:
             diagnostics={"n": n, "frobenius_norm": float(np.linalg.norm(h))},
         ) from exc
     return Spectrum.from_values(vals, trace=float(np.trace(h)))
+
+
+def eigenvalue_rows(stack: np.ndarray) -> tuple[np.ndarray, list]:
+    """eigenvalues(h).values for each matrix of a finite (m, n, n) stack.
+
+    Returns the rows and, per row, None or the error eigenvalues(h) raises
+    there.  One stacked solve; the closure and trace gates of
+    Spectrum.from_values then run on all rows at once where each value's
+    nearest conjugate lies in its own column, as then the row minima are
+    the optimal matching (_min_sum_assignment).  A row this cannot settle
+    or that fails a gate, and every row of a stack with a non-finite value
+    or one LAPACK rejects, takes the one-matrix path and its message.
+    """
+    m, n, _ = stack.shape
+    errors: list = [None] * m
+    try:
+        vals = np.linalg.eigvals(stack).astype(complex)
+    except np.linalg.LinAlgError:
+        vals = None
+        rows = np.zeros((m, n), dtype=complex)
+        exact = range(m)
+    else:
+        rows = vals[np.arange(m)[:, None], np.lexsort((vals.imag, vals.real), axis=-1)]
+        exact = range(m)  # unless every value is finite
+        if np.isfinite(rows).all():
+            scale = np.maximum(1.0, np.abs(rows).max(axis=1))
+            cost = np.abs(rows[:, :, None] - rows.conj()[:, None, :])
+            columns = np.sort(cost.argmin(axis=2), axis=1)
+            closure = cost.min(axis=2).max(axis=1)
+            drift = np.abs(rows.sum(axis=1) - np.trace(stack, axis1=1, axis2=2))
+            settled = (
+                (columns[:, 1:] != columns[:, :-1]).all(axis=1)
+                & (closure <= EPS_SPEC * scale)
+                & (drift <= EPS_SPEC * scale * n)
+            )
+            exact = np.flatnonzero(~settled)
+    for i in exact:
+        try:
+            if vals is None:
+                rows[i] = eigenvalues(stack[i]).values
+            else:
+                trace = float(np.trace(stack[i]))
+                rows[i] = Spectrum.from_values(vals[i], trace=trace).values
+        except PtLatticeError as exc:
+            errors[i] = exc.with_traceback(None)
+    return rows, errors
 
 
 # Relative eigenvalue gap below which a sweep row is re-solved by the oracle.

@@ -28,7 +28,7 @@ from ptlattice import (
     refine_reality_boundary,
 )
 from ptlattice.cli import main
-from ptlattice.domains import grid_steps
+from ptlattice.domains import check_bracket, check_eps_real, grid_steps
 from ptlattice.spectra import count_real_rows, min_pairwise_gaps
 from ptlattice.tolerances import MAX_GRID_POINTS, POINTS_PER_UNIT
 
@@ -268,3 +268,38 @@ def test_undefined_entry_inside_the_range_is_reported_at_its_first_grid_point(
     assert captured.out == ""
     assert captured.err == f"error: {err.value}\n"
     assert f"undefined at t={first}" in captured.err
+
+
+# The library names its parameters; the command line adds its option names.
+_BAD_OPTIONS = [
+    ((0.0, math.inf, 1e-8, 0.0), ["--t-min", "0", "--t-max", "inf"],
+     "t-range must be finite, got [0.0, inf]",
+     "t-range (--t-min, --t-max) must be finite, got [0.0, inf]"),
+    ((1.0, 0.0, 1e-8, 0.0), ["--t-min", "1", "--t-max", "0"],
+     "need lo < hi, got [1.0, 0.0]",
+     "need lo < hi (--t-min < --t-max), got [1.0, 0.0]"),
+    ((0.0, 1.0, 0.0, 0.0), ["--t-min", "0", "--t-max", "1", "--tol", "0"],
+     "tol must be positive and finite, got 0.0",
+     "tol (--tol) must be positive and finite, got 0.0"),
+    ((0.0, 1.0, 1e-8, -1.0), ["--t-min", "0", "--t-max", "1", "--eps-real", "-1"],
+     "eps_real must be non-negative and finite, got -1.0",
+     "eps_real (--eps-real) must be non-negative and finite, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("values, options, library, cli", _BAD_OPTIONS)
+def test_library_messages_name_no_option(values, options, library, cli):
+    lo, hi, tol, eps_real = values
+    with pytest.raises(InvalidSpecError) as info:
+        check_bracket(lo, hi, tol)
+        check_eps_real(eps_real)
+    assert str(info.value) == library
+
+
+@pytest.mark.parametrize("values, options, library, cli", _BAD_OPTIONS)
+def test_cli_messages_name_the_options(values, options, library, cli, capsys):
+    assert main(["domains", "--model", "ec4", *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cli}\n"
+    assert captured.out == ""
+

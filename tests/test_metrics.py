@@ -8,6 +8,7 @@ import pytest
 from ptlattice import (
     BracketError,
     BrokenPhaseError,
+    DegenerateSpectrumError,
     InvalidSpecError,
     MetricCandidate,
     MetricProvenance,
@@ -15,13 +16,12 @@ from ptlattice import (
     Model,
     ModelFamily,
     Topology,
-    expand_in_basis,
     get_family,
+    intertwiner_bases,
     intertwiner_basis,
     intertwiner_residual,
     iter_families,
     positivity_interval,
-    recoupled_metric_boundary,
     reference_metric_ec4,
     reference_metric_ec4_eigenvalues,
     reference_metric_ec4_strong,
@@ -30,6 +30,9 @@ from ptlattice import (
     unvec_sym,
     vec_sym,
 )
+from ptlattice.domains import bisect_edge
+from ptlattice.errors import TrackingError
+from ptlattice.metrics import _SECTION_STEP, _is_positive, _KernelQueue
 
 EC4 = get_family(Model.EC4)
 STRONG = get_family(Model.EC4_STRONG_BOND)
@@ -156,7 +159,11 @@ def test_reference_metric_strong_centrosymmetric():
 def test_reference_metrics_lie_in_the_kernel():
     t = 0.6
     basis = intertwiner_basis(EC4.matrix(t))
-    _, residual = expand_in_basis(reference_metric_ec4(t).matrix, basis)
+    # Least-squares fit of the reference metric in the isometric vec_sym coordinates.
+    target = vec_sym(reference_metric_ec4(t).matrix)
+    columns = vec_sym(np.stack(basis.elements)).T
+    coeffs, *_ = np.linalg.lstsq(columns, target, rcond=None)
+    residual = np.linalg.norm(columns @ coeffs - target) / np.linalg.norm(target)
     assert residual < 1e-10
 
 
@@ -280,6 +287,12 @@ def test_tracked_boundary_rejects_an_unbounded_search():
         tracked_positivity_boundary(_FLAT_RING, 1e-8, search_max=math.inf)
 
 
+def test_tracked_boundary_error_names_no_cli_option():
+    with pytest.raises(InvalidSpecError) as info:
+        tracked_positivity_boundary(_FLAT_RING, 1e-8, search_max=math.inf)
+    assert str(info.value) == "t-range must be finite, got [0.0, inf]"
+
+
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8, math.inf])
 def test_tracked_boundary_rejects_a_bad_tol(tol):
     with pytest.raises(InvalidSpecError):
@@ -288,7 +301,8 @@ def test_tracked_boundary_rejects_a_bad_tol(tol):
 
 def test_recoupled_boundary_closed_form():
     target = (45 - 3 * math.sqrt(97)) / 16
-    assert recoupled_metric_boundary(1e-10) == pytest.approx(target, abs=1e-8)
+    boundary = tracked_positivity_boundary(get_family(Model.EC4_RECOUPLED), 1e-10)
+    assert boundary == pytest.approx(target, abs=1e-8)
 
 
 def test_candidate_without_family_refuses_at():
@@ -346,3 +360,190 @@ def test_nearest_anchor_tie_can_reach_past_the_neighbours():
     for t in (3e-17, 1e-17):
         section._store(t, np.eye(4))
     assert section._nearest_anchor(1.0) == _linear_nearest(section, 1.0) == 0.0
+
+
+# Unbroken, broken-phase and near-EP points; next to the EPs of mdg6-w1 and
+# ec4-recoupled the gap gate fails, and mdg6-open flips between broken and
+# unbroken near its order-6 point.
+_MIXED_POINTS = {
+    "mdg6-w1": (0.2, 0.5, -0.3, 0.1, 0.163160360358999, 0.16316036035900178,
+                0.16316036035902676, 0.16316036035927656, 0.9),
+    "ec4-recoupled": (0.1, 0.9, 0.97, 1.2, 0.9658391621632303, 0.9658391621632192,
+                      0.9658391621631193, -0.6),
+    "mdg6-open": (0.05, 0.9, -0.05, 0.0, 5e-6, 9.549779215678899e-06,
+                  1.9413150973727513e-05, 1e-4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIXED_POINTS))
+def test_intertwiner_bases_rows_equal_the_one_row_calls(name):
+    family = get_family(name)
+    ts = _MIXED_POINTS[name]
+    rows = intertwiner_bases(family.matrices(ts))
+    assert len(rows) == len(ts)
+    for t, row in zip(ts, rows):
+        h = family.matrix(t)
+        if isinstance(row, Exception):
+            assert row.__traceback__ is None
+            with pytest.raises(Exception) as info:
+                intertwiner_basis(h)
+            assert type(info.value) is type(row)
+            assert str(info.value) == str(row)
+        else:
+            basis = intertwiner_basis(h)
+            assert row.dim == basis.dim == family.n
+            for theta, expected in zip(row.elements, basis.elements, strict=True):
+                assert np.array_equal(theta, expected)
+    kinds = {type(row) for row in rows}
+    assert {BrokenPhaseError} < kinds
+    assert (DegenerateSpectrumError in kinds) == (name != "mdg6-open")
+
+
+def test_intertwiner_bases_reports_a_non_finite_row_and_rejects_a_bad_shape():
+    stack = np.stack([EC4.matrix(0.5), EC4.matrix(0.6)])
+    stack[0, 1, 2] = math.nan
+    bad, good = intertwiner_bases(stack)
+    assert isinstance(bad, InvalidSpecError)
+    assert str(bad) == "matrix entries must be finite"
+    assert np.array_equal(np.stack(good.elements), np.stack(intertwiner_basis(stack[1]).elements))
+    with pytest.raises(InvalidSpecError):
+        intertwiner_bases(EC4.matrix(0.5))
+
+
+def _assert_same_anchors(section, reference):
+    assert section._keys == reference._keys
+    assert list(section._anchors) == list(reference._anchors)
+    for t, (rank, theta) in reference._anchors.items():
+        assert section._anchors[t][0] == rank
+        assert np.array_equal(section._anchors[t][1], theta)
+
+
+def _tracked_candidate(value):
+    return MetricCandidate(provenance=MetricProvenance.BASIS_COMBINATION, family=value)
+
+
+@pytest.mark.parametrize(
+    "name, lo, hi, seed", [("mdg6-w1", 0.2, 0.9, 0.55), ("ec4-recoupled", 0.0, 1.4, 0.7)]
+)
+def test_positivity_on_a_section_equals_the_point_by_point_march(name, lo, hi, seed):
+    family = get_family(name)
+    section = MetricSection(family, t_seed=seed)
+    report = positivity_interval(_tracked_candidate(section.value), lo, hi, 1e-10)
+    # A lambda is no bound MetricSection.value: the reference samples point by point.
+    fresh = MetricSection(family, t_seed=seed)
+    expected = positivity_interval(_tracked_candidate(lambda t: fresh.value(t)), lo, hi, 1e-10)
+    assert report.interval == expected.interval
+    assert report.min_eig_samples.tobytes() == expected.min_eig_samples.tobytes()
+    _assert_same_anchors(section, fresh)
+
+
+def test_positivity_on_a_section_solves_the_coarse_kernels_in_stacks(monkeypatch):
+    import ptlattice.metrics as metrics
+
+    one_row = []
+    monkeypatch.setattr(
+        metrics, "intertwiner_basis", lambda h: one_row.append(h) or intertwiner_basis(h)
+    )
+    section = MetricSection(get_family(Model.MDG6_W1), t_seed=0.55)
+    positivity_interval(_tracked_candidate(section.value), 0.2, 0.9, 1e-10)
+    assert len(section._anchors) > 1000
+    assert len(one_row) < 100  # the bisection steps
+
+
+_GAPS = (BrokenPhaseError, DegenerateSpectrumError, TrackingError)
+
+
+def _assert_values_match_value(section, reference, grid):
+    for t, theta in zip(grid, section.values(grid), strict=True):
+        try:
+            expected = reference.value(t)
+        except _GAPS as exc:
+            assert type(theta) is type(exc)
+            assert str(theta) == str(exc)
+        else:
+            assert np.array_equal(theta, expected)
+    _assert_same_anchors(section, reference)
+
+
+@pytest.mark.parametrize(
+    "name, seed, grid",
+    [
+        # Out of the unbroken phase and back, in and out of order.
+        ("ec4-recoupled", 0.7, [0.9, 0.95, 0.97, 1.1, 0.96, 0.5, 0.99, 0.8, 0.9658, 1.3, 0.2]),
+        # Down through the EP at t = 0.16316 and up again.
+        ("mdg6-w1", 0.3, list(np.linspace(0.3, 0.12, 90)) + [0.25, 0.17, 0.1, 0.6]),
+    ],
+)
+def test_values_keep_the_raise_points_and_anchors_of_the_sequential_march(name, seed, grid):
+    family = get_family(name)
+    _assert_values_match_value(
+        MetricSection(family, t_seed=seed), MetricSection(family, t_seed=seed), grid
+    )
+
+
+class _NoStacks:
+    """A family whose stacked assembly always fails."""
+
+    def __init__(self, family):
+        self.n, self.matrix = family.n, family.matrix
+
+    def matrices(self, ts):
+        raise RuntimeError("no stacks")
+
+
+def test_values_march_step_by_step_where_the_stack_is_rejected():
+    family = get_family(Model.EC4_RECOUPLED)
+    grid = list(np.linspace(0.0, 1.1, 60))
+    _assert_values_match_value(
+        MetricSection(_NoStacks(family), t_seed=0.5), MetricSection(family, t_seed=0.5), grid
+    )
+
+
+def test_values_march_no_further_than_the_points_taken():
+    family = get_family(Model.MDG6_W1)
+    grid = list(np.linspace(0.3, 0.9, 100))
+    section = MetricSection(family, t_seed=0.3)
+    taken = list(zip(range(3), section.values(grid)))
+    reference = MetricSection(family, t_seed=0.3)
+    for _, t in zip(taken, grid):
+        reference.value(t)
+    _assert_same_anchors(section, reference)
+
+
+def _sequential_boundary(family, tol, search_max=1.2):
+    """tracked_positivity_boundary as a march of one probe at a time."""
+    section = MetricSection(family)
+
+    def alive(t):
+        try:
+            return _is_positive(section.value(t))
+        except _GAPS:
+            return False
+
+    good = t = 0.0
+    while t < search_max:
+        t = min(search_max, t + _SECTION_STEP)
+        if not alive(t):
+            break
+        good = t
+    return bisect_edge(alive, good, t, tol)
+
+
+@pytest.mark.parametrize(
+    "family, search_max", [(get_family(Model.EC4_RECOUPLED), 1.2), (EC4, 1.45)],
+    ids=["ec4-recoupled", "ec4"],
+)
+def test_tracked_boundary_equals_the_probe_by_probe_march(family, search_max):
+    boundary = tracked_positivity_boundary(family, 1e-8, search_max=search_max)
+    assert boundary == _sequential_boundary(family, 1e-8, search_max)
+
+
+def test_kernel_queue_hands_out_the_planned_rows_in_order_only():
+    queue = _KernelQueue(EC4, [0.1, 1.55, 0.2, 0.3])
+    basis = queue.pop(0.1)
+    assert np.array_equal(np.stack(basis.elements), np.stack(intertwiner_basis(EC4.matrix(0.1)).elements))
+    with pytest.raises(BrokenPhaseError, match="fully real spectrum"):
+        queue.pop(1.55)
+    assert queue.pop(0.25) is None  # off the plan
+    assert queue.pop(0.3) is None  # and no row after that
+

@@ -392,6 +392,44 @@ class TestCli:
         assert out == ""
         assert not (tmp_path / "plot.svg").exists()
 
+    # Every command that writes, with a short range; each takes --out.
+    _WRITERS = {
+        "spectrum": ["spectrum", "--model", "ec4", "--t-min", "-1", "--t-max", "1",
+                     "--steps", "5"],
+        "domains": ["domains", "--model", "ec4", "--t-min", "0", "--t-max", "1.6"],
+        "metric": ["metric", "--model", "ec4", "--t-min", "0", "--t-max", "1.4"],
+        "islands": ["islands", "--model", "mdg6-w2", "--t-min", "-0.7",
+                    "--t-max", "0.4", "--k", "4"],
+        "ep": ["ep", "--model", "ec4", "--t-min", "1.0", "--t-max", "1.45"],
+        "validate": ["validate", "--model", "ec4", "--t-min", "0", "--t-max", "1"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(_WRITERS))
+    def test_out_in_a_missing_directory_exits_2(self, tmp_path, command, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(self._WRITERS[command] + ["--out", str(path)], capsys)
+        assert code == 2
+        assert err == f"error: {path}: No such file or directory\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["spectrum", "domains", "metric"])
+    def test_svg_in_a_missing_directory_exits_2_before_stdout(
+        self, tmp_path, command, capsys
+    ):
+        path = tmp_path / "missing" / "x.svg"
+        code, out, err = run(self._WRITERS[command] + ["--svg", str(path)], capsys)
+        assert code == 2
+        assert err == f"error: {path}: No such file or directory\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["spectrum", "domains", "metric"])
+    def test_svg_then_csv_on_stdout(self, tmp_path, command, capsys):
+        path = tmp_path / "x.svg"
+        code, out, _ = run(self._WRITERS[command] + ["--svg", str(path)], capsys)
+        assert code == 0
+        assert path.read_text().startswith("<svg")
+        assert out == run(self._WRITERS[command], capsys)[1]
+
     def test_validate_out_writes_checks_table(self, tmp_path, capsys):
         out = tmp_path / "checks.csv"
         code, stdout, _ = run(
