@@ -37,7 +37,6 @@ from .errors import (
     TrackingError,
 )
 from .lattice import (
-    LatticeSpec,
     Topology,
     build_matrix,
     is_pt_symmetric,
@@ -93,7 +92,6 @@ __all__ = [
     "EpNotFoundError",
     "ExprError",
     "InvalidSpecError",
-    "LatticeSpec",
     "MetricCandidate",
     "MetricProvenance",
     "MetricSection",

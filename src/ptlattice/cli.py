@@ -428,12 +428,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The library names a parameter where the command line has options for it.
+# The library names a parameter, at the start or end of a message, where the
+# command line has options for it.
 _OPTION_NAMES = (
     ("t-range must", "t-range (--t-min, --t-max) must"),
     ("need lo < hi,", "need lo < hi (--t-min < --t-max),"),
     ("tol must", "tol (--tol) must"),
     ("eps_real must", "eps_real (--eps-real) must"),
+    ("need at least 2 grid points,", "need at least 2 grid points (--steps),"),
+    ("fewer steps or a narrower range", "fewer --steps or a narrower --t-min/--t-max range"),
 )
 
 
@@ -441,8 +444,8 @@ def _option_message(exc: Exception) -> str:
     """The error message with the options named after the parameter."""
     message = str(exc)
     for parameter, option in _OPTION_NAMES:
-        if message.startswith(parameter):
-            return option + message[len(parameter):]
+        if message.startswith(parameter) or message.endswith(parameter):
+            return message.replace(parameter, option, 1)
     return message
 
 

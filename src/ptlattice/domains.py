@@ -108,11 +108,11 @@ def grid_steps(lo: float, hi: float, steps: int | None = None) -> int:
         density = min((hi - lo) * POINTS_PER_UNIT, MAX_GRID_POINTS)
         steps = max(2, math.ceil(density) + 1)
     if steps < 2:
-        raise InvalidSpecError(f"need at least 2 grid points (--steps), got {steps}")
+        raise InvalidSpecError(f"need at least 2 grid points, got {steps}")
     if steps > MAX_GRID_POINTS:
         raise InvalidSpecError(
             f"the grid on [{lo}, {hi}] would exceed {MAX_GRID_POINTS} points; "
-            "give fewer --steps or a narrower --t-min/--t-max range"
+            "give fewer steps or a narrower range"
         )
     return steps
 

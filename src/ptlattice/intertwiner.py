@@ -25,6 +25,7 @@ from .errors import (
 from .lattice import check_square
 from .spectra import (
     MAX_DENSE_N,
+    _frobenius_scales,
     _index_pairs,
     count_real,
     count_real_rows,
@@ -142,10 +143,7 @@ def intertwiner_bases(stack) -> list:
     ]
     index = np.flatnonzero(finite)
     h = stack[index]
-    # Each norm as np.linalg.norm takes it, the root of one dot product; so
-    # are the residual norms below.
-    flat = h.reshape(-1, 1, n * n)
-    scales = np.maximum(1.0, np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel())
+    scales = _frobenius_scales(h)
 
     rows, errors = eigenvalue_rows(h)
     try:
@@ -175,6 +173,7 @@ def intertwiner_bases(stack) -> list:
     threshold = _KERNEL_RANK_REL * np.maximum(1.0, s.max(axis=1, initial=0.0))
     kernel_dims = (vt.shape[1] - (s > threshold[:, None]).sum(axis=1)).tolist()
     elements = unvec_sym(vt[:, vt.shape[1] - n:], n)
+    # Each residual norm as np.linalg.norm takes it, the root of one dot product.
     flat = (hT[:, None] @ elements - elements @ h[:, None]).reshape(-1, n, 1, n * n)
     residuals = np.sqrt(flat @ flat.transpose(0, 1, 3, 2)).reshape(-1, n)
     above = residuals > EPS_METRIC * scales[:, None]

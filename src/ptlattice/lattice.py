@@ -5,15 +5,14 @@ the subdiagonal is the negative of the superdiagonal (b_i = -c_i), and a
 ring closes through corner entries (1, n) = -c_n and (n, 1) = +c_n.  Every
 model in scope obeys this antisymmetric pattern, so the assembler
 deliberately does not accept independent lower couplings.  Every assembly
-path goes through it: :func:`build_matrix` for a validated spec, and
-``ModelFamily.matrix``, ``matrix_mp`` and ``matrices`` (a whole stack of
-matrices at once) for model families.
+path goes through it: :func:`build_matrix` checks the entry counts and
+builds the float matrix (``ModelFamily.matrix`` calls it), while
+``matrix_mp`` and ``matrices`` (a whole stack of matrices at once) lay out
+mpmath and vector entries directly.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,40 +34,6 @@ def coupling_count(n: int, topology: Topology) -> int:
 def is_ring_size(n: int) -> bool:
     """Rings need an even n >= 4; at n = 2 the corner would overwrite the band bond."""
     return n % 2 == 0 and n >= 4
-
-
-@dataclass(frozen=True)
-class LatticeSpec:
-    """One Hamiltonian family member: n sites, diagonal a_i, couplings c_i.
-
-    ``upper`` holds n-1 couplings for an open chain and n for a ring (the
-    last one being the corner bond closing the ring).
-    """
-
-    n: int
-    diag: tuple[float, ...]
-    upper: tuple[float, ...]
-    topology: Topology
-
-    def __post_init__(self):
-        object.__setattr__(self, "diag", tuple(float(x) for x in self.diag))
-        object.__setattr__(self, "upper", tuple(float(x) for x in self.upper))
-        if self.n < 1:
-            raise InvalidSpecError(f"dimension must be positive, got n={self.n}")
-        if len(self.diag) != self.n:
-            raise InvalidSpecError(
-                f"diag length {len(self.diag)} does not match n={self.n}"
-            )
-        expected = coupling_count(self.n, self.topology)
-        if len(self.upper) != expected:
-            raise InvalidSpecError(
-                f"{self.topology.value} topology with n={self.n} needs "
-                f"{expected} couplings, got {len(self.upper)}"
-            )
-        if self.topology is Topology.RING and not is_ring_size(self.n):
-            raise InvalidSpecError(f"ring requires an even n >= 4, got n={self.n}")
-        if not all(math.isfinite(x) for x in self.diag + self.upper):
-            raise InvalidSpecError("matrix entries must be finite")
 
 
 def layout(n: int, diag, upper, topology: Topology, zero=None, rows=None):
@@ -95,9 +60,24 @@ def layout(n: int, diag, upper, topology: Topology, zero=None, rows=None):
     return rows
 
 
-def build_matrix(spec: LatticeSpec) -> np.ndarray:
-    """The float matrix of a validated spec."""
-    return np.array(layout(spec.n, spec.diag, spec.upper, spec.topology, 0.0))
+def build_matrix(n: int, diag, upper, topology: Topology) -> np.ndarray:
+    """The float lattice matrix; ``upper`` holds coupling_count(n, topology) bonds.
+
+    n < 1, an entry count that does not fit n, or a bad ring size raises
+    InvalidSpecError; non-finite entries are left to check_square.
+    """
+    if n < 1:
+        raise InvalidSpecError(f"dimension must be positive, got n={n}")
+    if len(diag) != n:
+        raise InvalidSpecError(f"diag length {len(diag)} does not match n={n}")
+    expected = coupling_count(n, topology)
+    if len(upper) != expected:
+        raise InvalidSpecError(
+            f"{topology.value} topology with n={n} needs {expected} couplings, got {len(upper)}"
+        )
+    if topology is Topology.RING and not is_ring_size(n):
+        raise InvalidSpecError(f"ring requires an even n >= 4, got n={n}")
+    return np.array(layout(n, diag, upper, topology, 0.0), dtype=float)
 
 
 def parity(n: int) -> np.ndarray:

@@ -7,14 +7,11 @@ equal-coupling ring and its strengthened-bond variant.  For families
 without a closed form the positivity domain is mapped by tracking one
 continuous section of the kernel along t.
 
-A section march is planned before it runs.  The anchor and the steps t_k
-of each point depend on the anchor ts alone, so MetricSection.values plans
-a chunk of points, solves the kernels of all their steps in one stack
-(intertwiner_bases) and then projects step by step in order; its results
-and errors are those of value(t) called point after point.
-positivity_interval samples a tracked section that way, with one stacked
-eigvalsh per chunk, and tracked_positivity_boundary plans its upward
-probes chunk by chunk.  Bisection stays point by point.
+positivity_interval and tracked_positivity_boundary march a tracked
+section through MetricSection.values, which plans a chunk of points and
+solves the kernels of their steps in one stack (intertwiner_bases); the
+coarse grid takes one stacked eigvalsh per chunk.  Bisection stays point
+by point.
 """
 
 from __future__ import annotations
@@ -136,6 +133,11 @@ def reference_metric_ec4_strong(t: float) -> MetricCandidate:
     )
 
 
+def _min_eig(m: np.ndarray):
+    """Least eigenvalue of (m + m^T)/2, per matrix of a stack; positive definite means > 0."""
+    return np.linalg.eigvalsh((m + m.swapaxes(-1, -2)) / 2).min(axis=-1)
+
+
 def spectral_metric(h, weights) -> MetricCandidate:
     """Theta = sum_k kappa_k |L_k><L_k| from the left eigenvectors.
 
@@ -162,7 +164,7 @@ def spectral_metric(h, weights) -> MetricCandidate:
             raise ConsistencyError("left eigenvector unexpectedly complex")
         lv = left.real
         theta += kappa * np.outer(lv, lv)
-    min_eig = float(np.linalg.eigvalsh((theta + theta.T) / 2).min())
+    min_eig = float(_min_eig(theta))
     if min_eig <= 0:
         raise ConsistencyError(
             f"spectral metric not positive definite (min eig {min_eig:.3e})"
@@ -184,21 +186,6 @@ class PositivityReport:
     tol: float
 
 
-def _min_eig(m: np.ndarray) -> float:
-    m = (m + m.T) / 2
-    return float(np.linalg.eigvalsh(m).min())
-
-
-def _is_positive(m: np.ndarray) -> bool:
-    # Cheap factorization first; eigendecomposition settles the near-boundary cases.
-    m = (m + m.T) / 2
-    try:
-        np.linalg.cholesky(m)
-        return True
-    except np.linalg.LinAlgError:
-        return _min_eig(m) > 0
-
-
 # Where a tracked section cannot be continued the metric does not exist, so
 # the point counts as non-positive rather than as a hard failure.
 _SECTION_GAPS = (BrokenPhaseError, DegenerateSpectrumError, TrackingError)
@@ -214,7 +201,7 @@ def _sample(candidate: MetricCandidate, t: float):
 
 def _positive(theta) -> bool:
     """Whether a sampled metric is positive definite; a gap error is not."""
-    return not isinstance(theta, Exception) and _is_positive(theta)
+    return not isinstance(theta, Exception) and bool(_min_eig(theta) > 0)
 
 
 def _tracked_section(candidate: MetricCandidate) -> "MetricSection | None":
@@ -242,9 +229,7 @@ def _min_eig_curve(candidate: MetricCandidate, grid: np.ndarray) -> np.ndarray:
         chunk = list(islice(thetas, _CHUNK_STEPS))
         alive = [k for k, theta in enumerate(chunk) if not isinstance(theta, Exception)]
         if alive:
-            stack = np.stack([chunk[k] for k in alive])
-            stack = (stack + stack.transpose(0, 2, 1)) / 2
-            curve[start + np.array(alive)] = np.linalg.eigvalsh(stack).min(axis=1)
+            curve[start + np.array(alive)] = _min_eig(np.stack([chunk[k] for k in alive]))
     return curve
 
 
@@ -483,9 +468,9 @@ def tracked_positivity_boundary(
     Probes march upward in section steps; a probe counts as lost when the
     tracked metric stops being positive definite or the kernel itself
     degenerates (broken phase or eigenvalue collision).  The edge is then
-    bisected to the requested bracket width.  The probes are planned and
-    solved one chunk at a time through MetricSection.values, and marched
-    no further than the first lost one.
+    bisected to the requested bracket width.  The probes go through one
+    MetricSection.values march, which plans and solves them one chunk at a
+    time and marches no further than the first lost one.
 
     The endpoint is a property of the projection-transported section: the
     kernel bundle admits many smooth sections through the same seed, and
@@ -498,16 +483,12 @@ def tracked_positivity_boundary(
     section = MetricSection(family)
     candidate = MetricCandidate(MetricProvenance.BASIS_COMBINATION, family=section.value)
 
-    good = t = 0.0
-    while t < search_max:
-        probes = []
-        while t < search_max and len(probes) < _CHUNK_STEPS:
-            t = min(search_max, t + _SECTION_STEP)
-            probes.append(t)
-        for t, theta in zip(probes, section.values(probes)):
-            if not _positive(theta):
-                return bisect_edge(lambda u: _positive(_sample(candidate, u)), good, t, tol)
-            good = t
+    ts = [0.0]
+    while ts[-1] < search_max:
+        ts.append(min(search_max, ts[-1] + _SECTION_STEP))
+    for good, t, theta in zip(ts, ts[1:], section.values(ts[1:])):
+        if not _positive(theta):
+            return bisect_edge(lambda u: _positive(_sample(candidate, u)), good, t, tol)
     raise BracketError(
         f"metric stayed positive on [0.0, {search_max}]; no boundary found"
     )

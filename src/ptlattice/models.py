@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ModelDomainError
-from .lattice import Topology, layout
+from .lattice import Topology, build_matrix, layout
 
 
 class FloatField:
@@ -146,7 +146,7 @@ class ModelFamily:
                 t=t,
                 radical=self.radical,
             )
-        return np.array(layout(self.n, diag, upper, self.topology, 0.0), dtype=float)
+        return build_matrix(self.n, diag, upper, self.topology)
 
     def matrices(self, ts) -> np.ndarray:
         """The (len(ts), n, n) stack of matrix(t) for a vector of t, bit for bit.

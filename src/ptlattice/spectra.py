@@ -289,6 +289,17 @@ def eigenvalue_rows(stack: np.ndarray) -> tuple[np.ndarray, list]:
 _POLISH_REL = 1e-5
 
 
+def _frobenius_scales(stack: np.ndarray) -> np.ndarray:
+    """max(1, ||H||_F) of each matrix H of a finite (m, n, n) stack.
+
+    Each norm as np.linalg.norm(h) takes it, the root of one dot product;
+    a norm over the stack axes sums in another order.
+    """
+    m, n, _ = stack.shape
+    flat = stack.reshape(m, 1, n * n)
+    return np.maximum(1.0, np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel())
+
+
 def sweep_eigenvalues(stack) -> np.ndarray:
     """Eigenvalues of an (m, n, n) matrix stack, one canonically sorted row each.
 
@@ -310,11 +321,7 @@ def sweep_eigenvalues(stack) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"stacked eigensolver failed: {exc}") from exc
     rows = np.take_along_axis(vals, np.lexsort((vals.imag, vals.real), axis=-1), -1)
-    # Each norm as np.linalg.norm(h) takes it, the root of one dot product;
-    # a norm over the stack axes sums in another order.
-    m, n, _ = stack.shape
-    flat = stack.reshape(m, 1, n * n)
-    scales = np.fmax(1.0, np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel())
+    scales = _frobenius_scales(stack)
     for i in np.flatnonzero(min_pairwise_gaps(rows) < _POLISH_REL * scales):
         from .charpoly import eigenvalues_charpoly_oracle
 

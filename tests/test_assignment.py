@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ptlattice import (
     DegenerateSpectrumError,
     InvalidSpecError,
-    LatticeSpec,
     Topology,
     build_matrix,
     left_right_pairs,
@@ -138,9 +137,7 @@ def lattices(draw):
     bonds = n if ring else n - 1
     diag = draw(st.lists(entries, min_size=n, max_size=n))
     upper = draw(st.lists(couplings, min_size=bonds, max_size=bonds))
-    return build_matrix(
-        LatticeSpec(n=n, diag=tuple(diag), upper=tuple(upper), topology=topology)
-    )
+    return build_matrix(n, diag, upper, topology)
 
 
 @settings(deadline=None, max_examples=100)

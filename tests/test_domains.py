@@ -23,9 +23,11 @@ from ptlattice import (
     locate_coalescence_ep,
     maximal_jordan_block,
     min_pairwise_gap,
+    positivity_interval,
     reality_islands,
     reality_profile,
     refine_reality_boundary,
+    reference_metric_ec4,
 )
 from ptlattice.cli import main
 from ptlattice.domains import check_bracket, check_eps_real, grid_steps
@@ -191,7 +193,7 @@ def test_grid_steps_automatic_density_and_bound():
     assert grid_steps(0.0, 1e-9) == 2
     assert grid_steps(0.0, 1.0, 201) == 201
     assert grid_steps(0.0, 1.0, MAX_GRID_POINTS) == MAX_GRID_POINTS
-    with pytest.raises(InvalidSpecError, match="--steps"):
+    with pytest.raises(InvalidSpecError, match="give fewer steps or a narrower range$"):
         grid_steps(-1e308, 1e308)
 
 
@@ -303,3 +305,30 @@ def test_cli_messages_name_the_options(values, options, library, cli, capsys):
     assert captured.err == f"error: {cli}\n"
     assert captured.out == ""
 
+
+# The grid-size checks, in the library and on the command line.
+_BAD_GRIDS = [
+    (1, "need at least 2 grid points, got 1", "need at least 2 grid points (--steps), got 1"),
+    (MAX_GRID_POINTS + 1,
+     f"the grid on [0.0, 1.0] would exceed {MAX_GRID_POINTS} points; "
+     "give fewer steps or a narrower range",
+     f"the grid on [0.0, 1.0] would exceed {MAX_GRID_POINTS} points; "
+     "give fewer --steps or a narrower --t-min/--t-max range"),
+]
+
+
+@pytest.mark.parametrize("steps, library, cli", _BAD_GRIDS)
+def test_library_grid_messages_name_no_option(steps, library, cli):
+    with pytest.raises(InvalidSpecError) as info:
+        positivity_interval(reference_metric_ec4(0.0), 0.0, 1.0, 1e-8, coarse_steps=steps)
+    assert str(info.value) == library
+
+
+@pytest.mark.parametrize("command", ["domains", "metric"])
+@pytest.mark.parametrize("steps, library, cli", _BAD_GRIDS)
+def test_cli_grid_messages_name_the_options(command, steps, library, cli, capsys):
+    options = ["--t-min", "0", "--t-max", "1", "--steps", str(steps)]
+    assert main([command, "--model", "ec4", *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cli}\n"
+    assert captured.out == ""

@@ -1,23 +1,22 @@
 """Lattice construction and structural PT checks."""
 
+import math
+
 import numpy as np
 import pytest
 
 from ptlattice import (
     InvalidSpecError,
-    LatticeSpec,
     Topology,
     build_matrix,
     is_pt_symmetric,
     parity,
 )
+from ptlattice.lattice import check_square
 
 
 def test_open_chain_layout():
-    spec = LatticeSpec(
-        n=4, diag=(-3, -1, 1, 3), upper=(0.5, 0.6, 0.7), topology=Topology.OPEN
-    )
-    h = build_matrix(spec)
+    h = build_matrix(4, (-3, -1, 1, 3), (0.5, 0.6, 0.7), Topology.OPEN)
     expected = np.array(
         [
             [-3, 0.5, 0, 0],
@@ -30,10 +29,7 @@ def test_open_chain_layout():
 
 
 def test_ring_corner_signs():
-    spec = LatticeSpec(
-        n=4, diag=(-3, -1, 1, 3), upper=(0.5, 0.6, 0.7, 0.9), topology=Topology.RING
-    )
-    h = build_matrix(spec)
+    h = build_matrix(4, (-3, -1, 1, 3), (0.5, 0.6, 0.7, 0.9), Topology.RING)
     # band bonds: (i, i+1) positive coupling, (i+1, i) its negative
     assert h[0, 1] == 0.5 and h[1, 0] == -0.5
     # closing bond crosses the corner with the opposite sign convention
@@ -57,15 +53,19 @@ def test_parity_alternates_signs():
     ],
 )
 def test_invalid_specs_rejected(n, diag, upper, topology):
-    with pytest.raises(InvalidSpecError):
-        LatticeSpec(n=n, diag=diag, upper=upper, topology=topology)
+    if all(map(math.isfinite, diag + upper)):
+        with pytest.raises(InvalidSpecError):
+            build_matrix(n, diag, upper, topology)
+    else:
+        # build_matrix checks the structure only; the entries are check_square's.
+        h = build_matrix(n, diag, upper, topology)
+        with pytest.raises(InvalidSpecError, match="finite"):
+            check_square(h)
 
 
 def test_pt_symmetry_holds_for_antisymmetric_coupling():
-    spec = LatticeSpec(
-        n=4, diag=(-3, -1, 1, 3), upper=(0.3, 0.4, 0.5), topology=Topology.OPEN
-    )
-    assert is_pt_symmetric(build_matrix(spec))
+    h = build_matrix(4, (-3, -1, 1, 3), (0.3, 0.4, 0.5), Topology.OPEN)
+    assert is_pt_symmetric(h)
 
 
 def test_pt_symmetry_fails_for_symmetric_coupling():
@@ -75,12 +75,7 @@ def test_pt_symmetry_fails_for_symmetric_coupling():
 
 
 def test_diagonal_must_be_real_antisymmetric_convention():
-    spec = LatticeSpec(
-        n=6,
-        diag=(-5, -3, -1, 1, 3, 5),
-        upper=(1.0, 2.0, 3.0, 2.0, 1.0),
-        topology=Topology.OPEN,
-    )
-    h = build_matrix(spec)
-    assert np.array_equal(np.diag(h), spec.diag)
-    assert np.allclose(h + h.T, 2 * np.diag(spec.diag))
+    diag = (-5, -3, -1, 1, 3, 5)
+    h = build_matrix(6, diag, (1.0, 2.0, 3.0, 2.0, 1.0), Topology.OPEN)
+    assert np.array_equal(np.diag(h), diag)
+    assert np.allclose(h + h.T, 2 * np.diag(diag))

@@ -32,7 +32,7 @@ from ptlattice import (
 )
 from ptlattice.domains import bisect_edge
 from ptlattice.errors import TrackingError
-from ptlattice.metrics import _SECTION_STEP, _is_positive, _KernelQueue
+from ptlattice.metrics import _SECTION_STEP, _KernelQueue, _positive
 
 EC4 = get_family(Model.EC4)
 STRONG = get_family(Model.EC4_STRONG_BOND)
@@ -516,7 +516,7 @@ def _sequential_boundary(family, tol, search_max=1.2):
 
     def alive(t):
         try:
-            return _is_positive(section.value(t))
+            return _positive(section.value(t))
         except _GAPS:
             return False
 

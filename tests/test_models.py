@@ -11,12 +11,14 @@ from ptlattice import (
     Model,
     ModelDomainError,
     Topology,
+    build_matrix,
     get_family,
     is_pt_symmetric,
     iter_families,
     load_custom_model,
     model_names,
 )
+from ptlattice import models
 from ptlattice.tolerances import ORACLE_DPS
 
 
@@ -98,6 +100,22 @@ def test_ec4_recoupled_ratios():
     h = get_family(Model.EC4_RECOUPLED).matrix(0.6)
     assert np.allclose(np.diag(h, 1), [0.6, 0.8, 0.6])
     assert h[3, 0] == pytest.approx(0.15)
+
+
+def test_matrix_assembles_through_build_matrix(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_matrix(*args)
+
+    monkeypatch.setattr(models, "build_matrix", counted)
+    family = get_family(Model.EC4)
+    h = family.matrix(0.5)
+    assert len(calls) == 1
+    n, diag, upper, topology = calls[0]
+    assert (n, topology) == (family.n, family.topology)
+    assert np.array_equal(h, build_matrix(n, diag, upper, topology))
 
 
 def test_matrix_mp_matches_float_matrix():

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ptlattice import (
-    LatticeSpec,
     Model,
     Topology,
     build_matrix,
@@ -40,14 +39,7 @@ def open_specs(min_n=2, max_n=6):
         lambda n: st.tuples(
             st.lists(finite, min_size=n, max_size=n),
             st.lists(nonzero, min_size=n - 1, max_size=n - 1),
-        ).map(
-            lambda parts: LatticeSpec(
-                n=n,
-                diag=tuple(parts[0]),
-                upper=tuple(parts[1]),
-                topology=Topology.OPEN,
-            )
-        )
+        ).map(lambda parts: (n, tuple(parts[0]), tuple(parts[1]), Topology.OPEN))
     )
 
 
@@ -56,27 +48,20 @@ def ring_specs():
         lambda n: st.tuples(
             st.lists(finite, min_size=n, max_size=n),
             st.lists(nonzero, min_size=n, max_size=n),
-        ).map(
-            lambda parts: LatticeSpec(
-                n=n,
-                diag=tuple(parts[0]),
-                upper=tuple(parts[1]),
-                topology=Topology.RING,
-            )
-        )
+        ).map(lambda parts: (n, tuple(parts[0]), tuple(parts[1]), Topology.RING))
     )
 
 
 @settings(deadline=None, max_examples=50)
 @given(open_specs())
 def test_every_open_chain_is_pt_symmetric(spec):
-    assert is_pt_symmetric(build_matrix(spec))
+    assert is_pt_symmetric(build_matrix(*spec))
 
 
 @settings(deadline=None, max_examples=50)
 @given(ring_specs())
 def test_every_ring_is_pt_symmetric(spec):
-    assert is_pt_symmetric(build_matrix(spec))
+    assert is_pt_symmetric(build_matrix(*spec))
 
 
 @settings(deadline=None, max_examples=30)
@@ -89,18 +74,16 @@ def test_parity_is_an_involution(n):
 @settings(deadline=None, max_examples=50)
 @given(ring_specs())
 def test_ring_with_cut_corner_equals_open_chain(spec):
-    ring = build_matrix(spec)
+    n, diag, upper, _ = spec
+    ring = build_matrix(*spec)
     ring[0, -1] = ring[-1, 0] = 0.0
-    open_spec = LatticeSpec(
-        n=spec.n, diag=spec.diag, upper=spec.upper[:-1], topology=Topology.OPEN
-    )
-    assert np.array_equal(ring, build_matrix(open_spec))
+    assert np.array_equal(ring, build_matrix(n, diag, upper[:-1], Topology.OPEN))
 
 
 @settings(deadline=None, max_examples=50)
 @given(open_specs())
 def test_spectrum_is_conjugate_closed_with_real_trace(spec):
-    h = build_matrix(spec)
+    h = build_matrix(*spec)
     values = eigenvalues(h).values
     paired = matching_distance(values, np.conj(values))
     scale = max(1.0, float(np.abs(values).max()))
@@ -112,7 +95,7 @@ def test_spectrum_is_conjugate_closed_with_real_trace(spec):
 @settings(deadline=None, max_examples=25)
 @given(open_specs(max_n=5))
 def test_oracle_agrees_with_eigensolver(spec):
-    h = build_matrix(spec)
+    h = build_matrix(*spec)
     solver = eigenvalues(h).values
     oracle = eigenvalues_charpoly_oracle(h).values
     scale = max(1.0, float(np.abs(solver).max()))
@@ -122,12 +105,13 @@ def test_oracle_agrees_with_eigensolver(spec):
 @settings(deadline=None, max_examples=30)
 @given(open_specs(max_n=5))
 def test_phase_verdict_matches_eigenvector_defects(spec):
-    h = build_matrix(spec)
+    h = build_matrix(*spec)
     values = eigenvalues(h).values
     scale = max(1.0, float(np.abs(values).max()))
     assume(min_pairwise_gap(values) > 1e-4 * scale)
     phase = pt_phase(h)
-    assert phase.unbroken == (count_real(values) == spec.n)
+    n = spec[0]
+    assert phase.unbroken == (count_real(values) == n)
 
 
 @settings(deadline=None, max_examples=20)
