@@ -16,12 +16,15 @@ solve on the rounded matrix can recover it.
 
 from __future__ import annotations
 
-import mpmath
 import numpy as np
 
 from .errors import InvalidSpecError, OracleError
 from .spectra import Spectrum
 from .tolerances import ORACLE_DPS
+
+# After the sibling modules: compiling them with mpmath already resident
+# raises the peak memory of an oracle run.
+import mpmath  # noqa: E402
 
 MAX_ORACLE_N = 12
 

@@ -6,25 +6,21 @@ numeric output is written as deterministic CSV bundles; spectrum, domains
 and metric take --svg for a static plot, written before any CSV reaches
 stdout.  Exit codes: 0 success, 2 usage error or an output path that
 cannot be written, 3 validity-range error, 4 numerical failure.
+
+A process loads only what its command runs.  The options, the model and
+its validity range are checked with the standard library alone, so a
+usage error exits before numpy loads; each command imports its compute
+modules, and ``report`` and ``svgplot``, when it starts.  The version
+comes from ``ptlattice.__version__``, the one place it is set.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .custom import load_custom_model
-from .domains import (
-    check_bracket,
-    check_eps_real,
-    domain_report,
-    grid_steps,
-    reality_islands,
-    reality_profile,
-)
+from . import __version__
 from .errors import (
     ConsistencyError,
     InvalidSpecError,
@@ -32,32 +28,21 @@ from .errors import (
     ModelFileError,
     NumericalError,
 )
-from .metrics import (
-    MetricCandidate,
-    MetricProvenance,
-    MetricSection,
-    positivity_interval,
-    reference_metric_ec4,
-    reference_metric_ec4_strong,
-)
+from .lattice import is_pt_symmetric
 from .models import Model, get_family, model_names
-from .report import ReportBundle, Table
-from .spectra import eigenvalues, matching_distance, sweep_eigenvalues
-from .svgplot import LinePlot
 from .tolerances import (
     EPS_REAL,
     POINTS_PER_UNIT,
     POSITIVITY_STEPS,
     PROFILE_PLOT_STEPS,
+    check_bracket,
+    check_eps_real,
+    grid_steps,
 )
-from .lattice import is_pt_symmetric
 
-try:
-    from importlib.metadata import PackageNotFoundError, version
-
-    _VERSION = version("ptlattice")
-except PackageNotFoundError:  # running from a source tree
-    _VERSION = "unknown"
+if TYPE_CHECKING:
+    from .metrics import MetricCandidate
+    from .report import ReportBundle, Table
 
 
 def _resolve_family(args):
@@ -72,6 +57,8 @@ def _resolve_family(args):
                 + ", ".join(model_names())
             ) from None
         return get_family(model)
+    from .custom import load_custom_model
+
     return load_custom_model(args.config)
 
 
@@ -84,9 +71,11 @@ def _check_options(args) -> None:
 
 
 def _new_bundle(args, family, command: str) -> ReportBundle:
+    from .report import ReportBundle
+
     bundle = ReportBundle()
     bundle.add_header("command", command)
-    bundle.add_header("version", _VERSION)
+    bundle.add_header("version", __version__)
     bundle.add_header("model", family.name)
     bundle.add_header("n", family.n)
     bundle.add_header("topology", family.topology.value)
@@ -97,6 +86,8 @@ def _new_bundle(args, family, command: str) -> ReportBundle:
     bundle.add_header("eps_real", float(args.eps_real))
     bundle.add_header("tol", float(args.tol))
     if args.stamp:
+        from datetime import datetime, timezone
+
         bundle.add_header(
             "generated", datetime.now(timezone.utc).isoformat(timespec="seconds")
         )
@@ -111,6 +102,8 @@ def _emit(args, bundle: ReportBundle) -> None:
 
 
 def _domain_report(args, family):
+    from .domains import domain_report
+
     return domain_report(
         family,
         args.t_min,
@@ -122,6 +115,8 @@ def _domain_report(args, family):
 
 
 def _ep_table(name: str, report) -> Table:
+    from .report import Table
+
     return Table(
         name=name,
         columns=("t_star", "order", "kind", "residual"),
@@ -130,6 +125,11 @@ def _ep_table(name: str, report) -> Table:
 
 
 def cmd_spectrum(args, family) -> int:
+    import numpy as np
+
+    from .report import Table
+    from .spectra import sweep_eigenvalues
+
     grid = np.linspace(args.t_min, args.t_max, args.steps)
     rows = sweep_eigenvalues(family.matrices(grid))
     n = family.n
@@ -147,6 +147,8 @@ def cmd_spectrum(args, family) -> int:
     bundle.add_table(Table(name="spectrum", columns=columns, rows=table_rows))
 
     if args.svg:
+        from .svgplot import LinePlot
+
         plot = LinePlot(
             title=f"{family.name}: eigenvalues vs t",
             x_label="t",
@@ -166,6 +168,8 @@ def cmd_spectrum(args, family) -> int:
 
 
 def cmd_domains(args, family) -> int:
+    from .report import Table
+
     report = _domain_report(args, family)
     bundle = _new_bundle(args, family, "domains")
     bundle.add_table(
@@ -181,6 +185,11 @@ def cmd_domains(args, family) -> int:
     bundle.add_table(_ep_table("ep_markers", report))
 
     if args.svg:
+        import numpy as np
+
+        from .domains import reality_profile
+        from .svgplot import LinePlot
+
         steps = args.steps if args.steps is not None else PROFILE_PLOT_STEPS
         grid = np.linspace(args.t_min, args.t_max, steps)
         profile = reality_profile(family, grid, eps_real=args.eps_real)
@@ -196,17 +205,29 @@ def cmd_domains(args, family) -> int:
 
 
 def _metric_candidate(args, family) -> MetricCandidate:
+    # Checked before the metric modules load, so this usage error exits
+    # without them and without numpy.  ec4-recoupled follows a section even
+    # without --track.
+    untracked = (Model.EC4.value, Model.EC4_STRONG_BOND.value, Model.EC4_RECOUPLED.value)
+    if not args.track and family.name not in untracked:
+        raise InvalidSpecError(
+            f"model {family.name!r} has no closed-form metric family; "
+            "pass --track to follow a kernel section numerically"
+        )
+    from .metrics import (
+        MetricCandidate,
+        MetricProvenance,
+        MetricSection,
+        reference_metric_ec4,
+        reference_metric_ec4_strong,
+    )
+
     reference = {
         Model.EC4.value: reference_metric_ec4,
         Model.EC4_STRONG_BOND.value: reference_metric_ec4_strong,
     }
     if not args.track and family.name in reference:
         return reference[family.name](0.0)
-    if not args.track and family.name != Model.EC4_RECOUPLED.value:
-        raise InvalidSpecError(
-            f"model {family.name!r} has no closed-form metric family; "
-            "pass --track to follow a kernel section numerically"
-        )
     if family.contains(0.0) and args.t_min < 0.0 < args.t_max:
         seed = 0.0
     else:
@@ -218,7 +239,10 @@ def _metric_candidate(args, family) -> MetricCandidate:
 
 
 def cmd_metric(args, family) -> int:
-    candidate = _metric_candidate(args, family)
+    candidate = _metric_candidate(args, family)  # checks the usage first
+    from .metrics import positivity_interval
+    from .report import Table
+
     report = positivity_interval(
         candidate, args.t_min, args.t_max, args.tol, coarse_steps=args.steps
     )
@@ -247,6 +271,8 @@ def cmd_metric(args, family) -> int:
     )
 
     if args.svg:
+        from .svgplot import LinePlot
+
         plot = LinePlot(
             title=f"{family.name}: metric minimum eigenvalue vs t",
             x_label="t",
@@ -263,6 +289,9 @@ def cmd_metric(args, family) -> int:
 
 
 def cmd_islands(args, family) -> int:
+    from .domains import reality_islands
+    from .report import Table
+
     islands = reality_islands(
         family,
         args.t_min,
@@ -313,7 +342,11 @@ def cmd_ep(args, family) -> int:
 
 
 def cmd_validate(args, family) -> int:
+    import numpy as np
+
     from .charpoly import MAX_ORACLE_N, eigenvalues_charpoly_oracle
+    from .report import Table
+    from .spectra import eigenvalues, matching_distance
 
     sample_ts = np.linspace(args.t_min, args.t_max, 11).tolist()
     points = list(zip(sample_ts, family.matrices(sample_ts)))
@@ -395,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
             "operators of finite PT-symmetric lattice models."
         ),
     )
-    parser.add_argument("--version", action="version", version=_VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     _add_command(

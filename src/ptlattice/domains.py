@@ -40,8 +40,9 @@ from .tolerances import (
     ANGLE_TOL,
     EPS_GAP,
     EPS_REAL,
-    MAX_GRID_POINTS,
-    POINTS_PER_UNIT,
+    check_bracket,
+    check_eps_real,
+    grid_steps,
 )
 
 _EPS = float(np.finfo(float).eps)
@@ -96,43 +97,6 @@ class DomainReport:
     intervals: tuple
     eps: tuple
     boundary_tol: float
-
-
-def grid_steps(lo: float, hi: float, steps: int | None = None) -> int:
-    """Number of grid points on [lo, hi], bounded by MAX_GRID_POINTS.
-
-    steps=None picks the automatic density of POINTS_PER_UNIT points per
-    unit of t.  A count below 2 or above the bound raises InvalidSpecError.
-    """
-    if steps is None:
-        density = min((hi - lo) * POINTS_PER_UNIT, MAX_GRID_POINTS)
-        steps = max(2, math.ceil(density) + 1)
-    if steps < 2:
-        raise InvalidSpecError(f"need at least 2 grid points, got {steps}")
-    if steps > MAX_GRID_POINTS:
-        raise InvalidSpecError(
-            f"the grid on [{lo}, {hi}] would exceed {MAX_GRID_POINTS} points; "
-            "give fewer steps or a narrower range"
-        )
-    return steps
-
-
-def check_bracket(lo: float, hi: float, tol: float) -> None:
-    """Reject a t-range that is not finite and increasing, or a bad tol."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidSpecError(f"t-range must be finite, got [{lo}, {hi}]")
-    if not lo < hi:
-        raise InvalidSpecError(f"need lo < hi, got [{lo}, {hi}]")
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidSpecError(f"tol must be positive and finite, got {tol}")
-
-
-def check_eps_real(eps_real: float) -> None:
-    """Reject a reality threshold that is negative or not finite."""
-    if not (math.isfinite(eps_real) and eps_real >= 0):
-        raise InvalidSpecError(
-            f"eps_real must be non-negative and finite, got {eps_real}"
-        )
 
 
 def _grid_eigenvalues(family, grid: np.ndarray) -> np.ndarray:

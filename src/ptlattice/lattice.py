@@ -8,17 +8,20 @@ deliberately does not accept independent lower couplings.  Every assembly
 path goes through it: :func:`build_matrix` checks the entry counts and
 builds the float matrix (``ModelFamily.matrix`` calls it), while
 ``matrix_mp`` and ``matrices`` (a whole stack of matrices at once) lay out
-mpmath and vector entries directly.
+mpmath and vector entries directly.  numpy is imported where a matrix is
+built, so the command line can name the model types without it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidSpecError
 from .tolerances import EPS_STRUCT
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Topology(Enum):
@@ -77,6 +80,8 @@ def build_matrix(n: int, diag, upper, topology: Topology) -> np.ndarray:
         )
     if topology is Topology.RING and not is_ring_size(n):
         raise InvalidSpecError(f"ring requires an even n >= 4, got n={n}")
+    import numpy as np
+
     return np.array(layout(n, diag, upper, topology, 0.0), dtype=float)
 
 
@@ -84,6 +89,8 @@ def parity(n: int) -> np.ndarray:
     """Alternating-sign diagonal parity operator diag(+1, -1, +1, ...)."""
     if n < 1:
         raise InvalidSpecError(f"dimension must be positive, got n={n}")
+    import numpy as np
+
     signs = np.ones(n)
     signs[1::2] = -1.0
     return np.diag(signs)
@@ -91,6 +98,8 @@ def parity(n: int) -> np.ndarray:
 
 def check_square(h: np.ndarray) -> np.ndarray:
     """Validate a real square matrix with finite entries; return as float array."""
+    import numpy as np
+
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise InvalidSpecError(f"expected a square matrix, got shape {h.shape}")
@@ -106,6 +115,8 @@ def is_pt_symmetric(h: np.ndarray) -> bool:
     is the whole symmetry condition.  The threshold is absolute: registry
     matrices satisfy the identity to rounding of single square-root entries.
     """
+    import numpy as np
+
     h = check_square(h)
     p = parity(h.shape[0])
     return float(np.max(np.abs(h.T @ p - p @ h))) <= EPS_STRUCT

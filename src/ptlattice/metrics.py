@@ -34,7 +34,7 @@ from .errors import (
     InvalidSpecError,
     TrackingError,
 )
-from .domains import bisect_edge, check_bracket, grid_steps
+from .domains import bisect_edge
 from .intertwiner import (
     SolutionBasis,
     intertwiner_bases,
@@ -43,7 +43,7 @@ from .intertwiner import (
 )
 from .lattice import check_square
 from .spectra import count_real, eigenvalues, left_right_pairs
-from .tolerances import EPS_METRIC, POSITIVITY_STEPS
+from .tolerances import EPS_METRIC, POSITIVITY_STEPS, check_bracket, grid_steps
 
 
 class MetricProvenance(Enum):

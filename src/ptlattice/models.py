@@ -7,6 +7,9 @@ mpmath arbitrary precision (for the characteristic-polynomial oracle, where
 entry rounding would otherwise dominate near high-order degeneracies).
 Constants inside the entry expressions are integers and exact rationals so
 that the mp evaluation carries no double-rounding.
+
+numpy and mpmath are imported inside the functions that use them, so
+naming a model and checking its validity range loads neither.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ModelDomainError
 from .lattice import Topology, build_matrix, layout
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class FloatField:
@@ -47,6 +51,8 @@ class ArrayField:
 
     @staticmethod
     def sqrt(x):
+        import numpy as np
+
         return np.sqrt(x)
 
     @staticmethod
@@ -59,6 +65,8 @@ class ArrayField:
 
     @staticmethod
     def lift(t):
+        import numpy as np
+
         return np.asarray(t, dtype=float)
 
 
@@ -160,6 +168,8 @@ class ModelFamily:
         is built from matrix(t) at each t in order instead, so the result,
         or the error with its t, is matrix's own.
         """
+        import numpy as np
+
         ts = ArrayField.lift(ts).ravel()
         if np.all((self.t_min <= ts) & (ts <= self.t_max) & np.isfinite(ts)):
             stack = np.zeros((ts.size, self.n, self.n))

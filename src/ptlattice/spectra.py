@@ -293,11 +293,20 @@ def _frobenius_scales(stack: np.ndarray) -> np.ndarray:
     """max(1, ||H||_F) of each matrix H of a finite (m, n, n) stack.
 
     Each norm as np.linalg.norm(h) takes it, the root of one dot product;
-    a norm over the stack axes sums in another order.
+    a norm over the stack axes sums in another order.  Where the dot
+    product overflows, the norm is max|h| * ||h / max|h|||_F instead, which
+    is inf only where the norm itself exceeds the largest double.
     """
     m, n, _ = stack.shape
     flat = stack.reshape(m, 1, n * n)
-    return np.maximum(1.0, np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel())
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel()
+        huge = np.isinf(norms)
+        if huge.any():
+            peak = np.abs(flat[huge]).max(axis=(1, 2))
+            unit = flat[huge] / peak[:, None, None]
+            norms[huge] = peak * np.sqrt(unit @ unit.transpose(0, 2, 1)).ravel()
+    return np.maximum(1.0, norms)
 
 
 def sweep_eigenvalues(stack) -> np.ndarray:

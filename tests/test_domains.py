@@ -30,9 +30,14 @@ from ptlattice import (
     reference_metric_ec4,
 )
 from ptlattice.cli import main
-from ptlattice.domains import check_bracket, check_eps_real, grid_steps
 from ptlattice.spectra import count_real_rows, min_pairwise_gaps
-from ptlattice.tolerances import MAX_GRID_POINTS, POINTS_PER_UNIT
+from ptlattice.tolerances import (
+    MAX_GRID_POINTS,
+    POINTS_PER_UNIT,
+    check_bracket,
+    check_eps_real,
+    grid_steps,
+)
 
 
 def test_reality_profile_ec4():

@@ -1,12 +1,26 @@
-"""`import ptlattice.cli` stays light; SciPy, mpmath and PyYAML load on demand."""
+"""What each entry point loads.
 
+`import ptlattice.cli` loads neither numpy nor the optional packages
+(SciPy, mpmath, PyYAML), nor `importlib.metadata`; each loads with the
+first command that needs it.  Every documented usage exit returns its code
+before numpy loads.  The package serves each public name from the module
+that defines it, and `__version__` is the one version the CLI prints.
+"""
+
+import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import ptlattice
+from ptlattice.cli import main
+
 SRC = Path(__file__).resolve().parents[1] / "src"
-DEFERRED = ("scipy", "mpmath", "yaml")
+DEFERRED = ("numpy", "scipy", "mpmath", "yaml", "importlib.metadata")
 
 DEMO_DOC = """\
 name: demo-chain
@@ -28,6 +42,10 @@ def run_python(*args):
     )
 
 
+def deferred(module: str) -> bool:
+    return any(module == name or module.startswith(name + ".") for name in DEFERRED)
+
+
 def test_cli_import_loads_no_deferred_module():
     proc = run_python("-X", "importtime", "-c", "import ptlattice.cli")
     assert proc.returncode == 0, proc.stderr
@@ -37,7 +55,71 @@ def test_cli_import_loads_no_deferred_module():
         if line.startswith("import time:") and "|" in line
     ]
     assert "ptlattice.cli" in modules
-    assert [m for m in modules if m.split(".")[0] in DEFERRED] == []
+    assert [m for m in modules if deferred(m)] == []
+
+
+# The documented usage exits: (argv, exit code).
+USAGE_EXITS = {
+    "unknown-model": (["domains", "--model", "mdg6-w9", "--t-min", "0", "--t-max", "1"], 2),
+    "t-max-inf": (["domains", "--model", "ec4", "--t-min", "0", "--t-max", "inf"], 2),
+    "steps-zero": (
+        ["spectrum", "--model", "ec4", "--t-min", "-1.2", "--t-max", "1.2", "--steps", "0"],
+        2,
+    ),
+    "negative-eps-real": (
+        ["domains", "--model", "ec4", "--t-min", "-1.6", "--t-max", "1.6",
+         "--eps-real", "-1"],
+        2,
+    ),
+    "outside-validity": (
+        ["domains", "--model", "mdg6-w1", "--t-min", "-0.4", "--t-max", "1.5"], 3
+    ),
+    "metric-without-track": (
+        ["metric", "--model", "mdg6-w1", "--t-min", "0.2", "--t-max", "0.9"], 2
+    ),
+}
+
+EXIT_PROBE = (
+    "import json, sys; from ptlattice.cli import main; code = main(sys.argv[1:]); "
+    "print(json.dumps([code, 'numpy' in sys.modules]))"
+)
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_EXITS))
+def test_usage_exit_before_numpy_loads(case):
+    argv, expected = USAGE_EXITS[case]
+    proc = run_python("-c", EXIT_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == expected
+    assert numpy_loaded is False
+    assert proc.stderr.startswith("error: ")
+
+
+def test_every_public_name_is_its_module_definition():
+    for name in ptlattice.__all__:
+        obj = getattr(ptlattice, name)
+        module = importlib.import_module(obj.__module__)
+        assert module.__name__.startswith("ptlattice.")
+        assert getattr(module, name) is obj, name
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace = {}
+    exec("from ptlattice import *", namespace)
+    assert set(ptlattice.__all__) <= set(namespace)
+    assert set(ptlattice.__all__) <= set(dir(ptlattice))
+    assert "__version__" in dir(ptlattice)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ptlattice.no_such_name  # noqa: B018
+
+
+def test_version_option_prints_the_package_version(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"{ptlattice.__version__}\n"
 
 
 def test_deferred_modules_load_on_demand(tmp_path):
@@ -50,6 +132,7 @@ def test_deferred_modules_load_on_demand(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "# model: demo-chain" in proc.stdout
     assert "# table: intervals" in proc.stdout
+    assert f"# version: {ptlattice.__version__}" in proc.stdout
 
     proc = run_python(
         "-m", "ptlattice.cli", "validate", "--model", "ec4-strongbond",

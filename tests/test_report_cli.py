@@ -1,6 +1,7 @@
 """CSV bundles, SVG output, and the command-line interface."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -403,6 +404,17 @@ class TestCli:
         "ep": ["ep", "--model", "ec4", "--t-min", "1.0", "--t-max", "1.45"],
         "validate": ["validate", "--model", "ec4", "--t-min", "0", "--t-max", "1"],
     }
+
+    def test_huge_range_spectrum_prints_no_warning(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(
+                ["spectrum", "--model", "ec4", "--t-min=-1e300", "--t-max=1e300"],
+                capsys,
+            )
+        assert [str(w.message) for w in caught] == []
+        assert "Warning" not in err
+        assert code == 0 or (code == 4 and err.startswith("error: "))
 
     @pytest.mark.parametrize("command", sorted(_WRITERS))
     def test_out_in_a_missing_directory_exits_2(self, tmp_path, command, capsys):

@@ -1,6 +1,7 @@
 """Spectral engine: eigenvalues, sorting, phases, and eigenvector pairs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ptlattice import (
     vector_angle,
 )
 from ptlattice.charpoly import eigenvalues_charpoly_oracle
-from ptlattice.spectra import _POLISH_REL, canonical_sort
+from ptlattice.spectra import _POLISH_REL, _frobenius_scales, canonical_sort
 
 
 def test_eigenvalues_of_diagonal_matrix():
@@ -120,6 +121,23 @@ def test_sweep_rows_equal_the_one_row_construction(model, grid, polished):
 def test_sweep_rejects_a_bad_stack(stack):
     with pytest.raises(InvalidSpecError):
         sweep_eigenvalues(stack)
+
+
+def test_frobenius_scales_survive_overflow():
+    stack = np.stack([
+        get_family(Model.MDG6_W1).matrix(0.3),
+        np.full((6, 6), 1e-3),
+        np.diag([1e300, -2e300, 0.0, 3e300, 1.0, 0.0]),
+        np.full((6, 6), 1e308),
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scales = _frobenius_scales(stack)
+    # Finite norms keep the one-dot-product rounding of np.linalg.norm.
+    assert scales[0] == max(1.0, np.linalg.norm(stack[0]))
+    assert scales[1] == 1.0
+    assert scales[2] == pytest.approx(math.sqrt(14.0) * 1e300, rel=1e-15)
+    assert scales[3] == math.inf  # 6e308 exceeds the largest double
 
 
 def test_left_right_pairs_satisfy_eigen_relations():
