@@ -20,13 +20,11 @@ import numpy as np
 
 from .errors import InvalidSpecError, OracleError
 from .spectra import Spectrum
-from .tolerances import ORACLE_DPS
+from .tolerances import MAX_ORACLE_N, ORACLE_DPS
 
 # After the sibling modules: compiling them with mpmath already resident
 # raises the peak memory of an oracle run.
 import mpmath  # noqa: E402
-
-MAX_ORACLE_N = 12
 
 
 def _as_rows(h) -> list[list]:

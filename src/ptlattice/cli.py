@@ -32,6 +32,7 @@ from .lattice import is_pt_symmetric
 from .models import Model, get_family, model_names
 from .tolerances import (
     EPS_REAL,
+    MAX_ORACLE_N,
     POINTS_PER_UNIT,
     POSITIVITY_STEPS,
     PROFILE_PLOT_STEPS,
@@ -344,7 +345,7 @@ def cmd_ep(args, family) -> int:
 def cmd_validate(args, family) -> int:
     import numpy as np
 
-    from .charpoly import MAX_ORACLE_N, eigenvalues_charpoly_oracle
+    from .charpoly import eigenvalues_charpoly_oracle
     from .report import Table
     from .spectra import eigenvalues, matching_distance
 

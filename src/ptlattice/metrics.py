@@ -9,9 +9,9 @@ continuous section of the kernel along t.
 
 positivity_interval and tracked_positivity_boundary march a tracked
 section through MetricSection.values, which plans a chunk of points and
-solves the kernels of their steps in one stack (intertwiner_bases); the
-coarse grid takes one stacked eigvalsh per chunk.  Bisection stays point
-by point.
+solves the kernels of their steps ahead, keyed by t_k, in stacks
+(intertwiner_bases); the coarse grid takes one stacked eigvalsh per chunk.
+Bisection stays point by point.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import (
     ConsistencyError,
     DegenerateSpectrumError,
     InvalidSpecError,
+    ModelDomainError,
     TrackingError,
 )
 from .domains import bisect_edge
@@ -135,7 +136,8 @@ def reference_metric_ec4_strong(t: float) -> MetricCandidate:
 
 def _min_eig(m: np.ndarray):
     """Least eigenvalue of (m + m^T)/2, per matrix of a stack; positive definite means > 0."""
-    return np.linalg.eigvalsh((m + m.swapaxes(-1, -2)) / 2).min(axis=-1)
+    # Halved before the sum: the same bits above the subnormals, and a finite m stays finite.
+    return np.linalg.eigvalsh(m / 2 + m.swapaxes(-1, -2) / 2).min(axis=-1)
 
 
 def spectral_metric(h, weights) -> MetricCandidate:
@@ -217,7 +219,9 @@ def _min_eig_curve(candidate: MetricCandidate, grid: np.ndarray) -> np.ndarray:
 
     A tracked section marches the grid through MetricSection.values; other
     candidates are evaluated point by point.  Each chunk of metrics goes
-    through one stacked eigvalsh.
+    through one stacked eigvalsh.  A metric entry that overflowed raises
+    ModelDomainError; bisection then stays between two finite grid points,
+    where the closed forms, growing with |t|, stay finite too.
     """
     section = _tracked_section(candidate)
     if section is not None:
@@ -229,7 +233,14 @@ def _min_eig_curve(candidate: MetricCandidate, grid: np.ndarray) -> np.ndarray:
         chunk = list(islice(thetas, _CHUNK_STEPS))
         alive = [k for k, theta in enumerate(chunk) if not isinstance(theta, Exception)]
         if alive:
-            curve[start + np.array(alive)] = _min_eig(np.stack([chunk[k] for k in alive]))
+            stack = np.stack([chunk[k] for k in alive])
+            if not np.isfinite(stack).all():
+                t = float(grid[start + alive[np.isfinite(stack).all(axis=(1, 2)).argmin()]])
+                name = candidate.provenance.value
+                raise ModelDomainError(
+                    f"{name} metric: an entry is not finite in double precision at t={t}", t=t
+                )
+            curve[start + np.array(alive)] = _min_eig(stack)
     return curve
 
 
@@ -281,41 +292,6 @@ _SECTION_MIN_OVERLAP = 0.5
 _CHUNK_STEPS = 32
 
 
-class _KernelQueue:
-    """Kernels of the planned steps t_k of a march, solved _CHUNK_STEPS at a time.
-
-    pop(tk) returns the kernel of the next planned step when tk is that
-    step, or raises the error intertwiner_basis raises there.  Once the
-    march leaves the plan it returns None, and the march solves its own
-    one-row kernels.  Each row is dropped when used.  Solving never raises:
-    a window that family.matrices or the stacked kernel rejects is left to
-    the one-row path, which raises whatever the model raises.
-    """
-
-    def __init__(self, family, steps: list):
-        self._family = family
-        self._steps = steps
-        self._next = 0
-        self._rows: list = []
-
-    def pop(self, tk: float):
-        k = self._next
-        if k >= len(self._steps) or self._steps[k] != tk:
-            self._steps = []
-            return None
-        if not self._rows:
-            window = self._steps[k:k + _CHUNK_STEPS]
-            try:
-                self._rows = intertwiner_bases(self._family.matrices(window))[::-1]
-            except Exception:
-                self._steps = []
-                return None
-        self._next = k + 1
-        if isinstance(self._rows[-1], Exception):
-            raise self._rows.pop()  # held by no local, so no cycle with its traceback
-        return self._rows.pop()
-
-
 class MetricSection:
     """One continuous branch of the intertwiner kernel along t.
 
@@ -328,12 +304,12 @@ class MetricSection:
 
     A march is a plan and its execution.  The plan (_plan) is the nearest
     anchor and the steps t_k, which depend on the anchor ts alone.  values()
-    plans a chunk of points on a shadow copy of the anchors, solves the
-    chunk's kernels in stacks of _CHUNK_STEPS, then marches each point in
-    order with value(), which replans it on the real anchors.  While every
-    march succeeds the two plans agree; a point that fails ends its chunk,
-    and a step that finds no planned kernel solves its own.  So the result
-    and the point of failure are those of value(t) called point after point.
+    plans a chunk of points on a shadow copy of the anchors, solves their
+    steps' kernels ahead in stacks of _CHUNK_STEPS, keyed by t_k, then
+    marches each point in order with value(), which replans it on the real
+    anchors and takes each step's kernel solved ahead, or solves it alone.
+    A kernel depends on its step alone, so the result and the point of
+    failure are those of value(t) called point after point.
     """
 
     def __init__(self, family, *, t_seed: float = 0.0):
@@ -345,6 +321,8 @@ class MetricSection:
         self._anchors: dict[float, tuple[int, np.ndarray]] = {}
         self._keys: list[float] = []
         self._store(float(t_seed), seed)
+        # Step t_k -> its kernel, or the error solving it raises, from values().
+        self._ahead: dict[float, SolutionBasis | Exception] = {}
 
     def _store(self, t: float, theta: np.ndarray) -> None:
         if t in self._anchors:
@@ -396,17 +374,16 @@ class MetricSection:
             raise TrackingError(f"section lost at t={t}: nonpositive trace")
         return theta * (self.family.n / trace)
 
-    def value(self, t: float, *, kernels: _KernelQueue | None = None) -> np.ndarray:
-        """Tracked Theta(t); marches from the nearest cached anchor.
-
-        kernels is the queue of solved kernels that values() passes in.
-        """
+    def value(self, t: float) -> np.ndarray:
+        """Tracked Theta(t); marches from the nearest cached anchor."""
         anchor_t, steps = self._plan(float(t))
         theta = self._anchors[anchor_t][1]
         for tk in steps:
-            basis = kernels.pop(tk) if kernels is not None else None
+            basis = self._ahead.pop(tk, None)
             if basis is None:
                 basis = intertwiner_basis(self.family.matrix(tk))
+            elif isinstance(basis, Exception):
+                raise basis
             theta = self._project(theta, basis, tk)
             self._store(tk, theta)
         return theta
@@ -431,6 +408,20 @@ class MetricSection:
             stop += 1
         return stop, steps
 
+    def _solve_ahead(self, steps: list) -> None:
+        """Solve the kernels of steps ahead, _CHUNK_STEPS to a stack, up to
+        the first stack with an error row (no march passes it) or one that
+        the family or the stack rejects (value() solves those steps alone)."""
+        for k in range(0, len(steps), _CHUNK_STEPS):
+            window = steps[k:k + _CHUNK_STEPS]
+            try:
+                rows = intertwiner_bases(self.family.matrices(window))
+            except Exception:
+                return
+            self._ahead.update(zip(window, rows))
+            if any(isinstance(row, Exception) for row in rows):
+                return
+
     def values(self, ts):
         """Tracked Theta at each t in order, as value(t) gives them one by one.
 
@@ -445,19 +436,22 @@ class MetricSection:
         start, lost = 0, False
         while start < len(ts):
             if lost:
-                stop, kernels = start + 1, None
+                stop = start + 1
             else:
                 stop, steps = self._plan_chunk(ts, start)
-                kernels = _KernelQueue(self.family, steps)
-            for t in ts[start:stop]:
-                start += 1
-                try:
-                    theta, lost = self.value(t, kernels=kernels), False
-                except _SECTION_GAPS as exc:
-                    theta, lost = exc.with_traceback(None), True
-                yield theta
-                if lost:
-                    break
+                self._solve_ahead(steps)
+            try:
+                for t in ts[start:stop]:
+                    start += 1
+                    try:
+                        theta, lost = self.value(t), False
+                    except _SECTION_GAPS as exc:
+                        theta, lost = exc.with_traceback(None), True
+                    yield theta
+                    if lost:
+                        break
+            finally:
+                self._ahead.clear()
 
 
 def tracked_positivity_boundary(
@@ -486,8 +480,10 @@ def tracked_positivity_boundary(
     ts = [0.0]
     while ts[-1] < search_max:
         ts.append(min(search_max, ts[-1] + _SECTION_STEP))
-    for good, t, theta in zip(ts, ts[1:], section.values(ts[1:])):
+    probes = section.values(ts[1:])
+    for good, t, theta in zip(ts, ts[1:], probes):
         if not _positive(theta):
+            probes.close()  # drops the kernels solved ahead of the probes
             return bisect_edge(lambda u: _positive(_sample(candidate, u)), good, t, tol)
     raise BracketError(
         f"metric stayed positive on [0.0, {search_max}]; no boundary found"

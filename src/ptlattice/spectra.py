@@ -30,7 +30,7 @@ from .errors import (
     SolverError,
 )
 from .lattice import check_square, is_pt_symmetric, parity
-from .tolerances import EPS_GAP, EPS_REAL, EPS_SPEC
+from .tolerances import EPS_GAP, EPS_REAL, EPS_SPEC, MAX_ORACLE_N
 
 MAX_DENSE_N = 64
 
@@ -316,7 +316,8 @@ def sweep_eigenvalues(stack) -> np.ndarray:
     minimal eigenvalue gap falls below _POLISH_REL * max(1, ||H||_F) sit
     near a coalescence where QR accuracy degrades to u^(1/k); those rows are
     re-solved through the characteristic polynomial of the same matrix in
-    arbitrary precision.
+    arbitrary precision, where n <= MAX_ORACLE_N.  Larger matrices keep the
+    LAPACK rows, as validate skips its oracle check above that size.
     """
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
@@ -330,6 +331,8 @@ def sweep_eigenvalues(stack) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"stacked eigensolver failed: {exc}") from exc
     rows = np.take_along_axis(vals, np.lexsort((vals.imag, vals.real), axis=-1), -1)
+    if stack.shape[1] > MAX_ORACLE_N:
+        return rows
     scales = _frobenius_scales(stack)
     for i in np.flatnonzero(min_pairwise_gaps(rows) < _POLISH_REL * scales):
         from .charpoly import eigenvalues_charpoly_oracle

@@ -37,6 +37,9 @@ ANGLE_TOL = 1e-4
 # Working precision (decimal digits) of the characteristic-polynomial oracle.
 ORACLE_DPS = 50
 
+# Largest matrix the characteristic-polynomial oracle takes.
+MAX_ORACLE_N = 12
+
 # Default coarse-grid density for domain scans (points per unit t).
 POINTS_PER_UNIT = 2001
 
@@ -71,11 +74,13 @@ def grid_steps(lo: float, hi: float, steps: int | None = None) -> int:
 
 
 def check_bracket(lo: float, hi: float, tol: float) -> None:
-    """Reject a t-range that is not finite and increasing, or a bad tol."""
+    """Reject a t-range not finite, increasing and of finite width, or a bad tol."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidSpecError(f"t-range must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise InvalidSpecError(f"need lo < hi, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise InvalidSpecError(f"t-range must have a finite width, got [{lo}, {hi}]")
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidSpecError(f"tol must be positive and finite, got {tol}")
 

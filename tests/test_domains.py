@@ -291,6 +291,9 @@ _BAD_OPTIONS = [
     ((0.0, 1.0, 1e-8, -1.0), ["--t-min", "0", "--t-max", "1", "--eps-real", "-1"],
      "eps_real must be non-negative and finite, got -1.0",
      "eps_real (--eps-real) must be non-negative and finite, got -1.0"),
+    ((-1e308, 1e308, 1e-8, 0.0), ["--t-min=-1e308", "--t-max=1e308"],
+     "t-range must have a finite width, got [-1e+308, 1e+308]",
+     "t-range (--t-min, --t-max) must have a finite width, got [-1e+308, 1e+308]"),
 ]
 
 

@@ -14,6 +14,7 @@ from ptlattice import (
     MetricProvenance,
     MetricSection,
     Model,
+    ModelDomainError,
     ModelFamily,
     Topology,
     get_family,
@@ -32,7 +33,7 @@ from ptlattice import (
 )
 from ptlattice.domains import bisect_edge
 from ptlattice.errors import TrackingError
-from ptlattice.metrics import _SECTION_STEP, _KernelQueue, _positive
+from ptlattice.metrics import _SECTION_STEP, _positive
 
 EC4 = get_family(Model.EC4)
 STRONG = get_family(Model.EC4_STRONG_BOND)
@@ -236,6 +237,28 @@ def test_positivity_interval_picks_the_widest_sampled_run(runs, expected):
     candidate = MetricCandidate(provenance=MetricProvenance.BASIS_COMBINATION, family=theta)
     report = positivity_interval(candidate, 0.0, 1.0, 1e-10, coarse_steps=11)
     assert report.interval == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "reference, lo, first",
+    [(reference_metric_ec4, 0.0, 1e197), (reference_metric_ec4_strong, -1e200, -1e200)],
+)
+def test_positivity_interval_names_the_first_point_whose_metric_overflows(
+    reference, lo, first
+):
+    with pytest.raises(ModelDomainError) as info:
+        positivity_interval(reference(0.0), lo, 1e200, 1e-10)
+    assert info.value.t == first
+    assert str(info.value).endswith(f"not finite in double precision at t={first}")
+
+
+def test_positivity_interval_of_a_huge_finite_metric_overflows_nothing():
+    # 3 + t^2 reaches 1.44e308 at the ends, where a sum m + m^T would overflow.
+    report = positivity_interval(
+        reference_metric_ec4(0.0), -1.2e154, -1.1e154, 1e-10, coarse_steps=5
+    )
+    assert report.interval is None
+    assert np.isfinite(report.min_eig_samples).all()
 
 
 @pytest.mark.parametrize(
@@ -538,12 +561,28 @@ def test_tracked_boundary_equals_the_probe_by_probe_march(family, search_max):
     assert boundary == _sequential_boundary(family, 1e-8, search_max)
 
 
-def test_kernel_queue_hands_out_the_planned_rows_in_order_only():
-    queue = _KernelQueue(EC4, [0.1, 1.55, 0.2, 0.3])
-    basis = queue.pop(0.1)
-    assert np.array_equal(np.stack(basis.elements), np.stack(intertwiner_basis(EC4.matrix(0.1)).elements))
-    with pytest.raises(BrokenPhaseError, match="fully real spectrum"):
-        queue.pop(1.55)
-    assert queue.pop(0.25) is None  # off the plan
-    assert queue.pop(0.3) is None  # and no row after that
+def test_values_hold_kernels_solved_ahead_only_while_the_caller_takes_points():
+    section = MetricSection(get_family(Model.MDG6_W1), t_seed=0.3)
+    probes = section.values(list(np.linspace(0.3, 0.9, 100)))
+    next(probes)
+    assert section._ahead
+    probes.close()
+    assert not section._ahead
 
+
+def test_values_solve_no_stack_ahead_past_a_step_whose_kernel_fails(monkeypatch):
+    import ptlattice.metrics as metrics
+
+    stacks = []
+
+    def solve(stack):
+        stacks.append(intertwiner_bases(stack))
+        return stacks[-1]
+
+    monkeypatch.setattr(metrics, "intertwiner_bases", solve)
+    section = MetricSection(EC4, t_seed=1.0)
+    (theta,) = section.values([1.7])  # 280 steps, out of the unbroken phase at t = 1.5
+    assert isinstance(theta, BrokenPhaseError)
+    failed = [any(isinstance(row, Exception) for row in rows) for rows in stacks]
+    assert failed == [False] * (len(stacks) - 1) + [True]
+    assert len(stacks) < math.ceil(280 / 32)

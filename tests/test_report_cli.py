@@ -280,6 +280,17 @@ class TestCli:
         assert code == 3
         assert "validity" in err
 
+    @pytest.mark.parametrize("model", ["ec4", "ec4-strongbond"])
+    def test_metric_that_overflows_exits_3(self, model, capsys):
+        code, out, err = run(
+            ["metric", "--model", model, "--t-min", "0", "--t-max", "1e200"], capsys
+        )
+        assert code == 3 and out == ""
+        assert err == (
+            f"error: reference-{model} metric: an entry is not finite in double "
+            "precision at t=1e+197\n"
+        )
+
     @pytest.mark.parametrize(
         "coupling", ["sqrt(t*t - 4)", "1/t"], ids=["negative-radicand", "zero-divisor"]
     )
@@ -328,6 +339,24 @@ class TestCli:
         assert err.startswith("error:") and "not finite" in err
         assert "t=5000000000.0" in err
         assert out == ""
+
+    @pytest.mark.parametrize("command", ["spectrum", "domains"])
+    def test_model_above_the_oracle_size_sweeps(self, tmp_path, command, capsys):
+        # A 14-site chain, above the largest matrix the oracle takes.
+        doc = {
+            "name": "chain14",
+            "n": 14,
+            "topology": "open",
+            "diag": ["0", "1", "2"] * 4 + ["0", "1"],
+            "couplings": ["t"] * 13,
+        }
+        path = tmp_path / "chain14.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        code, out, err = run(
+            [command, "--config", str(path), "--t-min", "0.5", "--t-max", "0.6"], capsys
+        )
+        assert code == 0 and err == ""
+        assert "# n: 14" in out
 
     def test_argparse_usage_error_is_2(self, capsys):
         code, _, err = run(
@@ -415,6 +444,21 @@ class TestCli:
         assert [str(w.message) for w in caught] == []
         assert "Warning" not in err
         assert code == 0 or (code == 4 and err.startswith("error: "))
+
+    @pytest.mark.parametrize("command", sorted(_WRITERS))
+    def test_range_of_overflowing_width_exits_2(self, command, capsys):
+        args = list(self._WRITERS[command])
+        del args[args.index("--t-min"):args.index("--t-max") + 2]
+        args += ["--t-min=-1e308", "--t-max=1e308"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(args, capsys)
+        assert [str(w.message) for w in caught] == []
+        assert code == 2 and out == ""
+        assert err == (
+            "error: t-range (--t-min, --t-max) must have a finite width, "
+            "got [-1e+308, 1e+308]\n"
+        )
 
     @pytest.mark.parametrize("command", sorted(_WRITERS))
     def test_out_in_a_missing_directory_exits_2(self, tmp_path, command, capsys):

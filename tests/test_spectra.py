@@ -12,6 +12,7 @@ from ptlattice import (
     InvalidSpecError,
     Model,
     ModelDomainError,
+    SolverError,
     Spectrum,
     count_real,
     ec4_closed_form,
@@ -26,7 +27,8 @@ from ptlattice import (
     vector_angle,
 )
 from ptlattice.charpoly import eigenvalues_charpoly_oracle
-from ptlattice.spectra import _POLISH_REL, _frobenius_scales, canonical_sort
+from ptlattice.errors import PtLatticeError
+from ptlattice.spectra import _POLISH_REL, _frobenius_scales, canonical_sort, eigenvalue_rows
 
 
 def test_eigenvalues_of_diagonal_matrix():
@@ -198,3 +200,51 @@ def test_vector_angle_basics():
     assert vector_angle(a, a) == pytest.approx(0.0, abs=1e-15)
     assert vector_angle(a, 2 * a) == pytest.approx(0.0, abs=1e-15)
     assert vector_angle(a, b) == pytest.approx(math.pi / 2)
+
+
+def _assert_rows_equal_the_one_matrix_calls(stack):
+    rows, errors = eigenvalue_rows(stack)
+    for h, row, error in zip(stack, rows, errors, strict=True):
+        try:
+            expected = eigenvalues(h).values
+        except PtLatticeError as exc:
+            assert type(error) is type(exc) and str(error) == str(exc)
+        else:
+            assert error is None
+            assert np.array_equal(row, expected)
+
+
+def test_eigenvalue_rows_settle_a_repeated_eigenvalue_one_matrix_at_a_time(monkeypatch):
+    # Both 1s of diag(1, 1, 2) find their nearest conjugate in the first
+    # column, so that row alone goes through Spectrum.from_values.
+    settled = []
+    from_values = Spectrum.from_values.__func__
+
+    def spy(cls, values, **kwargs):
+        settled.append(values)
+        return from_values(cls, values, **kwargs)
+
+    monkeypatch.setattr(Spectrum, "from_values", classmethod(spy))
+    rotation = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
+    stack = np.stack([rotation, np.diag([1.0, 1.0, 2.0]), rotation])
+    eigenvalue_rows(stack)
+    assert len(settled) == 1 and np.array_equal(np.sort(settled[0].real), [1.0, 1.0, 2.0])
+    _assert_rows_equal_the_one_matrix_calls(stack)
+
+
+def test_eigenvalue_rows_take_each_matrix_alone_where_the_stacked_solve_fails(monkeypatch):
+    eigvals = np.linalg.eigvals
+
+    def rejecting(a):
+        # The stack, and alone the matrix marked by a 7 in its corner.
+        if np.ndim(a) == 3 or a[0, 0] == 7.0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", rejecting)
+    family = get_family(Model.EC4)
+    stack = family.matrices([0.5, 1.55, 1.0])
+    stack[2, 0, 0] = 7.0
+    rows, errors = eigenvalue_rows(stack)
+    assert isinstance(errors[2], SolverError) and errors[:2] == [None, None]
+    _assert_rows_equal_the_one_matrix_calls(stack)
