@@ -1,10 +1,12 @@
-"""Characteristic-polynomial spectra in arbitrary precision.
+"""Characteristic-polynomial spectra: exact coefficients, high-precision roots.
 
-Independent cross-check for the LAPACK eigensolver: coefficients of
-det(M - lambda I) come from an exact determinant recursion on the
-tridiagonal(+corner) structure (general dense inputs fall back to the
-Faddeev-LeVerrier sweep), evaluated in mpmath arithmetic; roots come from
-mpmath's simultaneous-iteration polynomial solver.
+Independent cross-check for the LAPACK eigensolver.  Doubles and mpf are
+dyadic, so one power of two makes the matrix an integer one, and the
+determinant recursion on the tridiagonal(+corner) lattice structure gives
+det(M - lambda I) exactly on Python ints; other matrices are refused.
+Yun's square-free decomposition (SYMSAC 1976) over a primitive integer
+remainder sequence hands mpmath's simultaneous-iteration solver factors with
+simple roots only, solved at 50 digits.
 
 Two entry paths exist on purpose.  Lifting a double-precision matrix is
 exact and cross-checks the eigensolver on that matrix.  Evaluating a model
@@ -15,6 +17,10 @@ solve on the rounded matrix can recover it.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -27,77 +33,58 @@ from .tolerances import MAX_ORACLE_N, ORACLE_DPS
 import mpmath  # noqa: E402
 
 
-def _as_rows(h) -> list[list]:
-    """Nested-list rows from an ndarray or nested lists; no value conversion."""
-    if isinstance(h, np.ndarray):
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise InvalidSpecError(f"expected a square matrix, got shape {h.shape}")
-        return [[mpmath.mpf(float(x)) for x in row] for row in h]
-    rows = [list(row) for row in h]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+def _dyadic(x) -> tuple[int, int]:
+    """(m, e) with x == m * 2**e exactly, for a double or an mpf."""
+    if isinstance(x, mpmath.mpf):
+        sign, man, exp, _ = x._mpf_  # man_exp would drop the sign
+        if man or not exp:
+            return (-man if sign else man), exp
+    elif math.isfinite(x):
+        num, den = float(x).as_integer_ratio()
+        return num, 1 - den.bit_length()
+    raise InvalidSpecError("matrix entries must be finite")
+
+
+def _integer_rows(h) -> tuple[list[list[int]], int]:
+    """(A, e) with h == 2**e * A, A an integer lattice matrix; h holds doubles or mpf."""
+    if isinstance(h, np.ndarray) and (h.ndim != 2 or h.shape[0] != h.shape[1]):
+        raise InvalidSpecError(f"expected a square matrix, got shape {h.shape}")
+    entries = [[_dyadic(x) for x in row] for row in h]
+    n = len(entries)
+    if any(len(row) != n for row in entries):
         raise InvalidSpecError("expected a square matrix")
-    return rows
+    if n > MAX_ORACLE_N:
+        raise InvalidSpecError(f"oracle limited to n <= {MAX_ORACLE_N}, got {n}")
+    for i, j in ((i, j) for i in range(n) for j in range(n) if 1 < abs(i - j) < n - 1):
+        if entries[i][j][0]:
+            raise InvalidSpecError(
+                f"oracle takes lattice matrices only: entry [{i}, {j}] = {h[i][j]} "
+                f"lies off the band and the ring corners"
+            )
+    e = min((x for row in entries for m, x in row if m), default=0)
+    return [[m << (x - e) if m else 0 for m, x in row] for row in entries], e
 
 
-def _poly_add(p, q):
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return out
+def _add(p, q) -> list:
+    """Sum of polynomials: ascending coefficient lists of ints, [] being zero."""
+    return [a + b for a, b in zip_longest(p, q, fillvalue=0)]
 
 
-def _poly_scale(p, s):
-    return [c * s for c in p]
-
-
-def _poly_mul_linear(p, a):
-    """Multiply ascending polynomial p by (a - lambda)."""
-    out = [mpmath.mpf(0)] * (len(p) + 1)
-    for i, c in enumerate(p):
-        out[i] += a * c
-        out[i + 1] -= c
-    return out
-
-
-def _tridiag_charpoly(diag, sup, sub):
+def _tridiag_charpoly(diag, sup, sub) -> list:
     """Ascending coefficients of det(T - lambda I) for a tridiagonal block."""
-    d_prev = [mpmath.mpf(1)]
-    if not diag:
-        return d_prev
-    d_cur = [diag[0], mpmath.mpf(-1)]
-    for k in range(1, len(diag)):
-        nxt = _poly_mul_linear(d_cur, diag[k])
-        nxt = _poly_add(nxt, _poly_scale(d_prev, -sub[k - 1] * sup[k - 1]))
-        d_prev, d_cur = d_cur, nxt
-    return d_cur
+    prev, cur = [], [1]
+    for k, a in enumerate(diag):
+        coupling = sub[k - 1] * sup[k - 1] if k else 0
+        nxt = _add([a * c for c in cur], [0] + [-c for c in cur])
+        prev, cur = cur, _add(nxt, [-coupling * c for c in prev])
+    return cur
 
 
-def _is_bordered_tridiagonal(rows) -> bool:
-    """Exact-zero test outside the band and the two ring corners."""
-    n = len(rows)
-    if n < 3:
-        return True
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) <= 1:
-                continue
-            if (i, j) in ((0, n - 1), (n - 1, 0)):
-                continue
-            if rows[i][j] != 0:
-                return False
-    return True
+def _bordered_charpoly(rows) -> list:
+    """det(M - lambda I) for tridiagonal M plus corners gamma = M[1,n], beta = M[n,1].
 
-
-def _bordered_charpoly(rows):
-    """det(M - lambda I) for tridiagonal M plus corners (1,n) and (n,1).
-
-    Laplace expansion along the border column gives
-    det = D_{1..n} - gamma*beta*D_{2..n-1}
-          + (-1)^(n+1) * (gamma*prod(sub) + beta*prod(sup))
-    with gamma = M[1,n], beta = M[n,1] and D the band-minor charpolys.
+    Laplace expansion along the border column gives D_{1..n} - gamma*beta*D_{2..n-1}
+    + (-1)^(n+1) * (gamma*prod(sub) + beta*prod(sup)), D the band-minor charpolys.
     """
     n = len(rows)
     diag = [rows[i][i] for i in range(n)]
@@ -106,81 +93,93 @@ def _bordered_charpoly(rows):
     p = _tridiag_charpoly(diag, sup, sub)
     if n < 3:
         return p
-    gamma = rows[0][n - 1]
-    beta = rows[n - 1][0]
-    if gamma == 0 and beta == 0:
-        return p
+    gamma, beta = rows[0][n - 1], rows[n - 1][0]
     inner = _tridiag_charpoly(diag[1:-1], sup[1:-1], sub[1:-1])
-    p = _poly_add(p, _poly_scale(inner, -gamma * beta))
-    prod_sub = mpmath.mpf(1)
-    prod_sup = mpmath.mpf(1)
-    for x in sub:
-        prod_sub *= x
-    for x in sup:
-        prod_sup *= x
-    sign = mpmath.mpf(-1) ** (n + 1)
-    p[0] += sign * (gamma * prod_sub + beta * prod_sup)
+    p = _add(p, [-gamma * beta * c for c in inner])
+    p[0] += (-1) ** (n + 1) * (gamma * math.prod(sub) + beta * math.prod(sup))
     return p
 
 
-def _faddeev_leverrier(rows):
-    """Ascending coefficients of det(M - lambda I) for a general dense matrix."""
+def charpoly_coefficients(h) -> list[Fraction]:
+    """Exact ascending coefficients of det(M - lambda I) of a lattice matrix M."""
+    rows, e = _integer_rows(h)
     n = len(rows)
-    ident = [[mpmath.mpf(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-    def mat_mul(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    def mat_add_scaled_identity(a, s):
-        return [
-            [a[i][j] + (s if i == j else 0) for j in range(n)] for i in range(n)
-        ]
-
-    def trace(a):
-        return sum(a[i][i] for i in range(n))
-
-    # det(lambda I - M) = sum c_k lambda^k with c_n = 1.
-    c = [mpmath.mpf(0)] * (n + 1)
-    c[n] = mpmath.mpf(1)
-    m = ident
-    for k in range(1, n + 1):
-        am = mat_mul(rows, m)
-        c[n - k] = -trace(am) / k
-        m = mat_add_scaled_identity(am, c[n - k])
-    sign = mpmath.mpf(-1) ** n
-    return [sign * c[k] for k in range(n + 1)]
+    # det(2^e A - lambda I) = sum_k a_k 2^(e(n-k)) lambda^k
+    return [c * Fraction(2) ** (e * (n - k)) for k, c in enumerate(_bordered_charpoly(rows))]
 
 
-def charpoly_coefficients(h, *, dps: int = ORACLE_DPS) -> list:
-    """Ascending coefficients of det(M - lambda I) in mp arithmetic."""
+def _primitive(p) -> list:
+    """p over its content, leading coefficient positive."""
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    g = math.gcd(*p) if p else 1
+    return [c // (g if p[-1] > 0 else -g) for c in p]
+
+
+def _derivative(p) -> list:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _gcd(a, b) -> list:
+    """Primitive gcd, by the primitive remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        r = list(a)  # becomes the pseudo-remainder of a by b
+        while len(r) >= len(b):
+            lead, shift = r[-1], len(r) - len(b)
+            r = [c * b[-1] for c in r[:-1]]
+            for j, c in enumerate(b[:-1]):
+                r[shift + j] -= lead * c
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, _primitive(r)
+    return a
+
+
+def _quotient(a, b) -> list:
+    """a / b for a primitive b that divides a: the quotient is integral (Gauss)."""
+    a, q = list(a), [0] * (len(a) - len(b) + 1)
+    for s in reversed(range(len(q))):
+        q[s] = a[s + len(b) - 1] // b[-1]
+        for j, c in enumerate(b):
+            a[s + j] -= q[s] * c
+    return q
+
+
+def _square_free(p):
+    """Yun's decomposition: pairs (f, k), each f square-free, p ~ prod f^k."""
+    dp = _derivative(p)
+    a = _gcd(p, dp)
+    b, c = _quotient(p, a), _quotient(dp, a)
+    k = 1
+    while len(b) > 1:
+        d = _add(c, [-x for x in _derivative(b)])
+        a = _gcd(b, d)
+        yield a, k
+        b, c = _quotient(b, a), _quotient(d, a)
+        k += 1
+
+
+def _spectrum(coeffs: list[Fraction], dps: int) -> Spectrum:
+    """All roots of exact dyadic coefficients, multiplicity included.
+
+    polyroots stops on an absolute correction below 10^-dps, so a factor's
+    working precision grows by the bits of its Fujiwara root bound.  The sum
+    of the roots is checked against the trace -c_{n-1}/c_n.
+    """
+    scale = max(c.denominator for c in coeffs)
+    p = [c.numerator * (scale // c.denominator) for c in coeffs]
+    values = []
     with mpmath.workdps(dps):
-        rows = _as_rows(h)
-        if len(rows) > MAX_ORACLE_N:
-            raise InvalidSpecError(
-                f"oracle limited to n <= {MAX_ORACLE_N}, got {len(rows)}"
-            )
-        if _is_bordered_tridiagonal(rows):
-            return _bordered_charpoly(rows)
-        return _faddeev_leverrier(rows)
-
-
-def _roots(coeffs_ascending, dps: int) -> np.ndarray:
-    """All roots, multiplicity included; exact zero roots deflated first."""
-    with mpmath.workdps(dps):
-        coeffs = list(coeffs_ascending)
-        zero_roots = 0
-        while len(coeffs) > 1 and coeffs[0] == 0:
-            coeffs.pop(0)
-            zero_roots += 1
-        values = [0.0] * zero_roots
-        if len(coeffs) > 1:
-            descending = [c / coeffs[-1] for c in reversed(coeffs)]
+        for f, k in _square_free(_primitive(p)):
+            if len(f) < 2:
+                continue
+            deg, lead = len(f) - 1, f[-1].bit_length()
+            bits = max((c.bit_length() - lead) // (deg - i) + 2 for i, c in enumerate(f[:-1]))
             try:
                 roots, err = mpmath.polyroots(
-                    descending, maxsteps=200, extraprec=2 * mpmath.mp.prec, error=True
+                    f[::-1], maxsteps=200, extraprec=2 * mpmath.mp.prec + max(bits, 0), error=True
                 )
             except mpmath.libmp.NoConvergence as exc:
                 raise OracleError(f"polynomial root finder stagnated: {exc}") from exc
@@ -188,24 +187,18 @@ def _roots(coeffs_ascending, dps: int) -> np.ndarray:
                 raise OracleError(
                     f"polynomial roots uncertain (error estimate {mpmath.nstr(err, 3)})"
                 )
-            values.extend(complex(r) for r in roots)
-        return np.asarray(values, dtype=complex)
+            values += [complex(r) for r in roots] * k
+        trace = float(mpmath.mpf(-p[-2]) / p[-1]) if len(p) > 1 else 0.0
+    return Spectrum.from_values(values, trace=trace, tol=1e-9)
 
 
 def eigenvalues_charpoly_oracle(h, *, dps: int = ORACLE_DPS) -> Spectrum:
     """Oracle spectrum of a double-precision matrix (entries lifted exactly)."""
-    coeffs = charpoly_coefficients(h, dps=dps)
-    values = _roots(coeffs, dps)
-    rows = _as_rows(h)
-    trace = float(sum(rows[i][i] for i in range(len(rows))))
-    return Spectrum.from_values(values, trace=trace, tol=1e-9)
+    return _spectrum(charpoly_coefficients(h), dps)
 
 
 def model_oracle_eigenvalues(family, t: float, *, dps: int = ORACLE_DPS) -> Spectrum:
     """Oracle spectrum with entries built in mp precision from closed forms."""
     with mpmath.workdps(dps):
         rows = family.matrix_mp(t)
-        coeffs = charpoly_coefficients(rows, dps=dps)
-        values = _roots(coeffs, dps)
-        trace = float(sum(rows[i][i] for i in range(len(rows))))
-    return Spectrum.from_values(values, trace=trace, tol=1e-9)
+    return _spectrum(charpoly_coefficients(rows), dps)

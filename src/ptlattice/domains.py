@@ -126,9 +126,12 @@ def bisect_edge(keep, inside: float, outside: float, tol: float) -> float:
     keep must hold at inside and fail at outside; inside may lie on either
     side of outside.  Every t-edge in the package (reality boundaries,
     positivity edges, the loss of a tracked section) is refined here.
+    Where adjacent doubles lie more than tol apart, it stops at two of them.
     """
     while abs(outside - inside) > tol:
         mid = (inside + outside) / 2
+        if mid == inside or mid == outside:
+            break
         if keep(mid):
             inside = mid
         else:

@@ -315,9 +315,11 @@ def sweep_eigenvalues(stack) -> np.ndarray:
     All matrices go through a single stacked LAPACK call.  Rows whose
     minimal eigenvalue gap falls below _POLISH_REL * max(1, ||H||_F) sit
     near a coalescence where QR accuracy degrades to u^(1/k); those rows are
-    re-solved through the characteristic polynomial of the same matrix in
-    arbitrary precision, where n <= MAX_ORACLE_N.  Larger matrices keep the
-    LAPACK rows, as validate skips its oracle check above that size.
+    re-solved through the exact characteristic polynomial of the same
+    matrix, where n <= MAX_ORACLE_N.  Larger matrices keep the LAPACK rows,
+    as validate skips its oracle check above that size.  The polish takes
+    lattice stacks only (band plus ring corners, as every model assembles);
+    a polished row with another non-zero entry raises InvalidSpecError.
     """
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:

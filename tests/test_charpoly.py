@@ -1,5 +1,8 @@
 """Characteristic-polynomial oracle: coefficients and high-precision roots."""
 
+from fractions import Fraction
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -13,6 +16,9 @@ from ptlattice import (
     matching_distance,
 )
 from ptlattice.charpoly import model_oracle_eigenvalues
+from ptlattice.custom import load_custom_model
+
+DEMO_CHAIN = Path(__file__).resolve().parents[1] / "perfbench" / "demo-chain.yaml"
 
 
 def test_coefficients_of_known_matrix():
@@ -21,15 +27,13 @@ def test_coefficients_of_known_matrix():
     assert [float(c) for c in coeffs] == pytest.approx([2.0, -3.0, 1.0])
 
 
-def test_coefficients_bordered_tridiagonal_vs_general_path():
-    ring = get_family(Model.EC4).matrix(0.7)
-    fast = charpoly_coefficients(ring)
-    # knock out one corner so the bordered recursion is skipped
-    dense = ring.copy()
-    dense[1, 3] = 1e-30  # any out-of-band entry forces the general fallback
-    slow = charpoly_coefficients(dense)
-    worst = max(abs(a - b) for a, b in zip(fast, slow))
-    assert worst < 1e-25
+def test_non_lattice_matrix_is_refused_naming_the_entry():
+    # The oracle takes the band and the two ring corners only: a planted
+    # entry off them is refused, however small.
+    h = get_family(Model.EC4).matrix(0.7)
+    h[1, 3] = 1e-30
+    with pytest.raises(InvalidSpecError, match=r"entry \[1, 3\] = 1e-30"):
+        charpoly_coefficients(h)
 
 
 def test_oracle_matches_eigensolver_on_registry_model():
@@ -86,3 +90,56 @@ def test_charpoly_leading_coefficient_is_unity():
     h = get_family(Model.MDG6_W1).matrix(0.1)
     coeffs = charpoly_coefficients(h)
     assert coeffs[-1] == mpmath.mpf(1)
+
+
+def _exact_charpoly(rows):
+    """Ascending coefficients of det(M - x I) by sympy, from the exact entries."""
+    sp = pytest.importorskip("sympy")
+
+    def rational(x):
+        if isinstance(x, mpmath.mpf):
+            man, exp = x.man_exp  # man_exp drops the sign
+            return (-1 if x < 0 else 1) * sp.Integer(man) * sp.Integer(2) ** exp
+        return sp.Rational(*float(x).as_integer_ratio())
+
+    m = sp.Matrix([[rational(x) for x in row] for row in rows])
+    n = m.shape[0]
+    # charpoly is det(x I - M), descending; det(M - x I) is (-1)^n times it.
+    return [(-1) ** n * c for c in reversed(m.charpoly().all_coeffs())]
+
+
+@pytest.mark.parametrize("path", ["matrix", "matrix_mp"])
+@pytest.mark.parametrize("t", [-0.4, 0.3, 0.9])
+def test_coefficients_equal_sympy_charpoly(path, t):
+    for family in [get_family(m) for m in Model] + [load_custom_model(str(DEMO_CHAIN))]:
+        with mpmath.workdps(50):
+            rows = getattr(family, path)(t)
+        exact = _exact_charpoly(rows)
+        coeffs = charpoly_coefficients(rows)
+        assert all(isinstance(c, Fraction) for c in coeffs)
+        assert [(c.numerator, c.denominator) for c in coeffs] == [
+            (int(c.p), int(c.q)) for c in exact
+        ], family.name
+
+
+@pytest.mark.parametrize(
+    "h, expected",
+    [
+        # Site energies 0, 1, 2 of a chain at coupling t = 0: each a 3-fold or
+        # a 4-fold eigenvalue, which polyroots alone stalls on.
+        (np.diag([0.0, 1.0, 2.0] * 3), [0] * 3 + [1] * 3 + [2] * 3),
+        (np.diag([0.0, 1.0, 2.0] * 4), [0] * 4 + [1] * 4 + [2] * 4),
+        # det(H(t) - x) = (x^2 - 1)(x^2 - (9 - 4t^2)) for ec4: -1, 0, 0, 1 at t = 1.5.
+        (get_family(Model.EC4).matrix(1.5), [-1, 0, 0, 1]),
+    ],
+    ids=["chain9-t0", "chain12-t0", "ec4-t1.5"],
+)
+def test_oracle_repeated_eigenvalues_are_exact(h, expected):
+    assert eigenvalues_charpoly_oracle(h).values.tolist() == expected
+
+
+@pytest.mark.parametrize("t", [-1e300, -1e150, 1e150, 1e300])
+def test_oracle_ec4_at_huge_scale(t):
+    # The roots are +-1 and +-i sqrt(4t^2 - 9), which rounds to +-2ti.
+    values = eigenvalues_charpoly_oracle(get_family(Model.EC4).matrix(t)).values
+    assert values.tolist() == [-1, -2j * abs(t), 2j * abs(t), 1]

@@ -30,6 +30,7 @@ from ptlattice import (
     reference_metric_ec4,
 )
 from ptlattice.cli import main
+from ptlattice.domains import bisect_edge
 from ptlattice.spectra import count_real_rows, min_pairwise_gaps
 from ptlattice.tolerances import (
     MAX_GRID_POINTS,
@@ -62,6 +63,23 @@ def test_refine_boundary_needs_a_real_bracket():
     family = get_family(Model.EC4)
     with pytest.raises(BracketError):
         refine_reality_boundary(family, 0.2, 0.4, 1e-8)
+
+
+def test_bisect_edge_stops_where_doubles_are_wider_than_tol():
+    # Above 2^19 adjacent doubles lie more than 1e-10 apart, so the bracket
+    # cannot shrink to tol; it must stop at two adjacent doubles.
+    calls = 0
+
+    def keep(t):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise AssertionError("bisect_edge does not terminate")
+        return t < 5.3e5 + 0.3
+
+    edge = bisect_edge(keep, 5.3e5, 5.3e5 + 1, 1e-10)
+    assert abs(edge - (5.3e5 + 0.3)) <= math.ulp(5.3e5)
+    assert calls < 100
 
 
 def test_locate_coalescence_ep_ec4():

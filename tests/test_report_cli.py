@@ -1,7 +1,11 @@
 """CSV bundles, SVG output, and the command-line interface."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,6 +361,54 @@ class TestCli:
         )
         assert code == 0 and err == ""
         assert "# n: 14" in out
+
+    def test_chain_with_threefold_eigenvalues_sweeps(self, tmp_path, capsys):
+        # At t = 0 each site energy of the 9-site chain is a 3-fold eigenvalue,
+        # so the polish hands the oracle a charpoly with triple roots.
+        doc = {
+            "name": "chain9",
+            "n": 9,
+            "topology": "open",
+            "diag": ["0", "1", "2"] * 3,
+            "couplings": ["t"] * 8,
+        }
+        path = tmp_path / "chain9.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        code, out, err = run(
+            ["spectrum", "--config", str(path), "--t-min", "0", "--t-max", "0.5",
+             "--steps", "3"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        row = out.split("\n# table: spectrum\n")[1].splitlines()[1]
+        assert row == "0," + "0,0,0,1,1,1,2,2,2," + ",".join(["0"] * 9)
+
+    def test_spectrum_at_huge_scale_sweeps(self, capsys):
+        # At t = +-1e300 the ec4 eigenvalues are +-1 and +-i sqrt(4t^2 - 9).
+        code, out, err = run(
+            ["spectrum", "--model", "ec4", "--t-min=-1e300", "--t-max=1e300",
+             "--steps", "5"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        rows = out.split("\n# table: spectrum\n")[1].splitlines()[1:]
+        big = format_value(2e300)
+        for row in (rows[0], rows[-1]):
+            assert row.split(",")[1:] == ["-1", "0", "0", "1", "0", f"-{big}", big, "0"]
+
+    def test_metric_edge_above_the_double_spacing_returns(self):
+        # Above t = 2^19 adjacent doubles lie more than --tol apart; the edge
+        # bisection must still end.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ptlattice.cli", "metric", "--model", "ec4",
+             "--t-min", "0", "--t-max", "1e100", "--steps", "5"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_argparse_usage_error_is_2(self, capsys):
         code, _, err = run(
