@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import ExprError, ModelFileError
 from .lattice import Topology, coupling_count, is_ring_size
 from .models import ModelFamily
+from .tolerances import MAX_DENSE_N
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -347,8 +348,10 @@ def load_custom_model(path: str) -> ModelFamily:
 
     name = _require(doc, "name", str, path)
     n = _require(doc, "n", int, path)
-    if isinstance(doc["n"], bool) or n < 2:
-        raise ModelFileError(f"{path}: n must be an integer >= 2", field="n")
+    if isinstance(doc["n"], bool) or not 2 <= n <= MAX_DENSE_N:
+        raise ModelFileError(
+            f"{path}: n must be an integer from 2 to {MAX_DENSE_N}, got {n}", field="n"
+        )
     topology_text = _require(doc, "topology", str, path)
     try:
         topology = Topology(topology_text)

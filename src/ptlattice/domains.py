@@ -42,6 +42,7 @@ from .tolerances import (
     EPS_REAL,
     check_bracket,
     check_eps_real,
+    check_tol,
     grid_steps,
 )
 
@@ -188,8 +189,7 @@ def _largest_cluster(values: np.ndarray, threshold: float) -> int:
 def degeneracy_order(h, tol: float) -> int:
     """Largest eigenvalue-cluster size at linkage threshold tol * max(1, ||h||)."""
     h = check_square(h)
-    if tol <= 0:
-        raise InvalidSpecError(f"tol must be positive, got {tol}")
+    check_tol(tol)
     scale = max(1.0, float(np.linalg.norm(h)))
     return _largest_cluster(np.linalg.eigvals(h), tol * scale)
 

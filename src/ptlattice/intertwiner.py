@@ -24,7 +24,6 @@ from .errors import (
 )
 from .lattice import check_square
 from .spectra import (
-    MAX_DENSE_N,
     _frobenius_scales,
     _index_pairs,
     count_real,
@@ -134,8 +133,6 @@ def intertwiner_bases(stack) -> list:
             f"expected a stack of square matrices, got shape {stack.shape}"
         )
     m, n, _ = stack.shape
-    if n > MAX_DENSE_N:
-        raise InvalidSpecError(f"dense solver limited to n <= {MAX_DENSE_N}, got {n}")
     finite = np.isfinite(stack).all(axis=(1, 2))
     out: list = [
         None if ok else InvalidSpecError("matrix entries must be finite")
@@ -197,12 +194,9 @@ def intertwiner_basis(h) -> SolutionBasis:
     antisymmetric matrices, so the operator is (n(n-1)/2) x (n(n+1)/2).
     This is the one-row call of intertwiner_bases.
     """
-    (basis,) = intertwiner_bases(check_square(h)[None])
-    if not isinstance(basis, Exception):
-        return basis
-    try:
-        raise basis
-    finally:
-        # The traceback holds this frame; an error left in a local would
-        # make a cycle that keeps every frame of the march alive.
-        del basis
+    out = intertwiner_bases(check_square(h)[None])
+    if isinstance(out[0], Exception):
+        # Popped: the traceback holds this frame, and an error left in a
+        # local would make a cycle that keeps every frame of the march alive.
+        raise out.pop()
+    return out[0]

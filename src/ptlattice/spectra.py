@@ -1,15 +1,19 @@
 """Spectra, eigenpairs, and PT-phase classification for small real matrices.
 
-Dense spectra come from LAPACK via numpy; grid sweeps batch all matrices
-into one stacked eigenvalue call.  The real-count and gap rules classify a
-whole (m, n) array of eigenvalue rows at once (``count_real_rows``,
-``min_pairwise_gaps``); ``count_real`` and ``min_pairwise_gap`` are their
-one-row calls, and ``eigenvalue_rows`` runs the closure and trace gates of
-``eigenvalues`` over a stack.  Near-degenerate sweep points are re-solved
-through the arbitrary-precision characteristic-polynomial path, because a
-backward-stable QR eigensolver can only resolve an order-k coalescence to
-about u^(1/k) (u = machine epsilon), while the polynomial of the same
-matrix loses nothing.
+Dense spectra come from LAPACK via numpy, for a whole (m, n, n) stack of
+matrices in one call (``eigenvalue_rows``, whose one-row call is
+``eigenvalues``).  A spectrum is trusted only after a matching against
+another spectrum: its own conjugate, the oracle's, or that of H^T.  The
+matching minimises its largest distance (the bottleneck objective); where
+the row minima of the distance matrix sit in distinct columns they are that
+matching, and otherwise a threshold search with augmenting paths finds it.
+The real-count and gap rules classify a whole (m, n) array of eigenvalue
+rows at once (``count_real_rows``, ``min_pairwise_gaps``); ``count_real``
+and ``min_pairwise_gap`` are their one-row calls.  Near-degenerate sweep
+points are re-solved through the arbitrary-precision
+characteristic-polynomial path, because a backward-stable QR eigensolver
+can only resolve an order-k coalescence to about u^(1/k) (u = machine
+epsilon), while the polynomial of the same matrix loses nothing.
 """
 
 from __future__ import annotations
@@ -26,103 +30,64 @@ from .errors import (
     DegenerateSpectrumError,
     InvalidSpecError,
     ModelDomainError,
-    PtLatticeError,
     SolverError,
 )
 from .lattice import check_square, is_pt_symmetric, parity
-from .tolerances import EPS_GAP, EPS_REAL, EPS_SPEC, MAX_ORACLE_N
-
-MAX_DENSE_N = 64
+from .tolerances import EPS_GAP, EPS_REAL, EPS_SPEC, MAX_DENSE_N, MAX_ORACLE_N
 
 
-def _min_sum_assignment(cost: np.ndarray) -> np.ndarray:
-    """Column of each row in a minimum-sum assignment of a square cost matrix.
+def _bottleneck_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in an assignment of least largest cost.
 
-    When the row minima sit in distinct columns, that choice reaches the sum
-    of the row minima, a lower bound on every assignment, so it is optimal;
-    every other optimum also takes each row's minimum, so all optima share
-    their largest entry.  Otherwise the shortest-augmenting-path Hungarian
-    method solves the problem exactly.
+    Takes a square cost matrix, or a stack of them, and returns one
+    assignment per matrix.  Where the row minima sit in distinct columns
+    they are the assignment, since no assignment has a largest entry below
+    the largest row minimum.  Otherwise Kuhn's augmenting paths (Naval Res.
+    Logist. Q. 2, 83 (1955)) match the rows one at a time on the entries at
+    or below a level, which starts at that bound and climbs the sorted
+    entries: a row left without an augmenting path shows that the level
+    admits no perfect matching.  The last level is the least largest cost
+    (Gross's bottleneck assignment).
     """
-    cols = cost.argmin(axis=1)
-    if len(set(cols.tolist())) == cols.size:
-        return cols
-    if not np.isfinite(cost).all():
-        raise InvalidSpecError("assignment cost matrix has non-finite entries")
-    return np.array(_shortest_augmenting_path(cost.tolist()))
+    n = cost.shape[-1]
+    stack = cost.reshape(-1, n, n)
+    cols = stack.argmin(axis=2)
+    for k, minima in enumerate(cols.tolist()):
+        if len(set(minima)) == n:
+            continue
+        c = stack[k]
+        if not np.isfinite(c).all():
+            raise InvalidSpecError("assignment cost matrix has non-finite entries")
+        levels = iter(np.unique(c[c >= c.min(axis=1).max()]))
+        level = next(levels)
+        row_of = [-1] * n
 
+        def augment(i: int, seen: set) -> bool:
+            # Row i takes a free column, or one whose row can move on.
+            for j in np.flatnonzero(c[i] <= level).tolist():
+                if j not in seen:
+                    seen.add(j)
+                    if row_of[j] < 0 or augment(row_of[j], seen):
+                        row_of[j] = i
+                        return True
+            return False
 
-def _shortest_augmenting_path(cost: list) -> list:
-    """O(n^3) Kuhn-Munkres method for a finite square cost matrix.
-
-    Crouse's variant (IEEE Trans. Aerosp. Electron. Syst. 52, 1679 (2016)):
-    rows join one at a time, each along a Dijkstra shortest augmenting path
-    in reduced costs, after which the dual potentials u, v are updated.  On
-    equal path costs it prefers a free column, and it scans columns from
-    the last to the first, so a constant matrix gives the identity.  These
-    are the steps of SciPy's linear_sum_assignment, so the two return the
-    same assignment, ties included.
-    """
-    n = len(cost)
-    u = [0.0] * n
-    v = [0.0] * n
-    col4row = [-1] * n
-    row4col = [-1] * n
-    path = [-1] * n
-    for cur_row in range(n):
-        shortest = [math.inf] * n
-        remaining = list(range(n - 1, -1, -1))
-        scanned_rows = []
-        scanned_cols = []
-        min_val = 0.0
-        i = cur_row
-        sink = -1
-        while sink == -1:
-            scanned_rows.append(i)
-            row, ui = cost[i], u[i]
-            lowest = math.inf
-            index = -1
-            for it, j in enumerate(remaining):
-                r = min_val + row[j] - ui - v[j]
-                if r < shortest[j]:
-                    path[j] = i
-                    shortest[j] = r
-                if shortest[j] < lowest or (
-                    shortest[j] == lowest and row4col[j] == -1
-                ):
-                    lowest = shortest[j]
-                    index = it
-            min_val = lowest
-            j = remaining[index]
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
-            scanned_cols.append(j)
-            remaining[index] = remaining[-1]
-            remaining.pop()
-        u[cur_row] += min_val
-        for i in scanned_rows:
-            if i != cur_row:
-                u[i] += min_val - shortest[col4row[i]]
-        for j in scanned_cols:
-            v[j] -= min_val - shortest[j]
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur_row:
-                break
-    return col4row
+        for i in range(n):
+            while not augment(i, set()):
+                level = next(levels)  # the largest entry admits every matching
+        cols[k] = np.argsort(row_of)
+    return cols.reshape(cost.shape[:-1])
 
 
 def matching_distance(a, b) -> float:
     """Max elementwise distance between two spectra under optimal matching.
 
-    Bipartite matching makes the comparison independent of the ordering
-    conventions of the two sources (canonical sorting alone can pair wrong
-    partners when real parts nearly tie).
+    The matching minimises its largest distance (the bottleneck objective).
+    Where the nearest value of b to each value of a lies in a column of its
+    own, those nearest values are such a matching.  Matching makes the
+    comparison independent of the ordering conventions of the two sources
+    (canonical sorting alone can pair wrong partners when real parts nearly
+    tie).
     """
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
@@ -131,7 +96,7 @@ def matching_distance(a, b) -> float:
     if a.size == 0:
         return 0.0
     cost = np.abs(a[:, None] - b[None, :])
-    cols = _min_sum_assignment(cost)
+    cols = _bottleneck_assignment(cost)
     distance = float(cost[np.arange(a.size), cols].max())
     # A non-finite value fills its whole row or column of the cost matrix,
     # so it always reaches the matched maximum.
@@ -202,87 +167,87 @@ class Spectrum:
         trace: float | None = None,
         tol: float = EPS_SPEC,
     ) -> "Spectrum":
-        values = np.asarray(values, dtype=complex).ravel()
-        if not np.all(np.isfinite(values)):
-            raise ConsistencyError("spectrum contains non-finite values")
-        spec = cls(values)
-        if spec.n:
-            scale = max(1.0, float(np.abs(spec.values).max()))
-            closure = matching_distance(spec.values, np.conj(spec.values))
-            if closure > tol * scale:
-                raise ConsistencyError(
-                    f"non-real eigenvalues are not conjugate-paired "
-                    f"(closure defect {closure:.3e})"
-                )
-            if trace is not None:
-                drift = abs(complex(spec.values.sum()) - complex(trace))
-                if drift > tol * scale * spec.n:
-                    raise ConsistencyError(
-                        f"eigenvalue sum differs from trace by {drift:.3e}"
-                    )
+        spec = cls(np.asarray(values, dtype=complex).ravel())
+        traces = None if trace is None else [trace]
+        errors = _spectrum_errors(spec.values[None], traces, tol)
+        if errors[0] is not None:
+            raise errors.pop()  # popped, as in intertwiner_basis
         return spec
 
 
+def _spectrum_errors(rows: np.ndarray, traces, tol: float = EPS_SPEC) -> list:
+    """The closure and trace gates of each sorted row of an (m, n) eigenvalue array.
+
+    Entry i is None, or the ConsistencyError of row i: a non-finite value;
+    a closure defect (the matching distance between the row and its own
+    conjugate) above tol * max(1, spectral radius); or, where traces is
+    not None, a row sum that differs from traces[i] by more than n times
+    that bound.
+    """
+    m, n = rows.shape
+    finite = np.isfinite(rows).all(axis=1)
+    errors: list = [
+        None if ok else ConsistencyError("spectrum contains non-finite values")
+        for ok in finite.tolist()
+    ]
+    if n == 0:
+        return errors
+    if not finite.all():
+        rows = np.where(finite[:, None], rows, 0.0)
+    bound = tol * np.maximum(1.0, np.abs(rows).max(axis=1))
+    cost = np.abs(rows[:, :, None] - rows.conj()[:, None, :])
+    cols = _bottleneck_assignment(cost)
+    closure = cost[np.arange(m)[:, None], np.arange(n), cols].max(axis=1)
+    drift = np.zeros(m) if traces is None else np.abs(rows.sum(axis=1) - traces)
+    for i in np.flatnonzero(finite & ((closure > bound) | (drift > bound * n))):
+        errors[i] = ConsistencyError(
+            "non-real eigenvalues are not conjugate-paired "
+            f"(closure defect {closure[i]:.3e})"
+            if closure[i] > bound[i]
+            else f"eigenvalue sum differs from trace by {drift[i]:.3e}"
+        )
+    return errors
+
+
 def eigenvalues(h) -> Spectrum:
-    """All eigenvalues of a small dense real matrix, verified for closure."""
-    h = check_square(h)
-    n = h.shape[0]
-    if n > MAX_DENSE_N:
-        raise InvalidSpecError(f"dense solver limited to n <= {MAX_DENSE_N}, got {n}")
-    try:
-        vals = np.linalg.eigvals(h)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"eigensolver failed to converge: {exc}",
-            diagnostics={"n": n, "frobenius_norm": float(np.linalg.norm(h))},
-        ) from exc
-    return Spectrum.from_values(vals, trace=float(np.trace(h)))
+    """All eigenvalues of a small dense real matrix, verified for closure.
+
+    The one-row call of eigenvalue_rows.
+    """
+    rows, errors = eigenvalue_rows(check_square(h)[None])
+    if errors[0] is not None:
+        raise errors.pop()  # popped, as in intertwiner_basis
+    return Spectrum(rows[0])
 
 
 def eigenvalue_rows(stack: np.ndarray) -> tuple[np.ndarray, list]:
-    """eigenvalues(h).values for each matrix of a finite (m, n, n) stack.
+    """Canonically sorted eigenvalues of each matrix of a finite (m, n, n) stack.
 
-    Returns the rows and, per row, None or the error eigenvalues(h) raises
-    there.  One stacked solve; the closure and trace gates of
-    Spectrum.from_values then run on all rows at once where each value's
-    nearest conjugate lies in its own column, as then the row minima are
-    the optimal matching (_min_sum_assignment).  A row this cannot settle
-    or that fails a gate, and every row of a stack with a non-finite value
-    or one LAPACK rejects, takes the one-matrix path and its message.
+    Returns the rows and, per row, None or the error of that matrix: a
+    SolverError where LAPACK rejects it, or the ConsistencyError of the
+    closure and trace gates of Spectrum.from_values.  The matrices go
+    through one stacked solve; a stack that LAPACK rejects is solved again
+    one matrix at a time.  n above MAX_DENSE_N raises InvalidSpecError.
     """
     m, n, _ = stack.shape
+    if n > MAX_DENSE_N:
+        raise InvalidSpecError(f"dense solver limited to n <= {MAX_DENSE_N}, got {n}")
     errors: list = [None] * m
     try:
         vals = np.linalg.eigvals(stack).astype(complex)
     except np.linalg.LinAlgError:
-        vals = None
-        rows = np.zeros((m, n), dtype=complex)
-        exact = range(m)
-    else:
-        rows = vals[np.arange(m)[:, None], np.lexsort((vals.imag, vals.real), axis=-1)]
-        exact = range(m)  # unless every value is finite
-        if np.isfinite(rows).all():
-            scale = np.maximum(1.0, np.abs(rows).max(axis=1))
-            cost = np.abs(rows[:, :, None] - rows.conj()[:, None, :])
-            columns = np.sort(cost.argmin(axis=2), axis=1)
-            closure = cost.min(axis=2).max(axis=1)
-            drift = np.abs(rows.sum(axis=1) - np.trace(stack, axis1=1, axis2=2))
-            settled = (
-                (columns[:, 1:] != columns[:, :-1]).all(axis=1)
-                & (closure <= EPS_SPEC * scale)
-                & (drift <= EPS_SPEC * scale * n)
-            )
-            exact = np.flatnonzero(~settled)
-    for i in exact:
-        try:
-            if vals is None:
-                rows[i] = eigenvalues(stack[i]).values
-            else:
-                trace = float(np.trace(stack[i]))
-                rows[i] = Spectrum.from_values(vals[i], trace=trace).values
-        except PtLatticeError as exc:
-            errors[i] = exc.with_traceback(None)
-    return rows, errors
+        vals = np.zeros((m, n), dtype=complex)
+        for i, h in enumerate(stack):
+            try:
+                vals[i] = np.linalg.eigvals(h)
+            except np.linalg.LinAlgError as exc:
+                errors[i] = SolverError(
+                    f"eigensolver failed to converge: {exc}",
+                    diagnostics={"n": n, "frobenius_norm": float(np.linalg.norm(h))},
+                )
+    rows = vals[np.arange(m)[:, None], np.lexsort((vals.imag, vals.real), axis=-1)]
+    gates = _spectrum_errors(rows, np.trace(stack, axis1=1, axis2=2))
+    return rows, [gate if error is None else error for error, gate in zip(errors, gates)]
 
 
 # Relative eigenvalue gap below which a sweep row is re-solved by the oracle.
@@ -430,14 +395,12 @@ def left_right_pairs(h) -> list[EigenPair]:
             f"{EPS_GAP * scale:.3e}; use degeneracy_order instead"
         )
     cost = np.abs(wt[:, None] - np.conj(w)[None, :])
-    cols = _min_sum_assignment(cost)
-    rows = np.arange(n)
-    if float(cost[rows, cols].max()) > 1e-8 * scale:
+    cols = _bottleneck_assignment(cost)
+    if float(cost[np.arange(n), cols].max()) > 1e-8 * scale:
         raise ConsistencyError(
             "eigenvalues of H and H^T do not match as conjugates"
         )
-    left_of = np.empty(n, dtype=int)
-    left_of[cols] = rows
+    left_of = np.argsort(cols)
     pairs = []
     for j in range(n):
         lam = complex(w[j])

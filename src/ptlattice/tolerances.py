@@ -37,6 +37,9 @@ ANGLE_TOL = 1e-4
 # Working precision (decimal digits) of the characteristic-polynomial oracle.
 ORACLE_DPS = 50
 
+# Largest matrix the dense solvers take, and so the largest model document.
+MAX_DENSE_N = 64
+
 # Largest matrix the characteristic-polynomial oracle takes.
 MAX_ORACLE_N = 12
 
@@ -81,6 +84,11 @@ def check_bracket(lo: float, hi: float, tol: float) -> None:
         raise InvalidSpecError(f"need lo < hi, got [{lo}, {hi}]")
     if not math.isfinite(hi - lo):
         raise InvalidSpecError(f"t-range must have a finite width, got [{lo}, {hi}]")
+    check_tol(tol)
+
+
+def check_tol(tol: float) -> None:
+    """Reject a tolerance that is not positive or not finite."""
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidSpecError(f"tol must be positive and finite, got {tol}")
 

@@ -1,4 +1,8 @@
-"""The built-in minimum-sum assignment against SciPy's solver as oracle."""
+"""The bottleneck assignment against a brute force over all permutations."""
+
+import functools
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,10 +17,10 @@ from ptlattice import (
     left_right_pairs,
     matching_distance,
 )
-from ptlattice import spectra
-from ptlattice.spectra import _min_sum_assignment, _shortest_augmenting_path
+from ptlattice.spectra import _bottleneck_assignment, normalize_vector
 
-optimize = pytest.importorskip("scipy.optimize")
+# The brute force visits n! permutations, so sizes stay small.
+MAX_N = 7
 
 floats = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 # Few distinct values, so that rows tie and row minima share columns.
@@ -25,7 +29,7 @@ coarse_signed = st.integers(-2, 2).map(float)
 
 
 @st.composite
-def square(draw, elements, max_n=12):
+def square(draw, elements, max_n=MAX_N):
     n = draw(st.integers(1, max_n))
     rows = draw(
         st.lists(
@@ -36,7 +40,7 @@ def square(draw, elements, max_n=12):
 
 
 @st.composite
-def tied_rows(draw, max_n=12):
+def tied_rows(draw, max_n=MAX_N):
     """Square matrix whose rows repeat a few drawn rows."""
     n = draw(st.integers(2, max_n))
     k = draw(st.integers(1, n - 1))
@@ -48,7 +52,7 @@ def tied_rows(draw, max_n=12):
 
 
 @st.composite
-def conjugate_spectra(draw, max_n=12):
+def conjugate_spectra(draw, max_n=MAX_N):
     """Spectra closed under conjugation, with repeated values likely."""
     reals = draw(st.lists(coarse_signed, max_size=max_n))
     pairs = draw(
@@ -68,10 +72,18 @@ def conjugate_spectra(draw, max_n=12):
 costs = st.one_of(square(floats), square(coarse), tied_rows())
 
 
-def scipy_assignment(cost):
-    rows, cols = optimize.linear_sum_assignment(cost)
-    assert np.array_equal(rows, np.arange(cost.shape[0]))
-    return cols
+@functools.lru_cache(maxsize=MAX_N)
+def permutations(n):
+    return np.array(list(itertools.permutations(range(n))))
+
+
+def brute_bottleneck(cost):
+    """Least largest entry over all assignments of a square cost matrix."""
+    return float(cost[np.arange(len(cost)), permutations(len(cost))].max(axis=1).min())
+
+
+def brute_distance(a, b):
+    return brute_bottleneck(np.abs(a[:, None] - b[None, :]))
 
 
 def conjugate_cost(values):
@@ -80,42 +92,41 @@ def conjugate_cost(values):
 
 @settings(deadline=None, max_examples=200)
 @given(st.one_of(costs, conjugate_spectra().map(conjugate_cost)))
-def test_assignment_is_optimal_like_scipy(cost):
+def test_assignment_is_a_bottleneck_optimum(cost):
     rows = np.arange(cost.shape[0])
-    ours = _min_sum_assignment(cost)
-    theirs = scipy_assignment(cost)
-    assert sorted(ours.tolist()) == rows.tolist()
-    assert cost[rows, ours].sum() == cost[rows, theirs].sum()
-    assert cost[rows, ours].max() == cost[rows, theirs].max()
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.one_of(costs, conjugate_spectra().map(conjugate_cost)))
-def test_augmenting_path_reproduces_scipy(cost):
-    # The fallback follows SciPy's algorithm step for step, ties included.
-    assert _shortest_augmenting_path(cost.tolist()) == scipy_assignment(cost).tolist()
+    cols = _bottleneck_assignment(cost)
+    assert sorted(cols.tolist()) == rows.tolist()
+    assert cost[rows, cols].max() == brute_bottleneck(cost)
 
 
 def test_fallback_runs_when_row_minima_collide():
     cost = np.array([[1.0, 2.0], [0.0, 1.0]])
     assert cost.argmin(axis=1).tolist() == [0, 0]
-    assert _min_sum_assignment(cost).tolist() == scipy_assignment(cost).tolist()
-
-
-def scipy_distance(a, b):
-    cost = np.abs(a[:, None] - b[None, :])
-    return float(cost[np.arange(a.size), scipy_assignment(cost)].max())
+    assert _bottleneck_assignment(cost).tolist() == [0, 1]
+    # A stack takes each matrix alone: row minima first, then the search.
+    stack = np.stack([cost, cost[::-1], cost])
+    assert _bottleneck_assignment(stack).tolist() == [[0, 1], [1, 0], [0, 1]]
 
 
 @settings(deadline=None, max_examples=200)
 @given(conjugate_spectra(), st.data())
-def test_matching_distance_equals_scipy(values, data):
+def test_matching_distance_equals_brute_force_bottleneck(values, data):
     conj = np.conj(values)
-    assert matching_distance(values, conj) == scipy_distance(values, conj)
+    assert matching_distance(values, conj) == brute_distance(values, conj)
     size = values.size
     shift = data.draw(st.lists(coarse_signed, min_size=size, max_size=size))
     other = data.draw(st.permutations(values.tolist())) + 0.5 * np.array(shift)
-    assert matching_distance(values, other) == scipy_distance(values, other)
+    assert matching_distance(values, other) == brute_distance(values, other)
+
+
+def test_matching_distance_minimises_the_largest_distance():
+    # The row minima of a sit in columns 1, 0, 0 of b.  The least sum of
+    # distances, sqrt(5) + sqrt(13) via (b1, b2, b0), takes the largest
+    # distance sqrt(13); the matching (b1, b0, b2) keeps each within sqrt(10).
+    a = np.array([1 - 2j, -1 - 2j, 1j])
+    b = np.array([1j, 3 - 1j, -3 + 1j])
+    assert matching_distance(a, b) == pytest.approx(math.sqrt(10), rel=1e-15)
+    assert matching_distance(a, b) == brute_distance(a, b)
 
 
 def test_matching_distance_rejects_non_finite():
@@ -142,19 +153,12 @@ def lattices(draw):
 
 @settings(deadline=None, max_examples=100)
 @given(lattices())
-def test_left_right_pairs_match_scipy_pairing(h):
+def test_left_right_pairs_pair_each_row_with_its_argmin(h):
     try:
-        ours = left_right_pairs(h)
+        pairs = left_right_pairs(h)
     except DegenerateSpectrumError:
         assume(False)
-    original = spectra._min_sum_assignment
-    spectra._min_sum_assignment = scipy_assignment
-    try:
-        theirs = left_right_pairs(h)
-    finally:
-        spectra._min_sum_assignment = original
-    assert len(ours) == len(theirs)
-    for a, b in zip(ours, theirs):
-        assert a.eigenvalue == b.eigenvalue
-        assert np.array_equal(a.right, b.right)
-        assert np.array_equal(a.left, b.left)
+    wt, vl = np.linalg.eig(h.T)
+    for pair in pairs:
+        nearest = int(np.abs(wt - np.conj(pair.eigenvalue)).argmin())
+        assert np.array_equal(pair.left, normalize_vector(vl[:, nearest]))

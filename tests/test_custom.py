@@ -188,6 +188,20 @@ class TestLoading:
         with pytest.raises(ModelFileError):
             load_custom_model(write_yaml(tmp_path, doc))
 
+    @pytest.mark.parametrize("n", [1, 65])
+    def test_size_outside_the_dense_range_rejected(self, tmp_path, n):
+        doc = {"name": "chain", "n": n, "topology": "open",
+               "diag": ["0"] * n, "couplings": ["t"] * (n - 1)}
+        with pytest.raises(ModelFileError, match=f"got {n}") as err:
+            load_custom_model(write_yaml(tmp_path, doc))
+        assert err.value.field == "n"
+
+    def test_largest_size_loads(self, tmp_path):
+        doc = {"name": "chain", "n": 64, "topology": "open",
+               "diag": ["0"] * 64, "couplings": ["t"] * 63}
+        family = load_custom_model(write_yaml(tmp_path, doc))
+        assert family.n == 64 and family.matrix(0.5).shape == (64, 64)
+
     def test_wrong_coupling_count_rejected(self, tmp_path):
         doc = dict(EC4_DOC, couplings=["t", "t", "t"])
         with pytest.raises(ModelFileError):

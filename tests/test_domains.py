@@ -139,6 +139,12 @@ def test_degeneracy_order_counts_clusters():
     assert degeneracy_order(np.diag([1.0, 2.0, 5.0]), 1e-9) == 1
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+def test_degeneracy_order_rejects_a_bad_tol(tol):
+    with pytest.raises(InvalidSpecError, match="tol must be positive and finite"):
+        degeneracy_order(np.diag([1.0, 2.0, 5.0]), tol)
+
+
 def test_degeneracy_order_full_collapse():
     h = get_family(Model.MDG6_OPEN).matrix(0.0)
     assert degeneracy_order(h, 1e-2) == 6

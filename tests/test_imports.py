@@ -96,6 +96,22 @@ def test_usage_exit_before_numpy_loads(case):
     assert proc.stderr.startswith("error: ")
 
 
+def test_oversized_model_document_exits_before_numpy_loads(tmp_path):
+    doc = tmp_path / "chain65.yaml"
+    doc.write_text(
+        f"name: chain65\nn: 65\ntopology: open\ndiag: {['0'] * 65}\n"
+        f"couplings: {['t'] * 64}\n",
+        encoding="utf-8",
+    )
+    argv = ["domains", "--config", str(doc), "--t-min", "0", "--t-max", "1"]
+    proc = run_python("-c", EXIT_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 2
+    assert numpy_loaded is False
+    assert proc.stderr.startswith("error: ") and "n must be" in proc.stderr
+
+
 def test_every_public_name_is_its_module_definition():
     for name in ptlattice.__all__:
         obj = getattr(ptlattice, name)

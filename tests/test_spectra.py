@@ -27,7 +27,6 @@ from ptlattice import (
     vector_angle,
 )
 from ptlattice.charpoly import eigenvalues_charpoly_oracle
-from ptlattice.errors import PtLatticeError
 from ptlattice.spectra import _POLISH_REL, _frobenius_scales, canonical_sort, eigenvalue_rows
 
 
@@ -202,34 +201,18 @@ def test_vector_angle_basics():
     assert vector_angle(a, b) == pytest.approx(math.pi / 2)
 
 
-def _assert_rows_equal_the_one_matrix_calls(stack):
-    rows, errors = eigenvalue_rows(stack)
-    for h, row, error in zip(stack, rows, errors, strict=True):
-        try:
-            expected = eigenvalues(h).values
-        except PtLatticeError as exc:
-            assert type(error) is type(exc) and str(error) == str(exc)
-        else:
-            assert error is None
-            assert np.array_equal(row, expected)
-
-
-def test_eigenvalue_rows_settle_a_repeated_eigenvalue_one_matrix_at_a_time(monkeypatch):
+def test_eigenvalue_rows_settle_a_repeated_eigenvalue_one_matrix_at_a_time():
     # Both 1s of diag(1, 1, 2) find their nearest conjugate in the first
-    # column, so that row alone goes through Spectrum.from_values.
-    settled = []
-    from_values = Spectrum.from_values.__func__
-
-    def spy(cls, values, **kwargs):
-        settled.append(values)
-        return from_values(cls, values, **kwargs)
-
-    monkeypatch.setattr(Spectrum, "from_values", classmethod(spy))
+    # column, so the closure gate of that row takes the matching search;
+    # each row still equals the matrix solved alone.
     rotation = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
     stack = np.stack([rotation, np.diag([1.0, 1.0, 2.0]), rotation])
-    eigenvalue_rows(stack)
-    assert len(settled) == 1 and np.array_equal(np.sort(settled[0].real), [1.0, 1.0, 2.0])
-    _assert_rows_equal_the_one_matrix_calls(stack)
+    rows, errors = eigenvalue_rows(stack)
+    assert errors == [None, None, None]
+    assert np.array_equal(rows[1], [1.0, 1.0, 2.0])
+    assert np.allclose(rows[[0, 2]], [-1j, 1j, 3.0], rtol=0, atol=1e-15)
+    for h, row in zip(stack, rows, strict=True):
+        assert np.array_equal(eigenvalues(h).values, row)
 
 
 def test_eigenvalue_rows_take_each_matrix_alone_where_the_stacked_solve_fails(monkeypatch):
@@ -246,5 +229,34 @@ def test_eigenvalue_rows_take_each_matrix_alone_where_the_stacked_solve_fails(mo
     stack = family.matrices([0.5, 1.55, 1.0])
     stack[2, 0, 0] = 7.0
     rows, errors = eigenvalue_rows(stack)
-    assert isinstance(errors[2], SolverError) and errors[:2] == [None, None]
-    _assert_rows_equal_the_one_matrix_calls(stack)
+    assert errors[:2] == [None, None]
+    assert isinstance(errors[2], SolverError)
+    assert str(errors[2]) == "eigensolver failed to converge: Eigenvalues did not converge"
+    assert errors[2].diagnostics["n"] == 4
+    for t, row in zip([0.5, 1.55], rows):
+        assert matching_distance(row, ec4_closed_form(t).values) < 1e-12
+    assert np.array_equal(rows[2], np.zeros(4))
+    with pytest.raises(SolverError, match="did not converge"):
+        eigenvalues(stack[2])
+
+
+def test_eigenvalue_rows_gate_each_row_for_closure_and_trace(monkeypatch):
+    # A row whose values are not conjugate-paired, or whose sum is not the
+    # trace, fails with the message of Spectrum.from_values for its values.
+    solved = {
+        0: [1.0 + 1.0j, 1.0 - 1.0j, 2.0],
+        1: [1.0 + 1.0j, 1.0, 2.0],
+        2: [1.0, 2.0, 4.0],
+    }
+    monkeypatch.setattr(
+        np.linalg, "eigvals", lambda a: np.array([solved[i] for i in range(len(a))])
+    )
+    stack = np.stack([np.diag([1.0, 1.0, 2.0])] * 3)
+    rows, errors = eigenvalue_rows(stack)
+    assert errors[0] is None
+    for i in (1, 2):
+        with pytest.raises(ConsistencyError) as expected:
+            Spectrum.from_values(solved[i], trace=float(np.trace(stack[i])))
+        assert type(errors[i]) is ConsistencyError
+        assert str(errors[i]) == str(expected.value)
+    assert "conjugate-paired" in str(errors[1]) and "trace" in str(errors[2])
