@@ -27,13 +27,11 @@ _EXPORTS = {
         "DomainReport",
         "EPKind",
         "EPLocation",
-        "RealityProfile",
         "degeneracy_order",
         "domain_report",
         "locate_coalescence_ep",
         "maximal_jordan_block",
         "reality_islands",
-        "reality_profile",
         "refine_reality_boundary",
     ),
     "errors": (

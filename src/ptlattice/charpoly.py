@@ -3,10 +3,11 @@
 Independent cross-check for the LAPACK eigensolver.  Doubles and mpf are
 dyadic, so one power of two makes the matrix an integer one, and the
 determinant recursion on the tridiagonal(+corner) lattice structure gives
-det(M - lambda I) exactly on Python ints; other matrices are refused.
-Yun's square-free decomposition (SYMSAC 1976) over a primitive integer
-remainder sequence hands mpmath's simultaneous-iteration solver factors with
-simple roots only, solved at 50 digits.
+det(M - lambda I) exactly on Python ints; other matrices are refused.  The
+polynomial is centred on its mean root by an exact Taylor shift, and Yun's
+square-free decomposition (SYMSAC 1976) over a primitive integer remainder
+sequence hands mpmath's simultaneous-iteration solver factors with simple
+roots only, solved at 50 digits.
 
 Two entry paths exist on purpose.  Lifting a double-precision matrix is
 exact and cross-checks the eigensolver on that matrix.  Evaluating a model
@@ -24,7 +25,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import InvalidSpecError, OracleError
+from .errors import ConsistencyError, InvalidSpecError, OracleError
 from .spectra import Spectrum
 from .tolerances import MAX_ORACLE_N, ORACLE_DPS
 
@@ -164,13 +165,20 @@ def _square_free(p):
 def _spectrum(coeffs: list[Fraction], dps: int) -> Spectrum:
     """All roots of exact dyadic coefficients, multiplicity included.
 
-    polyroots stops on an absolute correction below 10^-dps, so a factor's
-    working precision grows by the bits of its Fujiwara root bound.  The sum
-    of the roots is checked against the trace -c_{n-1}/c_n.
+    The solver sees the polynomial centred on its mean root -c_{n-1}/(n c_n),
+    which is added back in mp; the centred roots must sum to zero, a trace
+    check with no double to overflow.  polyroots stops on an absolute
+    correction below 10^-dps, so a factor's working precision grows by the
+    bits of its Fujiwara root bound.
     """
-    scale = max(c.denominator for c in coeffs)
-    p = [c.numerator * (scale // c.denominator) for c in coeffs]
-    values = []
+    n = len(coeffs) - 1
+    mean = -coeffs[-2] / (n * coeffs[-1]) if n else Fraction(0)
+    centred: list = []
+    for c in reversed(coeffs):  # Horner: centred(x) = p(x + mean)
+        centred = _add([c, *centred], [mean * a for a in centred])
+    scale = math.lcm(*(c.denominator for c in centred))
+    p = [c.numerator * (scale // c.denominator) for c in centred]
+    roots = []
     with mpmath.workdps(dps):
         for f, k in _square_free(_primitive(p)):
             if len(f) < 2:
@@ -178,7 +186,7 @@ def _spectrum(coeffs: list[Fraction], dps: int) -> Spectrum:
             deg, lead = len(f) - 1, f[-1].bit_length()
             bits = max((c.bit_length() - lead) // (deg - i) + 2 for i, c in enumerate(f[:-1]))
             try:
-                roots, err = mpmath.polyroots(
+                found, err = mpmath.polyroots(
                     f[::-1], maxsteps=200, extraprec=2 * mpmath.mp.prec + max(bits, 0), error=True
                 )
             except mpmath.libmp.NoConvergence as exc:
@@ -187,9 +195,13 @@ def _spectrum(coeffs: list[Fraction], dps: int) -> Spectrum:
                 raise OracleError(
                     f"polynomial roots uncertain (error estimate {mpmath.nstr(err, 3)})"
                 )
-            values += [complex(r) for r in roots] * k
-        trace = float(mpmath.mpf(-p[-2]) / p[-1]) if len(p) > 1 else 0.0
-    return Spectrum.from_values(values, trace=trace, tol=1e-9)
+            roots += found * k
+        shift = mpmath.mpf(mean.numerator) / mean.denominator
+        values = [r + shift for r in roots]
+        drift = abs(mpmath.fsum(roots))  # the trace gate of from_values, in mp
+        if drift > 1e-9 * max([1, *map(abs, values)]) * n:
+            raise ConsistencyError(f"eigenvalue sum differs from trace by {float(drift):.3e}")
+    return Spectrum.from_values([complex(v) for v in values], tol=1e-9)
 
 
 def eigenvalues_charpoly_oracle(h, *, dps: int = ORACLE_DPS) -> Spectrum:

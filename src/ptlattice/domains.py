@@ -1,10 +1,10 @@
 """Reality domains in the coupling parameter t.
 
 A model family's spectrum partitions a t-interval into maximal sub-intervals
-with a constant number of real eigenvalues.  This module scans such
-profiles, refines the transition points by bisection, classifies the
-exceptional points sitting at domain boundaries or inside domains, and
-extracts "islands" where exactly k eigenvalues stay real.
+with a constant number of real eigenvalues.  This module reads such a
+partition off one coarse grid, refines the transition points by bisection,
+classifies the exceptional points sitting at domain boundaries or inside
+domains, and extracts "islands" where exactly k eigenvalues stay real.
 
 A coarse grid is one batch: ``ModelFamily.matrices`` assembles its whole
 stack, one stacked LAPACK call solves it, and the row-wise rules of
@@ -29,7 +29,10 @@ from .errors import (
 )
 from .lattice import check_square
 from .spectra import (
+    _EPS,
     _index_pairs,
+    _largest_cluster,
+    _perturbation_order,
     count_real,
     count_real_rows,
     min_pairwise_gap,
@@ -46,16 +49,7 @@ from .tolerances import (
     grid_steps,
 )
 
-_EPS = float(np.finfo(float).eps)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class RealityProfile:
-    """Real-eigenvalue counts sampled on a t-grid."""
-
-    grid: np.ndarray
-    counts: np.ndarray
 
 
 class EPKind(Enum):
@@ -98,27 +92,6 @@ class DomainReport:
     intervals: tuple
     eps: tuple
     boundary_tol: float
-
-
-def _grid_eigenvalues(family, grid: np.ndarray) -> np.ndarray:
-    """Eigenvalue rows for each grid point (unsorted, no polish).
-
-    The grid ends are checked first, so a range reaching past the validity
-    interval is reported at its end; family.matrices checks every point.
-    """
-    family.check_validity(float(grid[0]))
-    family.check_validity(float(grid[-1]))
-    return np.linalg.eigvals(family.matrices(grid))
-
-
-def reality_profile(family, grid, *, eps_real: float = EPS_REAL) -> RealityProfile:
-    """Count real eigenvalues of the family at every grid point."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise InvalidSpecError("grid must be a nonempty 1-d array")
-    check_eps_real(eps_real)
-    counts = count_real_rows(_grid_eigenvalues(family, grid), eps_real)
-    return RealityProfile(grid=grid, counts=counts)
 
 
 def bisect_edge(keep, inside: float, outside: float, tol: float) -> float:
@@ -164,28 +137,6 @@ def refine_reality_boundary(
     return bisect_edge(lambda t: count_at(t) == c_lo, lo, hi, tol)
 
 
-def _largest_cluster(values: np.ndarray, threshold: float) -> int:
-    """Largest single-linkage cluster size at the given distance threshold."""
-    n = len(values)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    i, j = _index_pairs(n)
-    linked = np.abs(values[i] - values[j]) <= threshold
-    for a, b in zip(i[linked].tolist(), j[linked].tolist()):
-        parent[find(a)] = find(b)
-    sizes: dict[int, int] = {}
-    for i in range(n):
-        r = find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-    return max(sizes.values())
-
-
 def degeneracy_order(h, tol: float) -> int:
     """Largest eigenvalue-cluster size at linkage threshold tol * max(1, ||h||)."""
     h = check_square(h)
@@ -210,23 +161,6 @@ def maximal_jordan_block(h) -> bool:
     s = np.linalg.svd(h - mu * np.eye(n), compute_uv=False)
     rank = int((s > _JORDAN_RANK_REL * max(1.0, float(s[0]))).sum())
     return rank == n - 1
-
-
-def _perturbation_order(values: np.ndarray, scale: float, n: int) -> int:
-    """Largest k for which a k-cluster survives at the k-th-root noise scale.
-
-    An order-k exceptional point perturbed at relative machine noise u
-    scatters its eigenvalues over a radius ~ scale * u**(1/k), so the
-    cluster test uses a threshold with the same root: a genuine order-k
-    collision keeps >= k eigenvalues inside it, while an avoided crossing
-    separates much faster and drops out for large k.
-    """
-    best = 1
-    for k in range(2, n + 1):
-        threshold = 10.0 * scale * _EPS ** (1.0 / k)
-        if _largest_cluster(values, threshold) >= k:
-            best = k
-    return best
 
 
 def _golden_minimize(fn, lo: float, hi: float, tol: float) -> float:
@@ -326,7 +260,9 @@ def domain_report(
 ) -> DomainReport:
     """Partition [lo, hi] into constant-real-count intervals with EP markers.
 
-    The coarse grid has grid_steps(lo, hi, coarse_steps) points.  Count
+    The coarse grid has grid_steps(lo, hi, coarse_steps) points and is the
+    one scan: each interval takes the real count of the grid points it
+    covers, so a window narrower than a grid cell may go unseen.  Count
     transitions are refined by bisection and marked as complexification
     points; strict local minima of the eigenvalue gap in the interior of an
     interval are tested as coalescence candidates and kept only when the
@@ -336,25 +272,24 @@ def domain_report(
     check_eps_real(eps_real)
     coarse_steps = grid_steps(lo, hi, coarse_steps)
     grid = np.linspace(lo, hi, coarse_steps)
-    rows = _grid_eigenvalues(family, grid)
+    # The ends first, so a range reaching past the validity interval is
+    # reported at its end; family.matrices checks every point.
+    family.check_validity(float(lo))
+    family.check_validity(float(hi))
+    rows = np.linalg.eigvals(family.matrices(grid))
     counts = count_real_rows(rows, eps_real)
     gaps = min_pairwise_gaps(rows)
 
-    boundaries = []
-    for i in range(len(grid) - 1):
-        if counts[i] != counts[i + 1]:
-            boundaries.append(
-                refine_reality_boundary(
-                    family, grid[i], grid[i + 1], tol, eps_real=eps_real
-                )
-            )
-
+    # Each cell whose ends differ in count holds one boundary, so every
+    # interval covers at least one grid point and takes its count from them.
+    cells = np.flatnonzero(counts[:-1] != counts[1:])
+    boundaries = [
+        refine_reality_boundary(family, grid[i], grid[i + 1], tol, eps_real=eps_real)
+        for i in cells
+    ]
     edges = [lo, *boundaries, hi]
-    intervals = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = (a + b) / 2
-        count = count_real(np.linalg.eigvals(family.matrix(mid)), eps_real)
-        intervals.append((float(a), float(b), int(count)))
+    levels = counts[[0, *(cells + 1)]].tolist()
+    intervals = list(zip(map(float, edges), map(float, edges[1:]), levels))
 
     markers = [_boundary_ep(family, b, tol) for b in boundaries]
 

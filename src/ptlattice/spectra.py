@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,6 +35,8 @@ from .errors import (
 )
 from .lattice import check_square, is_pt_symmetric, parity
 from .tolerances import EPS_GAP, EPS_REAL, EPS_SPEC, MAX_DENSE_N, MAX_ORACLE_N
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _bottleneck_assignment(cost: np.ndarray) -> np.ndarray:
@@ -144,6 +147,41 @@ def min_pairwise_gap(values) -> float:
     return float(min_pairwise_gaps(values[None, :])[0])
 
 
+def _largest_cluster(values: np.ndarray, threshold: float) -> int:
+    """Largest single-linkage cluster size at the given distance threshold."""
+    n = len(values)
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    i, j = _index_pairs(n)
+    linked = np.abs(values[i] - values[j]) <= threshold
+    for a, b in zip(i[linked].tolist(), j[linked].tolist()):
+        parent[find(a)] = find(b)
+    return max(Counter(find(i) for i in range(n)).values())
+
+
+def _perturbation_order(values: np.ndarray, scale: float, n: int) -> int:
+    """Largest k for which a k-cluster survives at the k-th-root noise scale.
+
+    An order-k exceptional point perturbed at relative machine noise u
+    scatters its eigenvalues over a radius ~ scale * u**(1/k), so the
+    cluster test uses a threshold with the same root: a genuine order-k
+    collision keeps >= k eigenvalues inside it, while an avoided crossing
+    separates much faster and drops out for large k.
+    """
+    best = 1
+    for k in range(2, n + 1):
+        threshold = 10.0 * scale * _EPS ** (1.0 / k)
+        if _largest_cluster(values, threshold) >= k:
+            best = k
+    return best
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Canonically sorted complex eigenvalues of one real matrix."""
@@ -168,21 +206,21 @@ class Spectrum:
         tol: float = EPS_SPEC,
     ) -> "Spectrum":
         spec = cls(np.asarray(values, dtype=complex).ravel())
-        traces = None if trace is None else [trace]
-        errors = _spectrum_errors(spec.values[None], traces, tol)
+        diagonals = None if trace is None else [[trace]]
+        errors = _spectrum_errors(spec.values[None], diagonals, tol)
         if errors[0] is not None:
             raise errors.pop()  # popped, as in intertwiner_basis
         return spec
 
 
-def _spectrum_errors(rows: np.ndarray, traces, tol: float = EPS_SPEC) -> list:
+def _spectrum_errors(rows: np.ndarray, diagonals, tol: float = EPS_SPEC) -> list:
     """The closure and trace gates of each sorted row of an (m, n) eigenvalue array.
 
     Entry i is None, or the ConsistencyError of row i: a non-finite value;
     a closure defect (the matching distance between the row and its own
-    conjugate) above tol * max(1, spectral radius); or, where traces is
-    not None, a row sum that differs from traces[i] by more than n times
-    that bound.
+    conjugate) above tol * max(1, spectral radius); or, where diagonals is
+    not None, a row sum that is not within n times that bound of the trace,
+    the sum of row i of diagonals.
     """
     m, n = rows.shape
     finite = np.isfinite(rows).all(axis=1)
@@ -198,13 +236,18 @@ def _spectrum_errors(rows: np.ndarray, traces, tol: float = EPS_SPEC) -> list:
     cost = np.abs(rows[:, :, None] - rows.conj()[:, None, :])
     cols = _bottleneck_assignment(cost)
     closure = cost[np.arange(m)[:, None], np.arange(n), cols].max(axis=1)
-    drift = np.zeros(m) if traces is None else np.abs(rows.sum(axis=1) - traces)
-    for i in np.flatnonzero(finite & ((closure > bound) | (drift > bound * n))):
+    # |row sum - trace|, taken at a power of two 2**-k <= 1/n: the scaling
+    # is exact and keeps every partial sum finite.  A nan drift fails.
+    unit = 0.5 ** (n - 1).bit_length()
+    drift = np.zeros(m)
+    if diagonals is not None:
+        drift = np.abs((rows * unit).sum(axis=1) - (np.asarray(diagonals) * unit).sum(axis=1))
+    for i in np.flatnonzero(finite & ((closure > bound) | ~(drift <= bound * n * unit))):
         errors[i] = ConsistencyError(
             "non-real eigenvalues are not conjugate-paired "
             f"(closure defect {closure[i]:.3e})"
             if closure[i] > bound[i]
-            else f"eigenvalue sum differs from trace by {drift[i]:.3e}"
+            else f"eigenvalue sum differs from trace by {float(drift[i]) / unit:.3e}"
         )
     return errors
 
@@ -246,7 +289,7 @@ def eigenvalue_rows(stack: np.ndarray) -> tuple[np.ndarray, list]:
                     diagnostics={"n": n, "frobenius_norm": float(np.linalg.norm(h))},
                 )
     rows = vals[np.arange(m)[:, None], np.lexsort((vals.imag, vals.real), axis=-1)]
-    gates = _spectrum_errors(rows, np.trace(stack, axis1=1, axis2=2))
+    gates = _spectrum_errors(rows, stack.diagonal(axis1=1, axis2=2))
     return rows, [gate if error is None else error for error, gate in zip(errors, gates)]
 
 

@@ -46,9 +46,6 @@ MAX_ORACLE_N = 12
 # Default coarse-grid density for domain scans (points per unit t).
 POINTS_PER_UNIT = 2001
 
-# Points of the real-count curve that `domains --svg` draws by default.
-PROFILE_PLOT_STEPS = 801
-
 # Default coarse-scan points of a metric positivity interval.
 POSITIVITY_STEPS = 1001
 

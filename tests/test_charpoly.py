@@ -143,3 +143,9 @@ def test_oracle_ec4_at_huge_scale(t):
     # The roots are +-1 and +-i sqrt(4t^2 - 9), which rounds to +-2ti.
     values = eigenvalues_charpoly_oracle(get_family(Model.EC4).matrix(t)).values
     assert values.tolist() == [-1, -2j * abs(t), 2j * abs(t), 1]
+
+
+def test_oracle_centres_a_trace_beyond_the_double_range():
+    # The trace 2e308 overflows a double; the centred roots are +-0.5i.
+    h = np.array([[1e308, 0.5], [-0.5, 1e308]])
+    assert eigenvalues_charpoly_oracle(h).values.tolist() == [1e308 - 0.5j, 1e308 + 0.5j]

@@ -25,7 +25,6 @@ from ptlattice import (
     min_pairwise_gap,
     positivity_interval,
     reality_islands,
-    reality_profile,
     refine_reality_boundary,
     reference_metric_ec4,
 )
@@ -39,18 +38,6 @@ from ptlattice.tolerances import (
     check_eps_real,
     grid_steps,
 )
-
-
-def test_reality_profile_ec4():
-    family = get_family(Model.EC4)
-    profile = reality_profile(family, [0.0, 1.0, 1.55])
-    assert list(profile.counts) == [4, 4, 2]
-
-
-def test_reality_profile_mdg6_open():
-    family = get_family(Model.MDG6_OPEN)
-    profile = reality_profile(family, [-0.5, 0.5])
-    assert list(profile.counts) == [0, 6]
 
 
 def test_refine_boundary_ec4_three_halves():
@@ -264,11 +251,29 @@ def test_row_count_rejects_the_first_odd_complex_row():
     assert str(err.value).startswith("1 eigenvalues classified complex")
 
 
-def test_reality_profile_checks_every_point_of_an_unsorted_grid():
-    family = get_family(Model.MDG6_OPEN)
-    with pytest.raises(ModelDomainError) as err:
-        reality_profile(family, [0.5, -0.2, 1.25, 0.0, 0.9])
-    assert err.value.t == 1.25
+# Two real eigenvalues only on a window of width 2e-3 around t = 0.5, where
+# the coupling drops below 1.
+WINDOW_DOC = """\
+name: window
+n: 2
+topology: open
+diag: ["-1", "1"]
+couplings: ["sqrt(10000*(t - 0.5)*(t - 0.5) + 0.99)"]
+t_range: [0, 1]
+"""
+
+
+def test_interval_counts_come_from_the_grid_points_they_cover(tmp_path):
+    path = tmp_path / "window.yaml"
+    path.write_text(WINDOW_DOC, encoding="utf-8")
+    family = load_custom_model(str(path))
+    # Both points of a two-point grid read 0; the window between them is
+    # not seen, and the interval takes their count.
+    assert domain_report(family, 0.0, 1.0, coarse_steps=2).intervals == ((0.0, 1.0, 0),)
+    fine = domain_report(family, 0.0, 1.0).intervals
+    assert [count for _, _, count in fine] == [0, 2, 0]
+    assert fine[1][0] == pytest.approx(0.499, abs=1e-9)
+    assert fine[1][1] == pytest.approx(0.501, abs=1e-9)
 
 
 # Undefined for |t| < 1/4, inside the stated range.

@@ -592,3 +592,111 @@ class TestCli:
         assert err.startswith("error: couplings[0]: expression longer than 256")
         assert "Traceback" not in err
         assert out == ""
+
+
+def test_domains_svg_draws_the_reported_partition(tmp_path, capsys):
+    from ptlattice.svgplot import _HEIGHT, _MARGIN, _WIDTH
+
+    csv, svg = tmp_path / "d.csv", tmp_path / "d.svg"
+    code, _, _ = run(
+        ["domains", "--model", "ec4-strongbond", "--t-min", "0", "--t-max", "1.6",
+         "--out", str(csv), "--svg", str(svg)],
+        capsys,
+    )
+    assert code == 0
+    lines = csv.read_text().splitlines()
+    start = lines.index("lo,hi,count_real,boundary_tol") + 1
+    intervals = []
+    for line in lines[start:]:
+        if line.startswith("#"):
+            break
+        lo, hi, count, _ = line.split(",")
+        intervals.append((float(lo), float(hi), int(count)))
+    polylines = [l for l in svg.read_text().splitlines() if l.startswith("<polyline")]
+    assert len(polylines) == 1
+    points = polylines[0].split('points="')[1].split('"')[0].split()
+    vertices = [tuple(map(float, p.split(","))) for p in points]
+    assert len(vertices) == 2 * len(intervals)
+    # Back from pixels to (t, count) through the plot's axes.
+    counts = [count for _, _, count in intervals]
+    pad = 0.04 * (max(counts) - min(counts))
+    y_lo, y_hi = min(counts) - pad, max(counts) + pad
+    for (x, y), (t, count) in zip(
+        vertices, [(t, c) for lo, hi, c in intervals for t in (lo, hi)]
+    ):
+        assert (x - _MARGIN) / (_WIDTH - 2 * _MARGIN) * 1.6 == pytest.approx(t, abs=1e-5)
+        level = y_lo + (_HEIGHT - _MARGIN - y) / (_HEIGHT - 2 * _MARGIN) * (y_hi - y_lo)
+        assert level == pytest.approx(count, abs=1e-4)
+
+
+# Finite entries whose trace, 2e308, does not fit in a double.
+HUGE_DOC = """\
+name: huge
+n: 2
+topology: open
+diag: ["1.0e308", "1.0e308"]
+couplings: ["t"]
+t_range: [0, 1]
+"""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["spectrum", "--steps", "3"], ["validate"]],
+    ids=["spectrum", "validate"],
+)
+def test_huge_finite_entries_run_without_warnings(tmp_path, command, capsys):
+    path = tmp_path / "huge.yaml"
+    path.write_text(HUGE_DOC, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(
+            command + ["--config", str(path), "--t-min", "0", "--t-max", "1"], capsys
+        )
+    assert (code, err) == (0, "")
+    if command[0] == "spectrum":
+        assert out.endswith("0.5,1e+308,1e+308,-0.5,0.5\n1,1e+308,1e+308,-1,1\n")
+    else:
+        assert "oracle-agreement: ok" in out
+
+
+def test_validate_widens_the_oracle_bound_at_a_high_order_ep(capsys):
+    code, out, err = run(
+        ["validate", "--model", "mdg6-open", "--t-min", "-1", "--t-max", "1"], capsys
+    )
+    assert (code, err) == (0, "")
+    # LAPACK scatters the order-6 point at t = 0 by about u^(1/6).
+    line = out.splitlines()[-1]
+    assert line.startswith("oracle-agreement: ok (worst relative distance ")
+    assert line.endswith("e-04; 1 sample at an order-6 cluster)")
+
+
+@pytest.mark.parametrize("factor, code", [(0.5, 0), (2.0, 4)])
+def test_validate_fails_an_eigensolver_beyond_the_order_six_bound(
+    monkeypatch, factor, code, capsys
+):
+    from ptlattice import spectra
+    from ptlattice.models import Model, get_family
+
+    at_ep = get_family(Model.MDG6_OPEN).matrix(0.0)
+    bound = 10.0 * np.finfo(float).eps ** (1 / 6) * np.linalg.norm(at_ep)
+    solve = spectra.eigenvalues
+
+    def off_at_the_ep(h):
+        values = solve(h).values
+        if np.array_equal(h, at_ep):  # a real shift keeps the conjugate pairs
+            values = values + factor * bound
+        return spectra.Spectrum(values)
+
+    monkeypatch.setattr(spectra, "eigenvalues", off_at_the_ep)
+    result, out, err = run(
+        ["validate", "--model", "mdg6-open", "--t-min", "-1", "--t-max", "1"], capsys
+    )
+    assert result == code
+    if code:
+        assert err.startswith(
+            "error: eigensolver disagrees with the characteristic-polynomial "
+            "oracle at t=0.0"
+        )
+    else:
+        assert out.splitlines()[-1].endswith("; 1 sample at an order-6 cluster)")

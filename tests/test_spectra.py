@@ -40,6 +40,17 @@ def test_spectrum_requires_conjugate_closure():
         Spectrum.from_values([1.0 + 1.0j, 2.0], trace=3.0 + 1.0j)
 
 
+def test_spectrum_trace_gate_fails_a_nan_drift_and_sums_huge_values():
+    with pytest.raises(ConsistencyError, match="differs from trace by nan"):
+        Spectrum.from_values([1.0, 2.0], trace=math.nan)
+    # The trace and the row sum, 2e308, overflow a double; the gate sums
+    # both at half scale.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, errors = eigenvalue_rows(np.array([[[1e308, 0.5], [-0.5, 1e308]]]))
+    assert errors == [None]
+
+
 def test_spectrum_values_sorted_canonically():
     s = Spectrum.from_values([2.0, 1.0 + 1.0j, 1.0 - 1.0j, -3.0], trace=1.0)
     assert np.array_equal(
