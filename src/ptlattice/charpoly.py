@@ -7,7 +7,9 @@ det(M - lambda I) exactly on Python ints; other matrices are refused.  The
 polynomial is centred on its mean root by an exact Taylor shift, and Yun's
 square-free decomposition (SYMSAC 1976) over a primitive integer remainder
 sequence hands mpmath's simultaneous-iteration solver factors with simple
-roots only, solved at 50 digits.
+roots only.  Each factor's double-precision roots (numpy's companion-matrix
+solve) start that iteration, which polishes them to 50 digits in about three
+quadratically convergent steps.
 
 Two entry paths exist on purpose.  Lifting a double-precision matrix is
 exact and cross-checks the eigensolver on that matrix.  Evaluating a model
@@ -167,9 +169,13 @@ def _spectrum(coeffs: list[Fraction], dps: int) -> Spectrum:
 
     The solver sees the polynomial centred on its mean root -c_{n-1}/(n c_n),
     which is added back in mp; the centred roots must sum to zero, a trace
-    check with no double to overflow.  polyroots stops on an absolute
-    correction below 10^-dps, so a factor's working precision grows by the
-    bits of its Fujiwara root bound.
+    check with no double to overflow.  Each factor's roots lie within its
+    Fujiwara bound 2^bits; in y = x / 2^bits the monic factor's coefficients
+    fit in doubles, and np.roots of them, scaled back, starts polyroots.
+    polyroots stops on an absolute correction below 10^-dps: a factor whose
+    bound exceeds 1 gains its bits of working precision, and one whose bound
+    is below 1 is solved in y, its roots scaled back in mp, so that roots
+    below 10^-dps are not merged into their mean.
     """
     n = len(coeffs) - 1
     mean = -coeffs[-2] / (n * coeffs[-1]) if n else Fraction(0)
@@ -185,9 +191,19 @@ def _spectrum(coeffs: list[Fraction], dps: int) -> Spectrum:
                 continue
             deg, lead = len(f) - 1, f[-1].bit_length()
             bits = max((c.bit_length() - lead) // (deg - i) + 2 for i, c in enumerate(f[:-1]))
+            # The monic factor in y = x / 2^bits, its coefficients below 1/2.
+            y = [Fraction(c, f[-1]) / Fraction(2) ** (bits * (deg - i)) for i, c in enumerate(f)]
+            starts = np.roots([float(c) for c in reversed(y)])
+            up = max(bits, 0)  # solved in x, or in y where the bound is below 1
+            if bits < 0:
+                f = [c << (-bits * (deg - i)) for i, c in enumerate(f)]
             try:
                 found, err = mpmath.polyroots(
-                    f[::-1], maxsteps=200, extraprec=2 * mpmath.mp.prec + max(bits, 0), error=True
+                    f[::-1],
+                    maxsteps=200,
+                    extraprec=2 * mpmath.mp.prec + up,
+                    error=True,
+                    roots_init=[mpmath.mpc(z) * mpmath.ldexp(1, up) for z in starts],
                 )
             except mpmath.libmp.NoConvergence as exc:
                 raise OracleError(f"polynomial root finder stagnated: {exc}") from exc
@@ -195,7 +211,7 @@ def _spectrum(coeffs: list[Fraction], dps: int) -> Spectrum:
                 raise OracleError(
                     f"polynomial roots uncertain (error estimate {mpmath.nstr(err, 3)})"
                 )
-            roots += found * k
+            roots += [r * mpmath.ldexp(1, bits - up) for r in found] * k
         shift = mpmath.mpf(mean.numerator) / mean.denominator
         values = [r + shift for r in roots]
         drift = abs(mpmath.fsum(roots))  # the trace gate of from_values, in mp

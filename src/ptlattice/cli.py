@@ -342,7 +342,13 @@ def cmd_validate(args, family) -> int:
 
     from .charpoly import eigenvalues_charpoly_oracle
     from .report import Table
-    from .spectra import _frobenius_scales, _perturbation_order, eigenvalues, matching_distance
+    from .spectra import (
+        Spectrum,
+        _frobenius_scales,
+        _perturbation_order,
+        eigenvalue_rows,
+        matching_distance,
+    )
 
     sample_ts = np.linspace(args.t_min, args.t_max, 11).tolist()
     stack = family.matrices(sample_ts)
@@ -356,7 +362,11 @@ def cmd_validate(args, family) -> int:
             )
     checks.append(("pt-structure", "ok", f"{len(points)} sample points"))
 
-    spectra = [eigenvalues(h) for _, h in points]  # closure + trace gates inside
+    rows, errors = eigenvalue_rows(stack)  # closure + trace gates inside
+    for error in errors:  # the first in t order
+        if error is not None:
+            raise error
+    spectra = [Spectrum(row) for row in rows]
     checks.append(("conjugate-closure", "ok", f"{len(points)} sample points"))
 
     if family.n <= MAX_ORACLE_N:

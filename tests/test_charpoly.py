@@ -131,8 +131,11 @@ def test_coefficients_equal_sympy_charpoly(path, t):
         (np.diag([0.0, 1.0, 2.0] * 4), [0] * 4 + [1] * 4 + [2] * 4),
         # det(H(t) - x) = (x^2 - 1)(x^2 - (9 - 4t^2)) for ec4: -1, 0, 0, 1 at t = 1.5.
         (get_family(Model.EC4).matrix(1.5), [-1, 0, 0, 1]),
+        # Simple roots 1 +- 2^-60, closer than double resolution: np.roots
+        # starts them as a complex pair, which the polish still separates.
+        (np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 2.0**-60], [0.0, 2.0**-60, 1.0]]), [0, 1, 1]),
     ],
-    ids=["chain9-t0", "chain12-t0", "ec4-t1.5"],
+    ids=["chain9-t0", "chain12-t0", "ec4-t1.5", "cluster-2^-60"],
 )
 def test_oracle_repeated_eigenvalues_are_exact(h, expected):
     assert eigenvalues_charpoly_oracle(h).values.tolist() == expected
@@ -149,3 +152,49 @@ def test_oracle_centres_a_trace_beyond_the_double_range():
     # The trace 2e308 overflows a double; the centred roots are +-0.5i.
     h = np.array([[1e308, 0.5], [-0.5, 1e308]])
     assert eigenvalues_charpoly_oracle(h).values.tolist() == [1e308 - 0.5j, 1e308 + 0.5j]
+
+
+@pytest.mark.parametrize(
+    "h, expected",
+    [
+        # Lower-triangular: the eigenvalues are the diagonal entries.
+        (
+            [[-2.903607776861689e-125, 0.0], [6.455699165158357e-126, 5.807215553723378e-125]],
+            [-2.903607776861689e-125, 5.807215553723378e-125],
+        ),
+        ([[0.0, 6.925861551099974e-179], [6.925861551099974e-179, 0.0]],
+         [-6.925861551099974e-179, 6.925861551099974e-179]),
+        ([[0.0, -1.2977885965913514e166], [-1.2977885965913514e166, 0.0]],
+         [-1.2977885965913514e166, 1.2977885965913514e166]),
+    ],
+    ids=["tiny-triangular", "tiny-symmetric", "huge-symmetric"],
+)
+def test_oracle_resolves_roots_far_from_the_unit_disc(h, expected):
+    # polyroots stops on an absolute correction of 1e-50, which would merge
+    # roots below that into their mean: they are solved in y = x / 2^bits.
+    # Roots of 1e166 take too many steps from starts of order 1.
+    assert eigenvalues_charpoly_oracle(np.array(h)).values.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "solve, model, t",
+    [
+        (lambda f, t: eigenvalues_charpoly_oracle(f.matrix(t)), Model.EC4, 0.31),
+        (model_oracle_eigenvalues, Model.MDG6_OPEN, 1e-5),
+    ],
+    ids=["float-lift-ec4", "exact-entry-mdg6-open"],
+)
+def test_polish_starts_from_double_precision_roots(monkeypatch, solve, model, t):
+    # Durand-Kerner evaluates the factor once per root and step; from
+    # double-precision starts it converges quadratically in 3 steps.
+    evaluations = []
+    polyval = mpmath.mp.polyval
+
+    def counted(coeffs, x, *args, **kwargs):
+        evaluations.append(len(coeffs) - 1)
+        return polyval(coeffs, x, *args, **kwargs)
+
+    monkeypatch.setattr(mpmath.mp, "polyval", counted)
+    family = get_family(model)
+    solve(family, t)
+    assert evaluations and len(evaluations) <= 4 * family.n

@@ -680,15 +680,16 @@ def test_validate_fails_an_eigensolver_beyond_the_order_six_bound(
 
     at_ep = get_family(Model.MDG6_OPEN).matrix(0.0)
     bound = 10.0 * np.finfo(float).eps ** (1 / 6) * np.linalg.norm(at_ep)
-    solve = spectra.eigenvalues
+    solve = spectra.eigenvalue_rows
 
-    def off_at_the_ep(h):
-        values = solve(h).values
-        if np.array_equal(h, at_ep):  # a real shift keeps the conjugate pairs
-            values = values + factor * bound
-        return spectra.Spectrum(values)
+    def off_at_the_ep(stack):
+        rows, errors = solve(stack)
+        for row, h in zip(rows, stack):
+            if np.array_equal(h, at_ep):  # a real shift keeps the conjugate pairs
+                row += factor * bound
+        return rows, errors
 
-    monkeypatch.setattr(spectra, "eigenvalues", off_at_the_ep)
+    monkeypatch.setattr(spectra, "eigenvalue_rows", off_at_the_ep)
     result, out, err = run(
         ["validate", "--model", "mdg6-open", "--t-min", "-1", "--t-max", "1"], capsys
     )
@@ -700,3 +701,26 @@ def test_validate_fails_an_eigensolver_beyond_the_order_six_bound(
         )
     else:
         assert out.splitlines()[-1].endswith("; 1 sample at an order-6 cluster)")
+
+
+def test_validate_solves_its_samples_at_once_and_raises_the_first_error(
+    monkeypatch, capsys
+):
+    from ptlattice import spectra
+    from ptlattice.errors import SolverError
+
+    sample_ts = np.linspace(0.0, 1.0, 11).tolist()
+    solve = spectra.eigenvalue_rows
+    stacks = []
+
+    def failing_at_two_samples(stack):
+        stacks.append(len(stack))
+        rows, errors = solve(stack)
+        for i in (7, 3):
+            errors[i] = SolverError(f"planted at t={sample_ts[i]!r}")
+        return rows, errors
+
+    monkeypatch.setattr(spectra, "eigenvalue_rows", failing_at_two_samples)
+    code, _, err = run(["validate", "--model", "ec4", "--t-min", "0", "--t-max", "1"], capsys)
+    assert (code, err) == (4, "error: planted at t=0.30000000000000004\n")
+    assert stacks == [11]  # one stacked solve for all 11 samples
