@@ -9,7 +9,10 @@ square-free decomposition (SYMSAC 1976) over a primitive integer remainder
 sequence hands mpmath's simultaneous-iteration solver factors with simple
 roots only.  Each factor's double-precision roots (numpy's companion-matrix
 solve) start that iteration, which polishes them to 50 digits in about three
-quadratically convergent steps.
+quadratically convergent steps.  The recursion, the remainder sequence and
+the square-free split live in ``poly``, which the exact reality engine
+(``exact``) shares without numpy or mpmath; this module keeps the root
+polishing.
 
 Two entry paths exist on purpose.  Lifting a double-precision matrix is
 exact and cross-checks the eigensolver on that matrix.  Evaluating a model
@@ -23,11 +26,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
 
 import numpy as np
 
 from .errors import ConsistencyError, InvalidSpecError, OracleError
+from .poly import _add, _bordered_charpoly, _square_free, integer_polynomial
 from .spectra import Spectrum
 from .tolerances import MAX_ORACLE_N, ORACLE_DPS
 
@@ -68,100 +71,21 @@ def _integer_rows(h) -> tuple[list[list[int]], int]:
     return [[m << (x - e) if m else 0 for m, x in row] for row in entries], e
 
 
-def _add(p, q) -> list:
-    """Sum of polynomials: ascending coefficient lists of ints, [] being zero."""
-    return [a + b for a, b in zip_longest(p, q, fillvalue=0)]
-
-
-def _tridiag_charpoly(diag, sup, sub) -> list:
-    """Ascending coefficients of det(T - lambda I) for a tridiagonal block."""
-    prev, cur = [], [1]
-    for k, a in enumerate(diag):
-        coupling = sub[k - 1] * sup[k - 1] if k else 0
-        nxt = _add([a * c for c in cur], [0] + [-c for c in cur])
-        prev, cur = cur, _add(nxt, [-coupling * c for c in prev])
-    return cur
-
-
-def _bordered_charpoly(rows) -> list:
-    """det(M - lambda I) for tridiagonal M plus corners gamma = M[1,n], beta = M[n,1].
-
-    Laplace expansion along the border column gives D_{1..n} - gamma*beta*D_{2..n-1}
-    + (-1)^(n+1) * (gamma*prod(sub) + beta*prod(sup)), D the band-minor charpolys.
-    """
-    n = len(rows)
-    diag = [rows[i][i] for i in range(n)]
-    sup = [rows[i][i + 1] for i in range(n - 1)]
-    sub = [rows[i + 1][i] for i in range(n - 1)]
-    p = _tridiag_charpoly(diag, sup, sub)
-    if n < 3:
-        return p
-    gamma, beta = rows[0][n - 1], rows[n - 1][0]
-    inner = _tridiag_charpoly(diag[1:-1], sup[1:-1], sub[1:-1])
-    p = _add(p, [-gamma * beta * c for c in inner])
-    p[0] += (-1) ** (n + 1) * (gamma * math.prod(sub) + beta * math.prod(sup))
-    return p
-
-
 def charpoly_coefficients(h) -> list[Fraction]:
     """Exact ascending coefficients of det(M - lambda I) of a lattice matrix M."""
     rows, e = _integer_rows(h)
     n = len(rows)
+    sup = [rows[i][i + 1] for i in range(n - 1)]
+    sub = [rows[i + 1][i] for i in range(n - 1)]
+    gamma, beta = (rows[0][n - 1], rows[n - 1][0]) if n >= 3 else (0, 0)
+    p = _bordered_charpoly(
+        [rows[i][i] for i in range(n)],
+        [s * u for s, u in zip(sub, sup)],
+        gamma * beta,
+        (-1) ** (n + 1) * (gamma * math.prod(sub) + beta * math.prod(sup)),
+    )
     # det(2^e A - lambda I) = sum_k a_k 2^(e(n-k)) lambda^k
-    return [c * Fraction(2) ** (e * (n - k)) for k, c in enumerate(_bordered_charpoly(rows))]
-
-
-def _primitive(p) -> list:
-    """p over its content, leading coefficient positive."""
-    p = list(p)
-    while p and not p[-1]:
-        p.pop()
-    g = math.gcd(*p) if p else 1
-    return [c // (g if p[-1] > 0 else -g) for c in p]
-
-
-def _derivative(p) -> list:
-    return [k * c for k, c in enumerate(p)][1:]
-
-
-def _gcd(a, b) -> list:
-    """Primitive gcd, by the primitive remainder sequence."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        r = list(a)  # becomes the pseudo-remainder of a by b
-        while len(r) >= len(b):
-            lead, shift = r[-1], len(r) - len(b)
-            r = [c * b[-1] for c in r[:-1]]
-            for j, c in enumerate(b[:-1]):
-                r[shift + j] -= lead * c
-            while r and not r[-1]:
-                r.pop()
-        a, b = b, _primitive(r)
-    return a
-
-
-def _quotient(a, b) -> list:
-    """a / b for a primitive b that divides a: the quotient is integral (Gauss)."""
-    a, q = list(a), [0] * (len(a) - len(b) + 1)
-    for s in reversed(range(len(q))):
-        q[s] = a[s + len(b) - 1] // b[-1]
-        for j, c in enumerate(b):
-            a[s + j] -= q[s] * c
-    return q
-
-
-def _square_free(p):
-    """Yun's decomposition: pairs (f, k), each f square-free, p ~ prod f^k."""
-    dp = _derivative(p)
-    a = _gcd(p, dp)
-    b, c = _quotient(p, a), _quotient(dp, a)
-    k = 1
-    while len(b) > 1:
-        d = _add(c, [-x for x in _derivative(b)])
-        a = _gcd(b, d)
-        yield a, k
-        b, c = _quotient(b, a), _quotient(d, a)
-        k += 1
+    return [c * Fraction(2) ** (e * (n - k)) for k, c in enumerate(p)]
 
 
 def _spectrum(coeffs: list[Fraction], dps: int) -> Spectrum:
@@ -182,11 +106,9 @@ def _spectrum(coeffs: list[Fraction], dps: int) -> Spectrum:
     centred: list = []
     for c in reversed(coeffs):  # Horner: centred(x) = p(x + mean)
         centred = _add([c, *centred], [mean * a for a in centred])
-    scale = math.lcm(*(c.denominator for c in centred))
-    p = [c.numerator * (scale // c.denominator) for c in centred]
     roots = []
     with mpmath.workdps(dps):
-        for f, k in _square_free(_primitive(p)):
+        for f, k in _square_free(integer_polynomial(centred)):
             if len(f) < 2:
                 continue
             deg, lead = len(f) - 1, f[-1].bit_length()

@@ -224,14 +224,31 @@ def _metric_candidate(args, family) -> MetricCandidate:
     }
     if not args.track and family.name in reference:
         return reference[family.name](0.0)
+    section = MetricSection(family, t_seed=_section_seed(args, family))
+    return MetricCandidate(
+        provenance=MetricProvenance.BASIS_COMBINATION, family=section.value
+    )
+
+
+def _section_seed(args, family) -> float:
+    """Where a tracked section starts: t = 0 where the range holds it, else the midpoint.
+
+    Where the exact engine takes the family and that seed is not strictly
+    inside a fully real cell (on an exceptional point, or in a broken
+    phase), the seed moves to the midpoint of the widest overlap of such a
+    cell with the range.
+    """
     if family.contains(0.0) and args.t_min < 0.0 < args.t_max:
         seed = 0.0
     else:
         seed = (args.t_min + args.t_max) / 2
-    section = MetricSection(family, t_seed=seed)
-    return MetricCandidate(
-        provenance=MetricProvenance.BASIS_COMBINATION, family=section.value
-    )
+    from .exact import reality_map
+
+    rmap = reality_map(family)
+    if rmap is None or rmap.holds(seed, family.n):
+        return seed
+    cell = rmap.widest_cell(args.t_min, args.t_max, family.n)
+    return seed if cell is None else (cell[0] + cell[1]) / 2
 
 
 def cmd_metric(args, family) -> int:
@@ -286,6 +303,7 @@ def cmd_metric(args, family) -> int:
 
 def cmd_islands(args, family) -> int:
     from .domains import reality_islands
+    from .exact import reality_map
     from .report import Table
 
     islands = reality_islands(
@@ -297,15 +315,16 @@ def cmd_islands(args, family) -> int:
         tol=args.tol,
         eps_real=args.eps_real,
     )
-    steps = grid_steps(args.t_min, args.t_max, args.steps)
-    spacing = (args.t_max - args.t_min) / (steps - 1)
-    for lo, hi in islands:
-        if hi - lo < spacing:
-            print(
-                f"warning: island ({lo:.6g}, {hi:.6g}) is narrower than the "
-                "scan resolution; rerun with more --steps to confirm",
-                file=sys.stderr,
-            )
+    if reality_map(family) is None:  # the exact engine's islands need no grid
+        steps = grid_steps(args.t_min, args.t_max, args.steps)
+        spacing = (args.t_max - args.t_min) / (steps - 1)
+        for lo, hi in islands:
+            if hi - lo < spacing:
+                print(
+                    f"warning: island ({lo:.6g}, {hi:.6g}) is narrower than the "
+                    "scan resolution; rerun with more --steps to confirm",
+                    file=sys.stderr,
+                )
     if not islands:
         print(
             f"notice: no interval with exactly {args.k} real eigenvalues found",

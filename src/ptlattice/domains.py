@@ -1,16 +1,25 @@
 """Reality domains in the coupling parameter t.
 
 A model family's spectrum partitions a t-interval into maximal sub-intervals
-with a constant number of real eigenvalues.  This module reads such a
-partition off one coarse grid, refines the transition points by bisection,
-classifies the exceptional points sitting at domain boundaries or inside
-domains, and extracts "islands" where exactly k eigenvalues stay real.
+with a constant number of real eigenvalues.  This module reports such a
+partition, marks the exceptional points at its boundaries and inside its
+intervals, and extracts "islands" where exactly k eigenvalues stay real.
 
-A coarse grid is one batch: ``ModelFamily.matrices`` assembles its whole
-stack, one stacked LAPACK call solves it, and the row-wise rules of
-``spectra`` give every real count and gap at once.  Bisection and
-golden-section search stay point by point, since each step depends on the
-one before.
+For a family that the exact engine takes (``exact.reality_map``: the
+entries fold into Q[t] and the discriminant degree bound is at most
+``exact.MAX_DISC_DEGREE``), the partition is read off the family's
+reality map: its edges are the correctly rounded real roots of the
+discriminant where the exact real count changes, and every root inside the
+range is tested as an exceptional point at that root.  No grid is solved,
+and neither ``eps_real`` nor the grid size moves a count.
+
+Every other family takes the float path.  It reads the partition off one
+coarse grid, refines the transition points by bisection, and tests strict
+local minima of the eigenvalue gap by golden-section search.  A coarse grid
+is one batch: ``ModelFamily.matrices`` assembles its whole stack, one
+stacked LAPACK call solves it, and the row-wise rules of ``spectra`` give
+every real count and gap at once.  Bisection and golden-section search stay
+point by point, since each step depends on the one before.
 """
 
 from __future__ import annotations
@@ -56,12 +65,15 @@ class EPKind(Enum):
     """How eigenvalues meet at an exceptional point.
 
     COMPLEXIFICATION: a real pair collides and leaves the real axis, so the
-    real count jumps across the point.  REAL_COALESCENCE: eigenvalues merge
-    while the spectrum stays real on both sides.
+    real count jumps across the point.  REAL_COALESCENCE: real eigenvalues
+    merge while the real count stays the same on both sides.
+    COMPLEX_COALESCENCE: non-real eigenvalues merge off the real axis, as two
+    conjugate pairs meeting in a quartet.
     """
 
     COMPLEXIFICATION = "complexification"
     REAL_COALESCENCE = "real-coalescence"
+    COMPLEX_COALESCENCE = "complex-coalescence"
 
 
 @dataclass(frozen=True)
@@ -207,7 +219,15 @@ def locate_coalescence_ep(
                 f"spectrum already degenerate at bracket endpoint t={endpoint}"
             )
 
-    t_star = _golden_minimize(gap_at, lo, hi, tol)
+    return _coalescence_at(family, _golden_minimize(gap_at, lo, hi, tol))
+
+
+def _coalescence_at(family, t_star: float) -> EPLocation:
+    """Accept t_star as an exceptional point where the closest eigenvectors align.
+
+    The order is the cluster size at the u^(1/k) noise radius; the kind is
+    COMPLEX_COALESCENCE where the closest pair meets off the real axis.
+    """
     h = family.matrix(t_star)
     n = h.shape[0]
     scale = max(1.0, float(np.linalg.norm(h)))
@@ -228,10 +248,12 @@ def locate_coalescence_ep(
             f"closest eigenvectors stay {angle:.3e} apart at t={t_star!r}; "
             "the gap minimum is an avoided crossing"
         )
+    radius = float(np.abs(values).max())
+    off_axis = abs((values[i] + values[j]).imag) / 2 > EPS_REAL * max(1.0, radius)
     return EPLocation(
         t_star=float(t_star),
         order=order,
-        kind=EPKind.REAL_COALESCENCE,
+        kind=EPKind.COMPLEX_COALESCENCE if off_axis else EPKind.REAL_COALESCENCE,
         residual=float(angle),
     )
 
@@ -249,6 +271,30 @@ def _boundary_ep(family, t_star: float, tol: float) -> EPLocation:
     )
 
 
+def _exact_partition(family, rmap, lo: float, hi: float, tol: float) -> tuple:
+    """Intervals and EP markers of [lo, hi] read off a reality map.
+
+    A root inside (lo, hi) where the count changes is an edge, marked as a
+    complexification point; any other root inside is marked where the
+    eigenvector-alignment test accepts it.  A root on lo or hi is an edge of
+    the range, not a cell, and takes no marker.
+    """
+    edges, levels, markers = [float(lo)], [rmap.count_above(lo)], []
+    for root in rmap.roots_inside(lo, hi):
+        count = rmap.count_above(root)
+        if count != levels[-1]:
+            edges.append(root)
+            levels.append(count)
+            markers.append(_boundary_ep(family, root, tol))
+        else:
+            try:
+                markers.append(_coalescence_at(family, root))
+            except EpNotFoundError:
+                pass  # a crossing whose eigenvectors stay apart
+    edges.append(float(hi))
+    return tuple(zip(edges, edges[1:], levels)), tuple(markers)
+
+
 def domain_report(
     family,
     lo: float,
@@ -260,23 +306,49 @@ def domain_report(
 ) -> DomainReport:
     """Partition [lo, hi] into constant-real-count intervals with EP markers.
 
-    The coarse grid has grid_steps(lo, hi, coarse_steps) points and is the
-    one scan: each interval takes the real count of the grid points it
-    covers, so a window narrower than a grid cell may go unseen.  Count
-    transitions are refined by bisection and marked as complexification
-    points; strict local minima of the eigenvalue gap in the interior of an
-    interval are tested as coalescence candidates and kept only when the
-    eigenvector-alignment test accepts them.
+    Every family's entries are assembled on the coarse grid of
+    grid_steps(lo, hi, coarse_steps) points, so an entry undefined inside
+    the range raises at its first grid point.
+
+    For a family the exact engine takes, the partition comes from its
+    reality map (``_exact_partition``): edges are the correctly rounded
+    discriminant roots where the real count changes, and boundary_tol
+    bounds their distance from the exact roots.
+
+    Otherwise the grid is the one scan: each interval takes the real count
+    of the grid points it covers, so a window narrower than a grid cell may
+    go unseen.  Count transitions are refined by bisection and marked as
+    complexification points; strict local minima of the eigenvalue gap in
+    the interior of an interval are tested as coalescence candidates and
+    kept only when the eigenvector-alignment test accepts them.
     """
     check_bracket(lo, hi, tol)
     check_eps_real(eps_real)
-    coarse_steps = grid_steps(lo, hi, coarse_steps)
-    grid = np.linspace(lo, hi, coarse_steps)
+    grid = np.linspace(lo, hi, grid_steps(lo, hi, coarse_steps))
     # The ends first, so a range reaching past the validity interval is
     # reported at its end; family.matrices checks every point.
     family.check_validity(float(lo))
     family.check_validity(float(hi))
-    rows = np.linalg.eigvals(family.matrices(grid))
+    stack = family.matrices(grid)
+    from .exact import reality_map
+
+    rmap = reality_map(family)
+    if rmap is not None:
+        intervals, eps = _exact_partition(family, rmap, lo, hi, tol)
+    else:
+        intervals, eps = _grid_partition(family, grid, stack, lo, hi, tol, eps_real)
+    return DomainReport(
+        lo=float(lo),
+        hi=float(hi),
+        intervals=intervals,
+        eps=eps,
+        boundary_tol=float(tol),
+    )
+
+
+def _grid_partition(family, grid, stack, lo: float, hi: float, tol: float, eps_real: float):
+    """Intervals and EP markers of [lo, hi] read off the grid's matrix stack."""
+    rows = np.linalg.eigvals(stack)
     counts = count_real_rows(rows, eps_real)
     gaps = min_pairwise_gaps(rows)
 
@@ -293,7 +365,7 @@ def domain_report(
 
     markers = [_boundary_ep(family, b, tol) for b in boundaries]
 
-    spacing = (hi - lo) / (coarse_steps - 1)
+    spacing = (hi - lo) / (len(grid) - 1)
     minima = 1 + np.flatnonzero((gaps[1:-1] < gaps[:-2]) & (gaps[1:-1] <= gaps[2:]))
     interior: list[EPLocation] = []
     for a, b, _ in intervals:
@@ -306,14 +378,7 @@ def domain_report(
                 continue
             interior.append(ep)
 
-    eps = tuple(sorted(markers + interior, key=lambda e: e.t_star))
-    return DomainReport(
-        lo=float(lo),
-        hi=float(hi),
-        intervals=tuple(intervals),
-        eps=eps,
-        boundary_tol=float(tol),
-    )
+    return tuple(intervals), tuple(sorted(markers + interior, key=lambda e: e.t_star))
 
 
 def reality_islands(

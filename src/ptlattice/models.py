@@ -2,9 +2,10 @@
 
 Every family exposes its entries as closed-form functions of t that can be
 evaluated in double precision (for LAPACK work), over a whole float64
-vector of t at once (for grid scans, ``ModelFamily.matrices``), or in
+vector of t at once (for grid scans, ``ModelFamily.matrices``), in
 mpmath arbitrary precision (for the characteristic-polynomial oracle, where
-entry rounding would otherwise dominate near high-order degeneracies).
+entry rounding would otherwise dominate near high-order degeneracies), or
+exactly, as polynomials in t (``exact.ExactField``, for the reality map).
 Constants inside the entry expressions are integers and exact rationals so
 that the mp evaluation carries no double-rounding.
 

@@ -44,6 +44,8 @@ from ptlattice import (
     vector_angle,
 )
 from ptlattice.domains import _perturbation_order
+from ptlattice.exact import reality_map
+from ptlattice.poly import _gcd, _primitive
 
 SQRT2 = math.sqrt(2.0)
 
@@ -228,6 +230,23 @@ def test_criterion_04_discriminant_factors():
     )
     assert factors_ok
     assert window_roots == 0
+
+
+def test_criterion_04_engine_core_holds_the_factors():
+    """The exact engine's discriminant core of mdg6-w1 holds both factors."""
+    core = list(reality_map(get_family(Model.MDG6_W1)).core)
+    held = []
+    for factor in (W1_LOWER_FACTOR, W1_UPPER_FACTOR):
+        ascending = _primitive(factor[::-1])
+        held.append(_gcd(core, ascending) == ascending)
+    ok = all(held)
+    report(
+        "criterion 4 engine (mdg6-w1 discriminant core from the exact engine)",
+        ok,
+        f"core of degree {len(core) - 1} divisible by the lower and upper "
+        f"factors: {held}",
+    )
+    assert ok
 
 
 def test_criterion_05_w2_boundaries_and_island():

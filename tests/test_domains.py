@@ -1,6 +1,8 @@
 """Reality domains, boundary refinement, and exceptional-point location."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,8 @@ from ptlattice import (
 )
 from ptlattice.cli import main
 from ptlattice.domains import bisect_edge
+from ptlattice.exact import reality_map
+from ptlattice.poly import square_free_part
 from ptlattice.spectra import count_real_rows, min_pairwise_gaps
 from ptlattice.tolerances import (
     MAX_GRID_POINTS,
@@ -263,10 +267,23 @@ t_range: [0, 1]
 """
 
 
+# The same coupling through a nested sqrt, which the exact engine does not
+# fold, so its domains come from the grid.
+GRID_WINDOW_DOC = WINDOW_DOC.replace(
+    '"sqrt(10000*(t - 0.5)*(t - 0.5) + 0.99)"',
+    '"sqrt(sqrt((10000*(t - 0.5)*(t - 0.5) + 0.99)*(10000*(t - 0.5)*(t - 0.5) + 0.99)))"',
+)
+
+
+def _load(tmp_path, text: str, name: str = "model.yaml"):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return load_custom_model(str(path))
+
+
 def test_interval_counts_come_from_the_grid_points_they_cover(tmp_path):
-    path = tmp_path / "window.yaml"
-    path.write_text(WINDOW_DOC, encoding="utf-8")
-    family = load_custom_model(str(path))
+    family = _load(tmp_path, GRID_WINDOW_DOC)
+    assert reality_map(family) is None
     # Both points of a two-point grid read 0; the window between them is
     # not seen, and the interval takes their count.
     assert domain_report(family, 0.0, 1.0, coarse_steps=2).intervals == ((0.0, 1.0, 0),)
@@ -274,6 +291,14 @@ def test_interval_counts_come_from_the_grid_points_they_cover(tmp_path):
     assert [count for _, _, count in fine] == [0, 2, 0]
     assert fine[1][0] == pytest.approx(0.499, abs=1e-9)
     assert fine[1][1] == pytest.approx(0.501, abs=1e-9)
+
+
+@pytest.mark.parametrize("steps", [2, 3, None])
+def test_exact_engine_finds_the_window_at_any_grid(tmp_path, steps):
+    # 1 - c^2 = 0.01 - 10000 (t - 0.5)^2: real exactly for |t - 0.5| <= 0.001.
+    family = _load(tmp_path, WINDOW_DOC)
+    report = domain_report(family, 0.0, 1.0, coarse_steps=steps)
+    assert report.intervals == ((0.0, 0.499, 0), (0.499, 0.501, 2), (0.501, 1.0, 0))
 
 
 # Undefined for |t| < 1/4, inside the stated range.
@@ -369,3 +394,146 @@ def test_cli_grid_messages_name_the_options(command, steps, library, cli, capsys
     captured = capsys.readouterr()
     assert captured.err == f"error: {cli}\n"
     assert captured.out == ""
+
+
+# ------------------------------------------------------------ exact engine
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+DEMO_CHAIN = REFERENCE.parent / "demo-chain.yaml"
+
+
+def _reference_family(name: str):
+    return load_custom_model(str(DEMO_CHAIN)) if name == "demo-chain" else get_family(name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["mdg6-open", "mdg6-w1", "mdg6-w2", "ec4", "ec4-strongbond", "ec4-recoupled", "demo-chain"],
+)
+def test_reality_map_equals_the_reference(name):
+    # reference.json was derived with sympy, without ptlattice.
+    ref = json.loads(REFERENCE.read_text(encoding="utf-8"))["families"][name]
+    rmap = reality_map(_reference_family(name))
+    lo, hi = ref["range"]
+    assert rmap.degree == ref["disc_degree"]
+    assert [r for r in rmap.roots if lo < r < hi] == [r["t"] for r in ref["roots"]]
+    assert [rmap.count_above(max(c["lo"], lo)) for c in ref["cells"]] == [
+        c["count"] for c in ref["cells"]
+    ]
+
+
+PRIME = 2**61 - 1  # the modulus of square_free_part's modular test
+
+
+@pytest.mark.parametrize(
+    "p, core",
+    [
+        ([2, -3, 1], [2, -3, 1]),  # (t - 1)(t - 2)
+        ([-2, 3, 0, -1], [-2, 1, 1]),  # -(t - 1)^2 (t + 2)
+        ([0, 0, 1, 1], [0, 1, 1]),  # t^2 (t + 1)
+        ([1, 2 * PRIME, PRIME**2], [1, PRIME]),  # (q t + 1)^2 is 1 modulo q
+        ([PRIME, 0, 1], [PRIME, 0, 1]),  # t^2 + q is t^2 modulo q, a square
+    ],
+)
+def test_square_free_part(p, core):
+    assert square_free_part(p) == core
+
+
+def test_range_ending_on_an_ep_is_one_interval():
+    report = domain_report(get_family(Model.EC4), 0.0, 1.5)
+    assert report.intervals == ((0.0, 1.5, 4),)
+    assert [(ep.t_star, ep.order, ep.kind) for ep in report.eps] == [
+        (1.4142135623730951, 2, EPKind.REAL_COALESCENCE)
+    ]
+
+
+def test_order_six_point_has_no_sliver():
+    report = domain_report(get_family(Model.MDG6_OPEN), -1.0, 1.0)
+    assert report.intervals == ((-1.0, 0.0, 0), (0.0, 1.0, 6))
+    assert [(ep.t_star, ep.order, ep.kind) for ep in report.eps] == [
+        (0.0, 6, EPKind.COMPLEXIFICATION)
+    ]
+
+
+def test_strongbond_window_between_grid_points():
+    # The window is 2.9e-4 wide; the grid of this range has spacing 5e-4.
+    report = domain_report(get_family(Model.EC4_STRONG_BOND), 0.0002, 1.6002)
+    assert (1.3719886811400708, 1.3722813232690143, 4) in report.intervals
+
+
+def test_w1_coalescence_of_complex_pairs_is_marked():
+    report = domain_report(get_family(Model.MDG6_W1), -0.4, 0.4)
+    marker = [ep for ep in report.eps if ep.t_star == -0.14997243286963111]
+    assert [(ep.order, ep.kind) for ep in marker] == [(2, EPKind.COMPLEX_COALESCENCE)]
+    assert [ep.t_star for ep in report.eps] == [
+        -0.28204255045541421, -0.14997243286963111, 0.16316036035895568
+    ]
+
+
+def _chain_doc(n: int, diag, couplings, topology="open", t_range="[-1, 1]") -> str:
+    return (
+        f"name: doc\nn: {n}\ntopology: {topology}\ndiag: {json.dumps(diag)}\n"
+        f"couplings: {json.dumps(couplings)}\nt_range: {t_range}\n"
+    )
+
+
+EC4_DIAG = ["-3", "-1", "1", "3"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _chain_doc(4, ["sqrt(2)", "-1", "1", "3"], ["t", "t", "t"]),
+        _chain_doc(4, EC4_DIAG, ["sqrt(t + 2) + sqrt(2 - t)", "t", "t"]),
+        _chain_doc(4, EC4_DIAG, ["sqrt(sqrt(t + 2))", "t", "t"]),
+        _chain_doc(4, EC4_DIAG, ["1/t", "t", "t"], t_range="[0.5, 2]"),
+        _chain_doc(4, EC4_DIAG, ["sqrt(1 - t)", "t / 3", "sqrt(t + 2) * t", "1 - t*t"], "ring"),
+        _chain_doc(4, EC4_DIAG, ["sqrt(t*t)", "t", "t", "t"], "ring"),
+        _chain_doc(4, ["1", "1", "1", "1"], ["0", "t", "0"]),
+        # w = 3, so the degree bound is 3 * 6 * 5 = 90.
+        _chain_doc(6, ["0", "1", "2", "3", "4", "5"], ["t*t*t"] * 5),
+    ],
+    ids=[
+        "radical-on-diagonal", "sum-of-radicals", "nested-sqrt", "non-constant-divisor",
+        "ring-radicands-not-a-square", "ring-square-root-changes-sign",
+        "discriminant-identically-zero", "degree-bound-above-the-cap",
+    ],
+)
+def test_documents_outside_the_engine_take_the_float_path(tmp_path, doc):
+    assert reality_map(_load(tmp_path, doc)) is None
+
+
+@pytest.mark.parametrize(
+    "n, coupling, taken",
+    [
+        (6, "t + 0.5", True),  # w = 1: degree bound 30, the cap
+        (7, "t + 0.5", False),  # degree bound 42
+        (4, "t*t*t + 0.5", False),  # w = 3: degree bound 36
+        (8, "sqrt(t + 2)", True),  # w = 1/2: degree bound 28, whatever n is
+    ],
+)
+def test_engine_takes_a_document_by_its_degree_bound(tmp_path, n, coupling, taken):
+    doc = _chain_doc(n, [str(k) for k in range(n)], [coupling] * (n - 1))
+    assert (reality_map(_load(tmp_path, doc)) is not None) is taken
+
+
+def test_ring_square_root_of_one_sign_folds(tmp_path):
+    # sqrt(t*t) is t on [0.5, 2], where this ring is ec4.
+    doc = _chain_doc(4, EC4_DIAG, ["sqrt(t*t)", "t", "t", "t"], "ring", "[0.5, 2]")
+    family = _load(tmp_path, doc)
+    ec4 = reality_map(get_family(Model.EC4))
+    rmap = reality_map(family)
+    assert [r for r in rmap.roots if 0.5 < r < 2] == [r for r in ec4.roots if 0.5 < r < 2]
+    assert domain_report(family, 0.5, 2.0).intervals == domain_report(
+        get_family(Model.EC4), 0.5, 2.0
+    ).intervals
+
+
+def test_non_folding_document_keeps_the_grid_and_eps_real(tmp_path):
+    # Guard: the float path classifies with eps_real, so a threshold wider
+    # than the window's imaginary parts reads the whole range as real.
+    family = _load(tmp_path, GRID_WINDOW_DOC)
+    wide = domain_report(family, 0.0, 1.0, eps_real=1.0)
+    assert wide.intervals == ((0.0, 1.0, 2),)
+    exact = _load(tmp_path, WINDOW_DOC, "exact.yaml")
+    assert domain_report(exact, 0.0, 1.0, eps_real=1.0).intervals[1] == (0.499, 0.501, 2)

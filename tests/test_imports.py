@@ -156,3 +156,20 @@ def test_deferred_modules_load_on_demand(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "oracle-agreement: ok" in proc.stdout
+
+
+def test_exact_engine_loads_neither_numpy_nor_mpmath():
+    probe = (
+        "import json, sys, ptlattice\n"
+        "family = ptlattice.get_family('mdg6-w1')\n"
+        "ptlattice.load_custom_model(sys.argv[1])\n"
+        "before = 'ptlattice.exact' in sys.modules\n"
+        "from ptlattice.exact import reality_map\n"
+        "roots = reality_map(family).roots\n"
+        "loaded = [m for m in ('numpy', 'mpmath') if m in sys.modules]\n"
+        "print(json.dumps([before, len(roots), loaded]))"
+    )
+    doc = SRC.parent / "perfbench" / "demo-chain.yaml"
+    proc = run_python("-c", probe, str(doc))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, 3, []]

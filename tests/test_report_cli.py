@@ -724,3 +724,43 @@ def test_validate_solves_its_samples_at_once_and_raises_the_first_error(
     code, _, err = run(["validate", "--model", "ec4", "--t-min", "0", "--t-max", "1"], capsys)
     assert (code, err) == (4, "error: planted at t=0.30000000000000004\n")
     assert stacks == [11]  # one stacked solve for all 11 samples
+
+
+def test_tracked_section_seeds_off_the_order_six_point(capsys):
+    # t = 0 is the order-6 EP of mdg6-open; the fully real cell is (0, 1].
+    code, out, err = run(
+        ["metric", "--model", "mdg6-open", "--t-min", "-1", "--t-max", "1", "--track"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert "# interval_lo: 0.7328911462724208\n# interval_hi: 1\n" in out
+
+
+@pytest.mark.parametrize(
+    "coupling, warned",
+    [
+        ("sqrt(10000*(t - 0.5)*(t - 0.5) + 0.99)", False),
+        (
+            "sqrt(sqrt((10000*(t - 0.5)*(t - 0.5) + 0.99)*(10000*(t - 0.5)*(t - 0.5) + 0.99)))",
+            True,
+        ),
+    ],
+    ids=["exact-engine", "float-path"],
+)
+def test_islands_warns_of_the_grid_only_on_the_float_path(tmp_path, coupling, warned, capsys):
+    # The 0.002-wide window around t = 0.5 holds a point of the 401-point
+    # grid, whose spacing is 0.0025.
+    path = tmp_path / "window.yaml"
+    path.write_text(
+        "name: window\nn: 2\ntopology: open\ndiag: [\"-1\", \"1\"]\n"
+        f"couplings: [\"{coupling}\"]\nt_range: [0, 1]\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(
+        ["islands", "--config", str(path), "--t-min", "0", "--t-max", "1", "--k", "2",
+         "--steps", "401"],
+        capsys,
+    )
+    assert code == 0
+    assert out.count(",2\n") == 1
+    assert err.startswith("warning: island (0.499, 0.501) is narrower") is warned
