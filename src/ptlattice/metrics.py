@@ -1,7 +1,7 @@
 """Metric operators solving the intertwiner relation H^T Theta = Theta H.
 
-The solution space over symmetric matrices is the SVD kernel of
-``intertwiner``; positive candidates are certified by minimum-eigenvalue
+The solution space over symmetric matrices is the kernel that
+``intertwiner`` solves; positive candidates are certified by minimum-eigenvalue
 sign, and two closed-form reference families are provided for the
 equal-coupling ring and its strengthened-bond variant.  For families
 without a closed form the positivity domain is mapped by tracking one
@@ -10,8 +10,9 @@ continuous section of the kernel along t.
 positivity_interval and tracked_positivity_boundary march a tracked
 section through MetricSection.values, which plans a chunk of points and
 solves the kernels of their steps ahead, keyed by t_k, in stacks
-(intertwiner_bases); the coarse grid takes one stacked eigvalsh per chunk.
-Bisection stays point by point.
+(intertwiner_bases); the metrics of a chunk take one stacked eigvalsh.
+Bisection marches probe by probe, with the kernels of the next two levels
+of probes solved in one stack.
 """
 
 from __future__ import annotations
@@ -214,34 +215,66 @@ def _tracked_section(candidate: MetricCandidate) -> "MetricSection | None":
     return None
 
 
+def _min_eig_chunks(thetas, grid: list, name: str):
+    """The minimal eigenvalue of each sampled metric, -inf in a gap, a chunk at a time.
+
+    Takes _CHUNK_POINTS metrics from thetas for each chunk of the grid and
+    yields their curve, from one stacked eigvalsh.  A metric entry that
+    overflowed raises ModelDomainError.
+    """
+    for start in range(0, len(grid), _CHUNK_POINTS):
+        chunk = list(islice(thetas, _CHUNK_POINTS))
+        curve = np.full(len(chunk), -math.inf)
+        alive = [k for k, theta in enumerate(chunk) if not isinstance(theta, Exception)]
+        if alive:
+            stack = np.stack([chunk[k] for k in alive])
+            if not np.isfinite(stack).all():
+                t = float(grid[start + alive[np.isfinite(stack).all(axis=(1, 2)).argmin()]])
+                raise ModelDomainError(
+                    f"{name} metric: an entry is not finite in double precision at t={t}", t=t
+                )
+            curve[alive] = _min_eig(stack)
+        yield curve
+
+
 def _min_eig_curve(candidate: MetricCandidate, grid: np.ndarray) -> np.ndarray:
     """The minimal eigenvalue of the candidate at each grid point, -inf in a gap.
 
     A tracked section marches the grid through MetricSection.values; other
-    candidates are evaluated point by point.  Each chunk of metrics goes
-    through one stacked eigvalsh.  A metric entry that overflowed raises
-    ModelDomainError; bisection then stays between two finite grid points,
-    where the closed forms, growing with |t|, stay finite too.
+    candidates are evaluated point by point.  Where a metric entry
+    overflowed (ModelDomainError), bisection stays between two finite grid
+    points, where the closed forms, growing with |t|, stay finite too.
     """
     section = _tracked_section(candidate)
     if section is not None:
         thetas = section.values(grid)
     else:
         thetas = (_sample(candidate, t) for t in grid)
-    curve = np.full(grid.size, -math.inf)
-    for start in range(0, grid.size, _CHUNK_STEPS):
-        chunk = list(islice(thetas, _CHUNK_STEPS))
-        alive = [k for k, theta in enumerate(chunk) if not isinstance(theta, Exception)]
-        if alive:
-            stack = np.stack([chunk[k] for k in alive])
-            if not np.isfinite(stack).all():
-                t = float(grid[start + alive[np.isfinite(stack).all(axis=(1, 2)).argmin()]])
-                name = candidate.provenance.value
-                raise ModelDomainError(
-                    f"{name} metric: an entry is not finite in double precision at t={t}", t=t
-                )
-            curve[start + np.array(alive)] = _min_eig(stack)
-    return curve
+    chunks = _min_eig_chunks(thetas, grid, candidate.provenance.value)
+    return np.concatenate(list(chunks))
+
+
+def _bisect_positivity(candidate: MetricCandidate, inside: float, outside: float, tol: float):
+    """bisect_edge on whether the candidate's sampled metric is positive.
+
+    On a tracked section each probe first has MetricSection._solve_probes_ahead
+    solve its kernels; its march and its result are those of value(t) alone.
+    """
+    section = _tracked_section(candidate)
+    bracket = [inside, outside]
+
+    def keep(t: float) -> bool:
+        if section is not None:
+            section._solve_probes_ahead(t, *bracket)
+        positive = _positive(_sample(candidate, t))
+        bracket[0 if positive else 1] = t
+        return positive
+
+    try:
+        return bisect_edge(keep, inside, outside, tol)
+    finally:
+        if section is not None:
+            section._drop_ahead()
 
 
 def positivity_interval(
@@ -258,7 +291,8 @@ def positivity_interval(
     of the widest positive run is then bisected to the requested bracket.
     If no sample is positive the report is empty (interval=None).  A
     candidate built on a MetricSection's value method samples the coarse
-    grid in planned chunks; bisection stays point by point.
+    grid in planned chunks, and its bisection solves the kernels of its
+    probes a few at a time (_bisect_positivity).
     """
     check_bracket(lo, hi, tol)
     steps = grid_steps(
@@ -276,7 +310,7 @@ def positivity_interval(
     first, last = max(runs, key=lambda r: grid[r[1]] - grid[r[0]])
 
     def bisect(pos_t: float, neg_t: float) -> float:
-        return bisect_edge(lambda t: _positive(_sample(candidate, t)), pos_t, neg_t, tol)
+        return _bisect_positivity(candidate, pos_t, neg_t, tol)
 
     left = grid[first] if first == 0 else bisect(grid[first], grid[first - 1])
     right = grid[last] if last == len(grid) - 1 else bisect(grid[last], grid[last + 1])
@@ -287,9 +321,13 @@ def positivity_interval(
 # projection onto the next kernel may keep before the branch counts as lost.
 _SECTION_STEP = 1.0 / 400.0
 _SECTION_MIN_OVERLAP = 0.5
-# Steps whose kernels a planned march solves in one stack, and points whose
-# metrics share one stacked eigvalsh; it bounds what is held ahead of use.
-_CHUNK_STEPS = 32
+# Points whose metrics share one stacked eigvalsh.
+_CHUNK_POINTS = 32
+# Steps in one stack of kernels solved ahead: as many as keep its Q factors,
+# q^2 floats a step for q = n(n+1)/2, within those of 32 steps at n = 6, and
+# at most 64, as the stack that runs past a loss solves kernels no march
+# reaches.  One stack bounds what a march holds ahead of use.
+_STACK_FLOATS, _STACK_STEPS = 32 * 21 * 21, 64
 
 
 class MetricSection:
@@ -304,12 +342,13 @@ class MetricSection:
 
     A march is a plan and its execution.  The plan (_plan) is the nearest
     anchor and the steps t_k, which depend on the anchor ts alone.  values()
-    plans a chunk of points on a shadow copy of the anchors, solves their
-    steps' kernels ahead in stacks of _CHUNK_STEPS, keyed by t_k, then
-    marches each point in order with value(), which replans it on the real
-    anchors and takes each step's kernel solved ahead, or solves it alone.
-    A kernel depends on its step alone, so the result and the point of
-    failure are those of value(t) called point after point.
+    plans a chunk of points ahead and queues their steps, whose kernels are
+    solved a stack at a time, keyed by t_k, as the march reaches them.  It
+    marches each point in order with value(), which takes the plan made for
+    it while the anchors are those it was made on, and each step's kernel
+    solved ahead, or solves it alone.  A kernel depends on its step alone,
+    so the result and the point of failure are those of value(t) called
+    point after point.
     """
 
     def __init__(self, family, *, t_seed: float = 0.0):
@@ -321,8 +360,14 @@ class MetricSection:
         self._anchors: dict[float, tuple[int, np.ndarray]] = {}
         self._keys: list[float] = []
         self._store(float(t_seed), seed)
-        # Step t_k -> its kernel, or the error solving it raises, from values().
+        q = n * (n + 1) // 2
+        self._stack_steps = min(_STACK_STEPS, max(1, _STACK_FLOATS // (q * q)))
+        # From values(): step t_k -> its kernel, or the error solving it
+        # raises; the queued steps not solved yet; and point t -> (anchor
+        # count, anchor, step count), its plan.
         self._ahead: dict[float, SolutionBasis | Exception] = {}
+        self._queued: list[float] = []
+        self._plans: dict[float, tuple[int, float, int]] = {}
 
     def _store(self, t: float, theta: np.ndarray) -> None:
         if t in self._anchors:
@@ -339,119 +384,186 @@ class MetricSection:
         """
         keys = self._keys
         p = bisect_left(keys, t)
-        best = min(abs(t - keys[i]) for i in (p - 1, p) if 0 <= i < len(keys))
+        best = t - keys[p - 1] if p else math.inf
+        if p < len(keys):
+            best = min(best, keys[p] - t)
         lo = hi = p
         while lo > 0 and abs(t - keys[lo - 1]) == best:
             lo -= 1
         while hi < len(keys) and abs(t - keys[hi]) == best:
             hi += 1
+        if hi - lo == 1:
+            return keys[lo]
         return min(keys[lo:hi], key=lambda a: self._anchors[a][0])
 
-    def _plan(self, t: float) -> tuple[float, list[float]]:
-        """The anchor a march to t starts from, and its steps t_k."""
+    def _plan(self, t: float) -> tuple[float, int]:
+        """The anchor a march to t starts from, and its number of steps."""
         anchor_t = self._nearest_anchor(t)
         distance = abs(t - anchor_t)
-        if distance == 0.0:
-            return anchor_t, []
-        steps = max(1, math.ceil(distance / _SECTION_STEP))
-        return anchor_t, [anchor_t + (t - anchor_t) * k / steps for k in range(1, steps + 1)]
+        return anchor_t, 0 if distance == 0.0 else max(1, math.ceil(distance / _SECTION_STEP))
+
+    @staticmethod
+    def _steps(anchor_t: float, t: float, count: int, take: int | None = None) -> list[float]:
+        """The steps t_k of a march from anchor_t to t in count steps, or its first take."""
+        take = count if take is None else min(take, count)
+        return [anchor_t + (t - anchor_t) * k / count for k in range(1, take + 1)]
 
     def _project(self, theta_prev: np.ndarray, basis: SolutionBasis, t: float) -> np.ndarray:
-        elements = np.stack(basis.elements)
-        # An (n, 1, k) @ (k, 1) product: one dot per element, bit for bit
-        # np.tensordot(b, theta_prev); the ordered sum below keeps its bits too.
-        coeffs = (elements.reshape(len(elements), 1, -1) @ theta_prev.reshape(-1, 1)).ravel()
-        theta = sum(c * b for c, b in zip(coeffs, basis.elements))
-        overlap = float(np.linalg.norm(theta)) / max(
-            float(np.linalg.norm(theta_prev)), np.finfo(float).tiny
-        )
+        n = self.family.n
+        flat = basis.elements.reshape(basis.dim, n * n)
+        prev = theta_prev.ravel()
+        coeffs = flat @ prev
+        theta = coeffs @ flat
+        # The elements are orthonormal, so ||theta|| = ||coeffs||; theta_prev
+        # has trace n, so its norm is at least sqrt(n).
+        overlap = math.sqrt(float(coeffs @ coeffs) / float(prev @ prev))
         if overlap < _SECTION_MIN_OVERLAP:
             raise TrackingError(
                 f"section lost at t={t}: projection kept only {overlap:.2f} of the norm"
             )
-        trace = float(np.trace(theta))
+        trace = sum(theta[:: n + 1].tolist())
         if trace <= 0:
             raise TrackingError(f"section lost at t={t}: nonpositive trace")
-        return theta * (self.family.n / trace)
+        return theta.reshape(n, n) * (n / trace)
 
     def value(self, t: float) -> np.ndarray:
-        """Tracked Theta(t); marches from the nearest cached anchor."""
-        anchor_t, steps = self._plan(float(t))
+        """Tracked Theta(t); marches from the nearest cached anchor.
+
+        values() and _solve_probes_ahead leave the plan they made for t in
+        _plans, with the anchor count it was made for; the plan is taken
+        while that count holds, since anchors are only added, and t is
+        planned anew otherwise.
+        """
+        t = float(t)
+        size, anchor_t, count = self._plans.pop(t, (-1, t, 0))
+        if size != len(self._anchors):
+            anchor_t, count = self._plan(t)
         theta = self._anchors[anchor_t][1]
-        for tk in steps:
+        for tk in self._steps(anchor_t, t, count):
             basis = self._ahead.pop(tk, None)
+            if basis is None and self._queued:
+                self._solve_next_stack()
+                basis = self._ahead.pop(tk, None)
             if basis is None:
                 basis = intertwiner_basis(self.family.matrix(tk))
             elif isinstance(basis, Exception):
-                raise basis
+                # Kept: past a loss, the marches of a chunk share first steps.
+                self._ahead[tk] = basis
+                raise copy.copy(basis)
             theta = self._project(theta, basis, tk)
             self._store(tk, theta)
         return theta
 
-    def _plan_chunk(self, ts: list, start: int) -> tuple[int, list[float]]:
-        """End of the chunk of ts from start, and the steps its marches plan.
+    def _plan_chunk(self, ts: list, start: int, lost: bool) -> tuple[int, list[float]]:
+        """Plan a chunk of ts from start into _plans; its end and its steps.
 
-        The points are planned in order on a shadow copy of the anchors,
-        each as if every march before it had succeeded, until the chunk
-        holds at least _CHUNK_STEPS steps.
+        After a success the points are planned in order on a shadow copy of
+        the anchors, each as if every march before it had succeeded, and
+        every step counts.  After a loss they are planned on the anchors as
+        they are, as if every march before failed at its first step, and
+        only first steps count.  The chunk ends once it holds at least a
+        stack of steps.
         """
-        shadow = copy.copy(self)
-        shadow._anchors = dict(self._anchors)
-        shadow._keys = list(self._keys)
+        shadow = self
+        if not lost:
+            shadow = copy.copy(self)
+            shadow._anchors = dict(self._anchors)
+            shadow._keys = list(self._keys)
         steps: list[float] = []
         stop = start
-        while stop < len(ts) and len(steps) < _CHUNK_STEPS:
-            _, planned = shadow._plan(ts[stop])
-            for tk in planned:
-                shadow._store(tk, None)
+        while stop < len(ts) and len(steps) < self._stack_steps:
+            t = ts[stop]
+            anchor_t, count = shadow._plan(t)
+            self._plans.setdefault(t, (len(shadow._anchors), anchor_t, count))
+            planned = self._steps(anchor_t, t, count, 1 if lost else None)
+            if not lost:
+                for tk in planned:
+                    shadow._store(tk, None)
             steps += planned
             stop += 1
         return stop, steps
 
     def _solve_ahead(self, steps: list) -> None:
-        """Solve the kernels of steps ahead, _CHUNK_STEPS to a stack, up to
-        the first stack with an error row (no march passes it) or one that
-        the family or the stack rejects (value() solves those steps alone)."""
-        for k in range(0, len(steps), _CHUNK_STEPS):
-            window = steps[k:k + _CHUNK_STEPS]
-            try:
-                rows = intertwiner_bases(self.family.matrices(window))
-            except Exception:
-                return
-            self._ahead.update(zip(window, rows))
-            if any(isinstance(row, Exception) for row in rows):
-                return
+        """Queue the kernels of steps to be solved ahead, and solve a stack."""
+        self._queued = list(steps)
+        if self._queued:
+            self._solve_next_stack()
+
+    def _solve_next_stack(self) -> None:
+        """Solve the next stack of queued steps, into _ahead.
+
+        value() solves the next stack when it reaches a step not solved
+        yet, so a march holds at most one stack ahead of use.  The queue is
+        dropped after a stack with an error row (no march passes it) or
+        one that the family or the stack rejects (value() solves those
+        steps alone).
+        """
+        stack = self._queued[: self._stack_steps]
+        del self._queued[: self._stack_steps]
+        try:
+            rows = intertwiner_bases(self.family.matrices(stack))
+        except Exception:
+            self._queued = []
+            return
+        self._ahead.update(zip(stack, rows))
+        if any(isinstance(row, Exception) for row in rows):
+            self._queued = []
+
+    def _drop_ahead(self) -> None:
+        """Forget the kernels, the queue and the plans made ahead of a march."""
+        self._ahead.clear()
+        self._queued = []
+        self._plans.clear()
+
+    def _solve_probes_ahead(self, t: float, inside: float, outside: float) -> None:
+        """Before bisect_edge probes t in the bracket [inside, outside].
+
+        Unless the kernels of the steps to t were solved ahead, they are
+        solved in one stack with those of the six probes that may follow in
+        the next two levels; so about every third probe solves a stack.
+        """
+        anchor_t, count = self._plan(t)
+        self._plans[t] = (len(self._anchors), anchor_t, count)
+        steps = self._steps(anchor_t, t, count)
+        if all(tk in self._ahead for tk in steps):
+            return
+        self._ahead.clear()
+        # bisect_edge's next midpoint, after t is kept or not, and the next after it.
+        up, down = (t + outside) / 2, (inside + t) / 2
+        probes = [up, (up + outside) / 2, (t + up) / 2, down, (down + t) / 2, (inside + down) / 2]
+        self._solve_ahead(steps + probes)
 
     def values(self, ts):
         """Tracked Theta at each t in order, as value(t) gives them one by one.
 
         Yields value(t), or the BrokenPhaseError, DegenerateSpectrumError or
         TrackingError that it raises; any other error propagates.  A chunk
-        is marched only as far as the caller takes its points.  After a
-        point fails, the next one marches alone without a plan, since a
-        plan made past a lost section would be spent on kernels no march
-        reaches; planning resumes after the next point that succeeds.
+        is marched only as far as the caller takes its points.  Each chunk
+        is planned on what the point before it did (_plan_chunk): after a
+        success on the marches succeeding, after a loss on them failing at
+        once, as past a lost section they mostly do, so their first steps
+        are solved in one stack.  A chunk ends early where that guess
+        breaks: at a loss after a success, and at a success or a new
+        anchor after a loss.
         """
         ts = [float(t) for t in ts]
         start, lost = 0, False
         while start < len(ts):
-            if lost:
-                stop = start + 1
-            else:
-                stop, steps = self._plan_chunk(ts, start)
-                self._solve_ahead(steps)
+            stop, steps = self._plan_chunk(ts, start, lost)
+            self._solve_ahead(steps)
             try:
                 for t in ts[start:stop]:
                     start += 1
+                    was_lost, count = lost, len(self._anchors)
                     try:
                         theta, lost = self.value(t), False
                     except _SECTION_GAPS as exc:
                         theta, lost = exc.with_traceback(None), True
                     yield theta
-                    if lost:
+                    if lost != was_lost or (lost and len(self._anchors) != count):
                         break
             finally:
-                self._ahead.clear()
+                self._drop_ahead()
 
 
 def tracked_positivity_boundary(
@@ -463,8 +575,12 @@ def tracked_positivity_boundary(
     tracked metric stops being positive definite or the kernel itself
     degenerates (broken phase or eigenvalue collision).  The edge is then
     bisected to the requested bracket width.  The probes go through one
-    MetricSection.values march, which plans and solves them one chunk at a
-    time and marches no further than the first lost one.
+    MetricSection.values march, which plans and solves them a chunk at a
+    time, and the chunk's metrics through one stacked eigvalsh.  The march
+    thus runs to the end of the chunk that holds the first lost probe; the
+    anchors it leaves past that probe are farther from every point of the
+    bracket than the probe itself, so the bisection is that of a march
+    that stops at the first lost probe.
 
     The endpoint is a property of the projection-transported section: the
     kernel bundle admits many smooth sections through the same seed, and
@@ -481,10 +597,12 @@ def tracked_positivity_boundary(
     while ts[-1] < search_max:
         ts.append(min(search_max, ts[-1] + _SECTION_STEP))
     probes = section.values(ts[1:])
-    for good, t, theta in zip(ts, ts[1:], probes):
-        if not _positive(theta):
+    chunks = _min_eig_chunks(probes, ts[1:], candidate.provenance.value)
+    for start, curve in zip(range(1, len(ts), _CHUNK_POINTS), chunks):
+        if not (curve > 0).all():
             probes.close()  # drops the kernels solved ahead of the probes
-            return bisect_edge(lambda u: _positive(_sample(candidate, u)), good, t, tol)
+            k = start + int((curve > 0).argmin())
+            return _bisect_positivity(candidate, ts[k - 1], ts[k], tol)
     raise BracketError(
         f"metric stayed positive on [0.0, {search_max}]; no boundary found"
     )

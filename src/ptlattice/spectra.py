@@ -233,9 +233,12 @@ def _spectrum_errors(rows: np.ndarray, diagonals, tol: float = EPS_SPEC) -> list
     if not finite.all():
         rows = np.where(finite[:, None], rows, 0.0)
     bound = tol * np.maximum(1.0, np.abs(rows).max(axis=1))
-    cost = np.abs(rows[:, :, None] - rows.conj()[:, None, :])
-    cols = _bottleneck_assignment(cost)
-    closure = cost[np.arange(m)[:, None], np.arange(n), cols].max(axis=1)
+    if rows.imag.any():
+        cost = np.abs(rows[:, :, None] - rows.conj()[:, None, :])
+        cols = _bottleneck_assignment(cost)
+        closure = cost[np.arange(m)[:, None], np.arange(n), cols].max(axis=1)
+    else:  # real rows are their own conjugates
+        closure = np.zeros(m)
     # |row sum - trace|, taken at a power of two 2**-k <= 1/n: the scaling
     # is exact and keeps every partial sum finite.  A nan drift fails.
     unit = 0.5 ** (n - 1).bit_length()

@@ -1,6 +1,7 @@
 """Metric operators: kernel bases, closed forms, positivity, tracking."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,15 +101,28 @@ _UNBROKEN_POINTS = {
 }
 
 
+def _kernel_projector(elements):
+    """sum_k vec_sym(theta_k) vec_sym(theta_k)^T: the kernel, free of the basis gauge."""
+    vectors = vec_sym(np.asarray(elements))
+    return vectors.T @ vectors
+
+
 @pytest.mark.parametrize("family", list(iter_families()), ids=lambda f: f.name)
 def test_intertwiner_basis_equals_the_entrywise_construction(family):
+    # A kernel basis is unique only up to an orthogonal change of basis, so
+    # the two constructions are compared through their kernel projectors.
     for t in _UNBROKEN_POINTS[family.name]:
         h = family.matrix(t)
-        elements = intertwiner_basis(h).elements
+        basis = intertwiner_basis(h)
         reference = _loop_basis(h)
-        assert len(elements) == len(reference) == family.n
-        for theta, expected in zip(elements, reference):
-            assert np.array_equal(theta, expected)
+        assert basis.dim == len(reference) == family.n
+        projector = _kernel_projector(basis.elements)
+        assert np.abs(projector - _kernel_projector(reference)).max() < 1e-12
+        vectors = vec_sym(basis.elements)
+        assert np.abs(vectors @ vectors.T - np.eye(family.n)).max() < 1e-12
+        for theta in basis.elements:
+            assert np.array_equal(theta, theta.T)
+            assert intertwiner_residual(theta, h) < 1e-12
 
 
 def test_intertwiner_basis_dimension_and_residuals():
@@ -433,6 +447,59 @@ def test_intertwiner_bases_reports_a_non_finite_row_and_rejects_a_bad_shape():
         intertwiner_bases(EC4.matrix(0.5))
 
 
+def _singular_value_dims(r, n):
+    """The kernel dimension n + p - #(s > 1e-9 max(1, s_max)) of each R."""
+    s = np.linalg.svd(r, compute_uv=False)
+    return [n + r.shape[-1] - int((row > 1e-9 * max(1.0, row.max())).sum()) for row in s]
+
+
+def _triangular_with_singular_values(s, seed):
+    """An upper-triangular R with the singular values s: the R of U diag(s) V^T."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((s.size, s.size)))
+    v, _ = np.linalg.qr(rng.standard_normal((s.size, s.size)))
+    return np.linalg.qr((u * s) @ v.T, mode="r")
+
+
+def test_certified_rank_rule_gives_the_singular_value_dims():
+    from ptlattice.intertwiner import _kernel_dims
+
+    n, p = 4, 6
+    threshold = 1e-9 * 10.0  # s_max = 10
+    cases = [
+        np.array([10.0, 5.0, 3.0, 2.0, 1.0, 0.5]),  # settled by the bound
+        np.array([10.0, 5.0, 3.0, 2.0, 1.0, 1.001 * threshold]),  # just above
+        np.array([10.0, 5.0, 3.0, 2.0, 1.0, 0.999 * threshold]),  # just below
+        np.array([10.0, 5.0, 3.0, 2.0, 0.999 * threshold, 0.5 * threshold]),
+    ]
+    r = np.stack([_triangular_with_singular_values(s, k) for k, s in enumerate(cases)])
+    triangular = np.triu(np.random.default_rng(9).standard_normal((2, p, p)))
+    triangular[0, 2, 2] = 0.0  # exactly rank-deficient
+    triangular[1, 2, 2] = 1e-300  # R^-1 overflows
+    r = np.concatenate([r, triangular])
+    expected = _singular_value_dims(r, n)
+    assert expected == [4, 4, 5, 6, 5, 5]
+    assert _kernel_dims(r, n) == expected
+    # A stack without the exactly singular R takes the bound; alone, each R agrees too.
+    assert _kernel_dims(r[:4], n) == expected[:4]
+    for k in range(len(r)):
+        assert _kernel_dims(r[k:k + 1], n) == expected[k:k + 1]
+
+
+def test_one_and_two_site_matrices_have_their_kernels_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = intertwiner_bases(np.array([[[1.5]], [[-2.0]]]))
+        two = intertwiner_bases(np.array([[[1.0, 0.5], [0.3, -1.0]]]))
+    for basis, n in [(one[0], 1), (one[1], 1), (two[0], 2)]:
+        assert basis.dim == n
+        vectors = vec_sym(basis.elements)
+        assert np.abs(vectors @ vectors.T - np.eye(n)).max() < 1e-12
+    h = np.array([[1.0, 0.5], [0.3, -1.0]])
+    for theta in two[0].elements:
+        assert intertwiner_residual(theta, h) < 1e-12
+
+
 def _assert_same_anchors(section, reference):
     assert section._keys == reference._keys
     assert list(section._anchors) == list(reference._anchors)
@@ -495,6 +562,9 @@ def _assert_values_match_value(section, reference, grid):
         ("ec4-recoupled", 0.7, [0.9, 0.95, 0.97, 1.1, 0.96, 0.5, 0.99, 0.8, 0.9658, 1.3, 0.2]),
         # Down through the EP at t = 0.16316 and up again.
         ("mdg6-w1", 0.3, list(np.linspace(0.3, 0.12, 90)) + [0.25, 0.17, 0.1, 0.6]),
+        # From inside the EP at t = 0.96584 to well past it: after the loss the
+        # points are planned on the anchors as they are, in stacks.
+        ("ec4-recoupled", 0.7, list(np.linspace(0.9, 1.4, 120))),
     ],
 )
 def test_values_keep_the_raise_points_and_anchors_of_the_sequential_march(name, seed, grid):
@@ -586,3 +656,36 @@ def test_values_solve_no_stack_ahead_past_a_step_whose_kernel_fails(monkeypatch)
     failed = [any(isinstance(row, Exception) for row in rows) for rows in stacks]
     assert failed == [False] * (len(stacks) - 1) + [True]
     assert len(stacks) < math.ceil(280 / 32)
+
+
+def test_positivity_past_a_lost_section_solves_its_first_steps_in_stacks(monkeypatch):
+    import ptlattice.metrics as metrics
+
+    one_row = []
+    monkeypatch.setattr(
+        metrics, "intertwiner_basis", lambda h: one_row.append(h) or intertwiner_basis(h)
+    )
+    section = MetricSection(get_family(Model.EC4_RECOUPLED), t_seed=0.7)
+    positivity_interval(_tracked_candidate(section.value), 0.0, 1.4, 1e-10)
+    # About 320 grid points lie past the EP at t = 0.96584; each fails at its first step.
+    assert len(one_row) <= 60
+
+
+@pytest.mark.parametrize(
+    "name, lo, hi, expected",
+    [
+        ("mdg6-w1", 0.2, 0.9, (0.732834409993887, 0.9)),
+        ("ec4-recoupled", 0.0, 1.4, (0.0, 0.9658391621649267)),
+        ("ec4-recoupled", -1.6, 1.6, (-0.9658391622066498, 0.96583916220665)),
+    ],
+)
+def test_tracked_positivity_intervals_are_pinned(name, lo, hi, expected):
+    seed = 0.0 if lo < 0.0 < hi else (lo + hi) / 2  # the command line's seed rule
+    section = MetricSection(get_family(name), t_seed=seed)
+    report = positivity_interval(_tracked_candidate(section.value), lo, hi, 1e-10)
+    assert report.interval == expected
+
+
+def test_tracked_boundary_is_pinned():
+    boundary = tracked_positivity_boundary(get_family(Model.EC4_RECOUPLED), 1e-8)
+    assert boundary == 0.9658391618728542
