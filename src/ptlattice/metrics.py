@@ -7,19 +7,18 @@ equal-coupling ring and its strengthened-bond variant.  For families
 without a closed form the positivity domain is mapped by tracking one
 continuous section of the kernel along t.
 
-positivity_interval and tracked_positivity_boundary march a tracked
-section through MetricSection.values, which plans a chunk of points and
-solves the kernels of their steps ahead, keyed by t_k, in stacks
-(intertwiner_bases); the metrics of a chunk take one stacked eigvalsh.
-Bisection marches probe by probe, with the kernels of the next two levels
-of probes solved in one stack.
+A tracked section (MetricSection) is transported along a fixed lattice of
+t from its seed, so Theta(t) depends on t alone.  positivity_interval and
+tracked_positivity_boundary sample it through MetricSection.values, which
+solves its kernels in stacks (intertwiner_bases); the metrics of a chunk
+take one stacked eigvalsh.  Bisection samples each new probe together with
+the probes of its next two levels, and keeps what it has sampled.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -38,7 +37,6 @@ from .errors import (
 )
 from .domains import bisect_edge
 from .intertwiner import (
-    SolutionBasis,
     intertwiner_bases,
     intertwiner_basis,
     intertwiner_residual,
@@ -257,24 +255,30 @@ def _min_eig_curve(candidate: MetricCandidate, grid: np.ndarray) -> np.ndarray:
 def _bisect_positivity(candidate: MetricCandidate, inside: float, outside: float, tol: float):
     """bisect_edge on whether the candidate's sampled metric is positive.
 
-    On a tracked section each probe first has MetricSection._solve_probes_ahead
-    solve its kernels; its march and its result are those of value(t) alone.
+    On a tracked section, whose Theta depends on t alone, a probe not
+    sampled yet is sampled in one MetricSection.values call with the six
+    probes that may follow it in bisect_edge's next two levels, and the
+    results are kept; so about every third probe solves a stack of kernels.
     """
     section = _tracked_section(candidate)
     bracket = [inside, outside]
+    seen: dict[float, bool] = {}
 
     def keep(t: float) -> bool:
-        if section is not None:
-            section._solve_probes_ahead(t, *bracket)
-        positive = _positive(_sample(candidate, t))
+        if section is None:
+            positive = _positive(_sample(candidate, t))
+        else:
+            if t not in seen:
+                # bisect_edge's next midpoint, after t is kept or not, and the next after it.
+                up, down = (t + bracket[1]) / 2, (bracket[0] + t) / 2
+                probes = [t, up, (up + bracket[1]) / 2, (t + up) / 2,
+                          down, (down + t) / 2, (bracket[0] + down) / 2]
+                seen.update(zip(probes, map(_positive, section.values(probes))))
+            positive = seen[t]
         bracket[0 if positive else 1] = t
         return positive
 
-    try:
-        return bisect_edge(keep, inside, outside, tol)
-    finally:
-        if section is not None:
-            section._drop_ahead()
+    return bisect_edge(keep, inside, outside, tol)
 
 
 def positivity_interval(
@@ -291,8 +295,9 @@ def positivity_interval(
     of the widest positive run is then bisected to the requested bracket.
     If no sample is positive the report is empty (interval=None).  A
     candidate built on a MetricSection's value method samples the coarse
-    grid in planned chunks, and its bisection solves the kernels of its
-    probes a few at a time (_bisect_positivity).
+    grid through MetricSection.values, and its bisection solves the kernels
+    of its probes a few at a time (_bisect_positivity).  The grid sets only
+    where the section is sampled: Theta(t) itself does not depend on it.
     """
     check_bracket(lo, hi, tol)
     steps = grid_steps(
@@ -317,16 +322,16 @@ def positivity_interval(
     return PositivityReport(interval=(float(left), float(right)), min_eig_samples=samples, tol=tol)
 
 
-# Longest t-step of a section march, and the least share of the norm a
+# Spacing of a section's lattice, and the least share of the norm a
 # projection onto the next kernel may keep before the branch counts as lost.
 _SECTION_STEP = 1.0 / 400.0
 _SECTION_MIN_OVERLAP = 0.5
 # Points whose metrics share one stacked eigvalsh.
 _CHUNK_POINTS = 32
-# Steps in one stack of kernels solved ahead: as many as keep its Q factors,
-# q^2 floats a step for q = n(n+1)/2, within those of 32 steps at n = 6, and
-# at most 64, as the stack that runs past a loss solves kernels no march
-# reaches.  One stack bounds what a march holds ahead of use.
+# Points in one stack of kernels: as many as keep its Q factors, q^2 floats
+# a point for q = n(n+1)/2, within those of 32 points at n = 6, and at most
+# 64, as the stack that grows the lattice past a loss solves kernels that no
+# point reaches.
 _STACK_FLOATS, _STACK_STEPS = 32 * 21 * 21, 64
 
 
@@ -334,81 +339,37 @@ class MetricSection:
     """One continuous branch of the intertwiner kernel along t.
 
     Kernel bases from a generic solver are arbitrarily gauged per call, so
-    the section marches in steps of at most _SECTION_STEP from the seed,
-    projecting the previous metric onto each new kernel and renormalizing
-    the trace.  A projection that loses more than half the norm means the
-    branch was lost and raises.  Anchors are cached so repeated probes stay
-    cheap, and kept in sorted order so the nearest one is found by bisection.
+    the section is transported along the fixed lattice t_k = t_seed + k h,
+    h = _SECTION_STEP: Theta_0 is the projection of I onto the kernel at
+    the seed, and Theta_{k+-1} the projection of Theta_k onto the kernel at
+    t_{k+-1}, with its trace renormalized to n.  Theta(t) is Theta_k where t
+    is t_k, and else one projection of Theta_k onto the kernel at t, for k
+    the lattice point next to t on the seed's side.  So Theta(t) depends on
+    t alone, not on the points asked before it or on a sampling grid.
 
-    A march is a plan and its execution.  The plan (_plan) is the nearest
-    anchor and the steps t_k, which depend on the anchor ts alone.  values()
-    plans a chunk of points ahead and queues their steps, whose kernels are
-    solved a stack at a time, keyed by t_k, as the march reaches them.  It
-    marches each point in order with value(), which takes the plan made for
-    it while the anchors are those it was made on, and each step's kernel
-    solved ahead, or solves it alone.  A kernel depends on its step alone,
-    so the result and the point of failure are those of value(t) called
-    point after point.
+    A projection that loses more than half the norm means the branch was
+    lost and raises TrackingError.  The first lattice index lost on each
+    side keeps its error, and every t at or past it yields a copy of it
+    without solving a kernel.
     """
 
     def __init__(self, family, *, t_seed: float = 0.0):
         self.family = family
         n = family.n
+        self._t_seed = float(t_seed)
         basis = intertwiner_basis(family.matrix(t_seed))
         seed = self._project(np.eye(n), basis, t_seed)
-        # Anchor t -> (insertion rank, Theta), and the anchor ts sorted.
-        self._anchors: dict[float, tuple[int, np.ndarray]] = {}
-        self._keys: list[float] = []
-        self._store(float(t_seed), seed)
+        # Theta_k at index |k| of the arm on the side of k's sign, and the
+        # error of the first index lost on a side, the length of its arm.
+        self._arms = {1: [seed], -1: [seed]}
+        self._lost: dict[int, Exception] = {}
         q = n * (n + 1) // 2
         self._stack_steps = min(_STACK_STEPS, max(1, _STACK_FLOATS // (q * q)))
-        # From values(): step t_k -> its kernel, or the error solving it
-        # raises; the queued steps not solved yet; and point t -> (anchor
-        # count, anchor, step count), its plan.
-        self._ahead: dict[float, SolutionBasis | Exception] = {}
-        self._queued: list[float] = []
-        self._plans: dict[float, tuple[int, float, int]] = {}
 
-    def _store(self, t: float, theta: np.ndarray) -> None:
-        if t in self._anchors:
-            self._anchors[t] = (self._anchors[t][0], theta)
-        else:
-            self._anchors[t] = (len(self._anchors), theta)
-            insort(self._keys, t)
-
-    def _nearest_anchor(self, t: float) -> float:
-        """The nearest anchor to t; on a tie, the one inserted first.
-
-        Rounded distances |t - a| never shrink away from t, so the anchors
-        at the least distance form one run of sorted keys beside t.
-        """
-        keys = self._keys
-        p = bisect_left(keys, t)
-        best = t - keys[p - 1] if p else math.inf
-        if p < len(keys):
-            best = min(best, keys[p] - t)
-        lo = hi = p
-        while lo > 0 and abs(t - keys[lo - 1]) == best:
-            lo -= 1
-        while hi < len(keys) and abs(t - keys[hi]) == best:
-            hi += 1
-        if hi - lo == 1:
-            return keys[lo]
-        return min(keys[lo:hi], key=lambda a: self._anchors[a][0])
-
-    def _plan(self, t: float) -> tuple[float, int]:
-        """The anchor a march to t starts from, and its number of steps."""
-        anchor_t = self._nearest_anchor(t)
-        distance = abs(t - anchor_t)
-        return anchor_t, 0 if distance == 0.0 else max(1, math.ceil(distance / _SECTION_STEP))
-
-    @staticmethod
-    def _steps(anchor_t: float, t: float, count: int, take: int | None = None) -> list[float]:
-        """The steps t_k of a march from anchor_t to t in count steps, or its first take."""
-        take = count if take is None else min(take, count)
-        return [anchor_t + (t - anchor_t) * k / count for k in range(1, take + 1)]
-
-    def _project(self, theta_prev: np.ndarray, basis: SolutionBasis, t: float) -> np.ndarray:
+    def _project(self, theta_prev: np.ndarray, basis, t: float) -> np.ndarray:
+        """theta_prev projected onto the kernel at t; a kernel that failed raises its error."""
+        if isinstance(basis, Exception):
+            raise copy.copy(basis)  # a copy: the stored row keeps no traceback
         n = self.family.n
         flat = basis.elements.reshape(basis.dim, n * n)
         prev = theta_prev.ravel()
@@ -426,144 +387,80 @@ class MetricSection:
             raise TrackingError(f"section lost at t={t}: nonpositive trace")
         return theta.reshape(n, n) * (n / trace)
 
-    def value(self, t: float) -> np.ndarray:
-        """Tracked Theta(t); marches from the nearest cached anchor.
+    def _kernels(self, ts: list):
+        """The kernel at each t, or the error solving it gives, from one stack.
 
-        values() and _solve_probes_ahead leave the plan they made for t in
-        _plans, with the anchor count it was made for; the plan is taken
-        while that count holds, since anchors are only added, and t is
-        planned anew otherwise.
+        Where the family or the stack rejects the stack, the kernels are
+        solved one row at a time as they are taken, so an error of the
+        model is raised at its own point; a gap error is yielded.
         """
-        t = float(t)
-        size, anchor_t, count = self._plans.pop(t, (-1, t, 0))
-        if size != len(self._anchors):
-            anchor_t, count = self._plan(t)
-        theta = self._anchors[anchor_t][1]
-        for tk in self._steps(anchor_t, t, count):
-            basis = self._ahead.pop(tk, None)
-            if basis is None and self._queued:
-                self._solve_next_stack()
-                basis = self._ahead.pop(tk, None)
-            if basis is None:
-                basis = intertwiner_basis(self.family.matrix(tk))
-            elif isinstance(basis, Exception):
-                # Kept: past a loss, the marches of a chunk share first steps.
-                self._ahead[tk] = basis
-                raise copy.copy(basis)
-            theta = self._project(theta, basis, tk)
-            self._store(tk, theta)
-        return theta
-
-    def _plan_chunk(self, ts: list, start: int, lost: bool) -> tuple[int, list[float]]:
-        """Plan a chunk of ts from start into _plans; its end and its steps.
-
-        After a success the points are planned in order on a shadow copy of
-        the anchors, each as if every march before it had succeeded, and
-        every step counts.  After a loss they are planned on the anchors as
-        they are, as if every march before failed at its first step, and
-        only first steps count.  The chunk ends once it holds at least a
-        stack of steps.
-        """
-        shadow = self
-        if not lost:
-            shadow = copy.copy(self)
-            shadow._anchors = dict(self._anchors)
-            shadow._keys = list(self._keys)
-        steps: list[float] = []
-        stop = start
-        while stop < len(ts) and len(steps) < self._stack_steps:
-            t = ts[stop]
-            anchor_t, count = shadow._plan(t)
-            self._plans.setdefault(t, (len(shadow._anchors), anchor_t, count))
-            planned = self._steps(anchor_t, t, count, 1 if lost else None)
-            if not lost:
-                for tk in planned:
-                    shadow._store(tk, None)
-            steps += planned
-            stop += 1
-        return stop, steps
-
-    def _solve_ahead(self, steps: list) -> None:
-        """Queue the kernels of steps to be solved ahead, and solve a stack."""
-        self._queued = list(steps)
-        if self._queued:
-            self._solve_next_stack()
-
-    def _solve_next_stack(self) -> None:
-        """Solve the next stack of queued steps, into _ahead.
-
-        value() solves the next stack when it reaches a step not solved
-        yet, so a march holds at most one stack ahead of use.  The queue is
-        dropped after a stack with an error row (no march passes it) or
-        one that the family or the stack rejects (value() solves those
-        steps alone).
-        """
-        stack = self._queued[: self._stack_steps]
-        del self._queued[: self._stack_steps]
         try:
-            rows = intertwiner_bases(self.family.matrices(stack))
+            rows = intertwiner_bases(self.family.matrices(ts))
         except Exception:
-            self._queued = []
+            rows = None
+        if rows is not None:
+            yield from rows
             return
-        self._ahead.update(zip(stack, rows))
-        if any(isinstance(row, Exception) for row in rows):
-            self._queued = []
+        for t in ts:
+            try:
+                row = intertwiner_basis(self.family.matrix(t))
+            except _SECTION_GAPS as exc:
+                row = exc.with_traceback(None)
+            yield row
 
-    def _drop_ahead(self) -> None:
-        """Forget the kernels, the queue and the plans made ahead of a march."""
-        self._ahead.clear()
-        self._queued = []
-        self._plans.clear()
+    def _lattice_point(self, k: int):
+        """Theta_k, or a copy of the error of the first index lost on its side.
 
-    def _solve_probes_ahead(self, t: float, inside: float, outside: float) -> None:
-        """Before bisect_edge probes t in the bracket [inside, outside].
-
-        Unless the kernels of the steps to t were solved ahead, they are
-        solved in one stack with those of the six probes that may follow in
-        the next two levels; so about every third probe solves a stack.
+        The lattice grows up to k a stack of points at a time, and stops at
+        the first point it loses.
         """
-        anchor_t, count = self._plan(t)
-        self._plans[t] = (len(self._anchors), anchor_t, count)
-        steps = self._steps(anchor_t, t, count)
-        if all(tk in self._ahead for tk in steps):
-            return
-        self._ahead.clear()
-        # bisect_edge's next midpoint, after t is kept or not, and the next after it.
-        up, down = (t + outside) / 2, (inside + t) / 2
-        probes = [up, (up + outside) / 2, (t + up) / 2, down, (down + t) / 2, (inside + down) / 2]
-        self._solve_ahead(steps + probes)
+        side = 1 if k >= 0 else -1
+        arm = self._arms[side]
+        while abs(k) >= len(arm) and side not in self._lost:
+            js = range(len(arm), min(abs(k) + 1, len(arm) + self._stack_steps))
+            ts = [self._t_seed + side * j * _SECTION_STEP for j in js]
+            for t, basis in zip(ts, self._kernels(ts)):
+                try:
+                    arm.append(self._project(arm[-1], basis, t))
+                except _SECTION_GAPS as exc:
+                    self._lost[side] = exc.with_traceback(None)
+                    break
+        return arm[abs(k)] if abs(k) < len(arm) else copy.copy(self._lost[side])
 
     def values(self, ts):
-        """Tracked Theta at each t in order, as value(t) gives them one by one.
+        """Tracked Theta at each t in order.
 
-        Yields value(t), or the BrokenPhaseError, DegenerateSpectrumError or
-        TrackingError that it raises; any other error propagates.  A chunk
-        is marched only as far as the caller takes its points.  Each chunk
-        is planned on what the point before it did (_plan_chunk): after a
-        success on the marches succeeding, after a loss on them failing at
-        once, as past a lost section they mostly do, so their first steps
-        are solved in one stack.  A chunk ends early where that guess
-        breaks: at a loss after a success, and at a success or a new
-        anchor after a loss.
+        Yields Theta(t), or the BrokenPhaseError, DegenerateSpectrumError or
+        TrackingError where the section cannot be continued to t; any other
+        error propagates.  The points are taken a stack at a time, as the
+        caller takes them: their lattice points first, then the kernels of
+        those off the lattice in one stack.
         """
         ts = [float(t) for t in ts]
-        start, lost = 0, False
-        while start < len(ts):
-            stop, steps = self._plan_chunk(ts, start, lost)
-            self._solve_ahead(steps)
-            try:
-                for t in ts[start:stop]:
-                    start += 1
-                    was_lost, count = lost, len(self._anchors)
-                    try:
-                        theta, lost = self.value(t), False
-                    except _SECTION_GAPS as exc:
-                        theta, lost = exc.with_traceback(None), True
-                    yield theta
-                    if lost != was_lost or (lost and len(self._anchors) != count):
-                        break
-            finally:
-                self._drop_ahead()
+        for start in range(0, len(ts), self._stack_steps):
+            chunk = ts[start : start + self._stack_steps]
+            ks = [int((t - self._t_seed) / _SECTION_STEP) for t in chunk]
+            for k in sorted({min(ks), max(ks)}, key=abs, reverse=True):
+                self._lattice_point(k)  # the far ends first: each side grows in one pass
+            thetas, off = [], []
+            for t, k in zip(chunk, ks):
+                theta = self._lattice_point(k)
+                if t != self._t_seed + k * _SECTION_STEP and not isinstance(theta, Exception):
+                    off.append(len(thetas))
+                thetas.append(theta)
+            for i, basis in zip(off, self._kernels([chunk[i] for i in off])):
+                try:
+                    thetas[i] = self._project(thetas[i], basis, chunk[i])
+                except _SECTION_GAPS as exc:
+                    thetas[i] = exc.with_traceback(None)
+            yield from thetas
+
+    def value(self, t: float) -> np.ndarray:
+        """Tracked Theta(t): the one-point call of values()."""
+        (theta,) = self.values([t])
+        if isinstance(theta, Exception):
+            raise theta
+        return theta
 
 
 def tracked_positivity_boundary(
@@ -571,16 +468,12 @@ def tracked_positivity_boundary(
 ) -> float:
     """First loss of positivity of the tracked metric section above t = 0.
 
-    Probes march upward in section steps; a probe counts as lost when the
-    tracked metric stops being positive definite or the kernel itself
-    degenerates (broken phase or eigenvalue collision).  The edge is then
-    bisected to the requested bracket width.  The probes go through one
-    MetricSection.values march, which plans and solves them a chunk at a
-    time, and the chunk's metrics through one stacked eigvalsh.  The march
-    thus runs to the end of the chunk that holds the first lost probe; the
-    anchors it leaves past that probe are farther from every point of the
-    bracket than the probe itself, so the bisection is that of a march
-    that stops at the first lost probe.
+    The probes are the section's lattice points below search_max, then
+    search_max; a probe counts as lost when the tracked metric stops being
+    positive definite or the kernel itself degenerates (broken phase or
+    eigenvalue collision).  The lattice grows a chunk of probes at a time
+    up to the chunk that holds the first lost probe, and the edge is then
+    bisected between the last positive probe and the first lost one.
 
     The endpoint is a property of the projection-transported section: the
     kernel bundle admits many smooth sections through the same seed, and
@@ -594,13 +487,12 @@ def tracked_positivity_boundary(
     candidate = MetricCandidate(MetricProvenance.BASIS_COMBINATION, family=section.value)
 
     ts = [0.0]
-    while ts[-1] < search_max:
-        ts.append(min(search_max, ts[-1] + _SECTION_STEP))
-    probes = section.values(ts[1:])
-    chunks = _min_eig_chunks(probes, ts[1:], candidate.provenance.value)
+    while (t := len(ts) * _SECTION_STEP) < search_max:
+        ts.append(t)
+    ts.append(search_max)
+    chunks = _min_eig_chunks(section.values(ts[1:]), ts[1:], candidate.provenance.value)
     for start, curve in zip(range(1, len(ts), _CHUNK_POINTS), chunks):
         if not (curve > 0).all():
-            probes.close()  # drops the kernels solved ahead of the probes
             k = start + int((curve > 0).argmin())
             return _bisect_positivity(candidate, ts[k - 1], ts[k], tol)
     raise BracketError(

@@ -323,7 +323,8 @@ def _frobenius_scales(stack: np.ndarray) -> np.ndarray:
 def sweep_eigenvalues(stack) -> np.ndarray:
     """Eigenvalues of an (m, n, n) matrix stack, one canonically sorted row each.
 
-    All matrices go through a single stacked LAPACK call.  Rows whose
+    The rows are those of eigenvalue_rows, one stacked LAPACK call behind
+    the closure and trace gates; the first row error is raised.  Rows whose
     minimal eigenvalue gap falls below _POLISH_REL * max(1, ||H||_F) sit
     near a coalescence where QR accuracy degrades to u^(1/k); those rows are
     re-solved through the exact characteristic polynomial of the same
@@ -339,11 +340,10 @@ def sweep_eigenvalues(stack) -> np.ndarray:
         )
     if not np.all(np.isfinite(stack)):
         raise InvalidSpecError("matrix entries must be finite")
-    try:
-        vals = np.linalg.eigvals(stack).astype(complex)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"stacked eigensolver failed: {exc}") from exc
-    rows = np.take_along_axis(vals, np.lexsort((vals.imag, vals.real), axis=-1), -1)
+    rows, errors = eigenvalue_rows(stack)
+    failed = [k for k, error in enumerate(errors) if error is not None]
+    if failed:
+        raise errors.pop(failed[0])  # popped, as in intertwiner_basis
     if stack.shape[1] > MAX_ORACLE_N:
         return rows
     scales = _frobenius_scales(stack)

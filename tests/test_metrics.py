@@ -350,55 +350,6 @@ def test_candidate_without_family_refuses_at():
         candidate.at(0.5)
 
 
-def _linear_nearest(section, t):
-    # The reference rule: min over anchors in insertion order.
-    return min(section._anchors, key=lambda a: abs(t - a))
-
-
-def test_nearest_anchor_matches_the_linear_scan_on_every_tracked_probe(
-    monkeypatch, capsys
-):
-    from ptlattice.cli import main
-
-    lookup = MetricSection._nearest_anchor
-    probes = []
-
-    def checked(self, t):
-        anchor = lookup(self, t)
-        assert anchor == _linear_nearest(self, t), t
-        probes.append(t)
-        return anchor
-
-    monkeypatch.setattr(MetricSection, "_nearest_anchor", checked)
-    args = ["metric", "--model", "mdg6-w1", "--t-min", "0.2", "--t-max", "0.9", "--track"]
-    assert main(args) == 0
-    capsys.readouterr()
-    assert len(probes) > 500
-
-
-def test_nearest_anchor_tie_goes_to_the_first_inserted():
-    section = MetricSection(EC4)  # seed anchor at t = 0
-    theta = np.eye(4)
-    for t in (1.0, -1.0, 3.0, 2.0, 2.0 + 1e-17, 1.0):
-        section._store(t, theta)
-    assert section._keys == sorted(section._anchors)
-    assert list(section._anchors) == [0.0, 1.0, -1.0, 3.0, 2.0]
-    # Ties at 0.5, -0.5 and 2.5; 2 + 1e-17 rounds to 2.0, so it is no new anchor.
-    for t in (0.5, -0.5, 2.5, 1.5, 10.0, -10.0, 0.0, 2.0, 1.0 + 2**-52):
-        assert section._nearest_anchor(t) == _linear_nearest(section, t), t
-    assert section._nearest_anchor(0.5) == 0.0
-    assert section._nearest_anchor(2.5) == 3.0
-
-
-def test_nearest_anchor_tie_can_reach_past_the_neighbours():
-    # From t = 1 all three anchors round to distance 1.0; the first inserted
-    # is the one farthest from t.
-    section = MetricSection(EC4)
-    for t in (3e-17, 1e-17):
-        section._store(t, np.eye(4))
-    assert section._nearest_anchor(1.0) == _linear_nearest(section, 1.0) == 0.0
-
-
 # Unbroken, broken-phase and near-EP points; next to the EPs of mdg6-w1 and
 # ec4-recoupled the gap gate fails, and mdg6-open flips between broken and
 # unbroken near its order-6 point.
@@ -500,14 +451,6 @@ def test_one_and_two_site_matrices_have_their_kernels_without_warnings():
         assert intertwiner_residual(theta, h) < 1e-12
 
 
-def _assert_same_anchors(section, reference):
-    assert section._keys == reference._keys
-    assert list(section._anchors) == list(reference._anchors)
-    for t, (rank, theta) in reference._anchors.items():
-        assert section._anchors[t][0] == rank
-        assert np.array_equal(section._anchors[t][1], theta)
-
-
 def _tracked_candidate(value):
     return MetricCandidate(provenance=MetricProvenance.BASIS_COMBINATION, family=value)
 
@@ -524,20 +467,23 @@ def test_positivity_on_a_section_equals_the_point_by_point_march(name, lo, hi, s
     expected = positivity_interval(_tracked_candidate(lambda t: fresh.value(t)), lo, hi, 1e-10)
     assert report.interval == expected.interval
     assert report.min_eig_samples.tobytes() == expected.min_eig_samples.tobytes()
-    _assert_same_anchors(section, fresh)
 
 
 def test_positivity_on_a_section_solves_the_coarse_kernels_in_stacks(monkeypatch):
     import ptlattice.metrics as metrics
 
-    one_row = []
+    one_row, stacked = [], []
     monkeypatch.setattr(
         metrics, "intertwiner_basis", lambda h: one_row.append(h) or intertwiner_basis(h)
     )
+    monkeypatch.setattr(
+        metrics, "intertwiner_bases", lambda s: stacked.append(len(s)) or intertwiner_bases(s)
+    )
     section = MetricSection(get_family(Model.MDG6_W1), t_seed=0.55)
     positivity_interval(_tracked_candidate(section.value), 0.2, 0.9, 1e-10)
-    assert len(section._anchors) > 1000
-    assert len(one_row) < 100  # the bisection steps
+    assert len(one_row) == 1  # the seed
+    # The 1001 grid points and the 280 lattice points between them, 32 to a stack.
+    assert sum(stacked) > 1281 and max(stacked) == 32
 
 
 _GAPS = (BrokenPhaseError, DegenerateSpectrumError, TrackingError)
@@ -552,7 +498,6 @@ def _assert_values_match_value(section, reference, grid):
             assert str(theta) == str(exc)
         else:
             assert np.array_equal(theta, expected)
-    _assert_same_anchors(section, reference)
 
 
 @pytest.mark.parametrize(
@@ -562,8 +507,8 @@ def _assert_values_match_value(section, reference, grid):
         ("ec4-recoupled", 0.7, [0.9, 0.95, 0.97, 1.1, 0.96, 0.5, 0.99, 0.8, 0.9658, 1.3, 0.2]),
         # Down through the EP at t = 0.16316 and up again.
         ("mdg6-w1", 0.3, list(np.linspace(0.3, 0.12, 90)) + [0.25, 0.17, 0.1, 0.6]),
-        # From inside the EP at t = 0.96584 to well past it: after the loss the
-        # points are planned on the anchors as they are, in stacks.
+        # From inside the EP at t = 0.96584 to well past it: past the first
+        # lost lattice point every point is a copy of its error.
         ("ec4-recoupled", 0.7, list(np.linspace(0.9, 1.4, 120))),
     ],
 )
@@ -592,19 +537,8 @@ def test_values_march_step_by_step_where_the_stack_is_rejected():
     )
 
 
-def test_values_march_no_further_than_the_points_taken():
-    family = get_family(Model.MDG6_W1)
-    grid = list(np.linspace(0.3, 0.9, 100))
-    section = MetricSection(family, t_seed=0.3)
-    taken = list(zip(range(3), section.values(grid)))
-    reference = MetricSection(family, t_seed=0.3)
-    for _, t in zip(taken, grid):
-        reference.value(t)
-    _assert_same_anchors(section, reference)
-
-
 def _sequential_boundary(family, tol, search_max=1.2):
-    """tracked_positivity_boundary as a march of one probe at a time."""
+    """tracked_positivity_boundary as a march of one lattice probe at a time."""
     section = MetricSection(family)
 
     def alive(t):
@@ -614,8 +548,10 @@ def _sequential_boundary(family, tol, search_max=1.2):
             return False
 
     good = t = 0.0
+    k = 0
     while t < search_max:
-        t = min(search_max, t + _SECTION_STEP)
+        k += 1
+        t = min(search_max, k * _SECTION_STEP)
         if not alive(t):
             break
         good = t
@@ -631,15 +567,6 @@ def test_tracked_boundary_equals_the_probe_by_probe_march(family, search_max):
     assert boundary == _sequential_boundary(family, 1e-8, search_max)
 
 
-def test_values_hold_kernels_solved_ahead_only_while_the_caller_takes_points():
-    section = MetricSection(get_family(Model.MDG6_W1), t_seed=0.3)
-    probes = section.values(list(np.linspace(0.3, 0.9, 100)))
-    next(probes)
-    assert section._ahead
-    probes.close()
-    assert not section._ahead
-
-
 def test_values_solve_no_stack_ahead_past_a_step_whose_kernel_fails(monkeypatch):
     import ptlattice.metrics as metrics
 
@@ -651,7 +578,7 @@ def test_values_solve_no_stack_ahead_past_a_step_whose_kernel_fails(monkeypatch)
 
     monkeypatch.setattr(metrics, "intertwiner_bases", solve)
     section = MetricSection(EC4, t_seed=1.0)
-    (theta,) = section.values([1.7])  # 280 steps, out of the unbroken phase at t = 1.5
+    (theta,) = section.values([1.7])  # 280 lattice points, out of the unbroken phase at t = 1.5
     assert isinstance(theta, BrokenPhaseError)
     failed = [any(isinstance(row, Exception) for row in rows) for rows in stacks]
     assert failed == [False] * (len(stacks) - 1) + [True]
@@ -674,7 +601,7 @@ def test_positivity_past_a_lost_section_solves_its_first_steps_in_stacks(monkeyp
 @pytest.mark.parametrize(
     "name, lo, hi, expected",
     [
-        ("mdg6-w1", 0.2, 0.9, (0.732834409993887, 0.9)),
+        ("mdg6-w1", 0.2, 0.9, (0.7328311282098292, 0.9)),
         ("ec4-recoupled", 0.0, 1.4, (0.0, 0.9658391621649267)),
         ("ec4-recoupled", -1.6, 1.6, (-0.9658391622066498, 0.96583916220665)),
     ],
@@ -688,4 +615,44 @@ def test_tracked_positivity_intervals_are_pinned(name, lo, hi, expected):
 
 def test_tracked_boundary_is_pinned():
     boundary = tracked_positivity_boundary(get_family(Model.EC4_RECOUPLED), 1e-8)
-    assert boundary == 0.9658391618728542
+    assert boundary == 0.9658391618728638
+
+
+def test_section_value_does_not_depend_on_the_points_asked_before():
+    family = get_family(Model.MDG6_W1)
+    alone = MetricSection(family, t_seed=0.55).value(0.8)
+    after = MetricSection(family, t_seed=0.55)
+    after.value(0.79)
+    assert np.array_equal(after.value(0.8), alone)
+    # Nor on the grid it is sampled with, or on the other side of the seed.
+    grid = MetricSection(family, t_seed=0.55)
+    thetas = list(grid.values(np.linspace(0.3, 0.9, 37)))
+    assert np.array_equal(grid.value(0.8), alone)
+    assert np.array_equal(thetas[0], MetricSection(family, t_seed=0.55).value(0.3))
+
+
+def test_tracked_edge_does_not_depend_on_the_coarse_grid():
+    family = get_family(Model.MDG6_W1)
+    edges = []
+    for steps in (51, 201, 1001, 4001):
+        section = MetricSection(family, t_seed=0.55)
+        report = positivity_interval(
+            _tracked_candidate(section.value), 0.2, 0.9, 1e-10, coarse_steps=steps
+        )
+        edges.append(report.interval[0])
+    assert max(edges) - min(edges) <= 2e-10
+
+
+def test_tracked_boundary_solves_each_lattice_probe_once(monkeypatch):
+    import ptlattice.metrics as metrics
+
+    rows = []
+    monkeypatch.setattr(
+        metrics, "intertwiner_basis", lambda h: rows.append(1) or intertwiner_basis(h)
+    )
+    monkeypatch.setattr(
+        metrics, "intertwiner_bases", lambda s: rows.append(len(s)) or intertwiner_bases(s)
+    )
+    tracked_positivity_boundary(get_family(Model.EC4_RECOUPLED), 1e-8)
+    # 387 probes up to the EP at t = 0.96584, a stack past it, and the bisection.
+    assert sum(rows) < 600

@@ -733,7 +733,7 @@ def test_tracked_section_seeds_off_the_order_six_point(capsys):
         capsys,
     )
     assert (code, err) == (0, "")
-    assert "# interval_lo: 0.7328911462724208\n# interval_hi: 1\n" in out
+    assert "# interval_lo: 0.73288996049761779\n# interval_hi: 1\n" in out
 
 
 @pytest.mark.parametrize(

@@ -135,6 +135,19 @@ def test_sweep_rejects_a_bad_stack(stack):
         sweep_eigenvalues(stack)
 
 
+def test_sweep_raises_the_closure_error_of_an_unpaired_complex_row(monkeypatch):
+    solve = np.linalg.eigvals
+
+    def unpaired(stack):
+        vals = solve(stack).astype(complex)
+        vals[..., 1, 0] += 0.1j  # a complex value whose conjugate is not in the row
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvals", unpaired)
+    with pytest.raises(ConsistencyError, match="not conjugate-paired"):
+        sweep_eigenvalues(get_family(Model.EC4).matrices([0.3, 0.6, 0.9]))
+
+
 def test_frobenius_scales_survive_overflow():
     stack = np.stack([
         get_family(Model.MDG6_W1).matrix(0.3),
