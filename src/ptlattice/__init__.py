@@ -8,7 +8,8 @@ solving H^T Theta = Theta H together with their positivity intervals.
 ``import ptlattice`` loads no submodule.  Each public name is served from
 the submodule that defines it, which is imported on first access, so a
 caller pays only for what it uses: numpy loads with the first matrix, and
-mpmath with the first call of the characteristic-polynomial oracle.
+mpmath only with the exact-entry oracle, which builds a model's entries at
+50 digits.
 """
 
 from importlib import import_module

@@ -4,15 +4,20 @@ Independent cross-check for the LAPACK eigensolver.  Doubles and mpf are
 dyadic, so one power of two makes the matrix an integer one, and the
 determinant recursion on the tridiagonal(+corner) lattice structure gives
 det(M - lambda I) exactly on Python ints; other matrices are refused.  The
-polynomial is centred on its mean root by an exact Taylor shift, and Yun's
-square-free decomposition (SYMSAC 1976) over a primitive integer remainder
-sequence hands mpmath's simultaneous-iteration solver factors with simple
-roots only.  Each factor's double-precision roots (numpy's companion-matrix
-solve) start that iteration, which polishes them to 50 digits in about three
-quadratically convergent steps.  The recursion, the remainder sequence and
+polynomial is centred on its mean root by an integer Taylor shift, and
+Yun's square-free decomposition (SYMSAC 1976) over a primitive integer
+remainder sequence leaves factors with simple roots only.  Each factor's
+double-precision roots (numpy's companion-matrix solve) start a
+Durand-Kerner iteration, the simultaneous Newton step of mpmath's
+polyroots, which polishes them to 50 digits in about three quadratically
+convergent steps.  It runs on Python integers: each root is a fixed-point
+Gaussian integer, and the roots are rounded to the working precision and
+then to doubles as mpmath rounds them, so the spectra are those polyroots
+gives, at a fraction of its cost.  The recursion, the remainder sequence and
 the square-free split live in ``poly``, which the exact reality engine
 (``exact``) shares without numpy or mpmath; this module keeps the root
-polishing.
+polishing, and imports mpmath only for the exact-entry path, whose entries
+are mpf.
 
 Two entry paths exist on purpose.  Lifting a double-precision matrix is
 exact and cross-checks the eigensolver on that matrix.  Evaluating a model
@@ -30,19 +35,19 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConsistencyError, InvalidSpecError, OracleError
-from .poly import _add, _bordered_charpoly, _square_free, integer_polynomial
+from .poly import _bordered_charpoly, _square_free, integer_polynomial
 from .spectra import Spectrum
 from .tolerances import MAX_ORACLE_N, ORACLE_DPS
 
-# After the sibling modules: compiling them with mpmath already resident
-# raises the peak memory of an oracle run.
-import mpmath  # noqa: E402
+# Durand-Kerner steps before the oracle gives up, as polyroots(maxsteps=200).
+_MAX_STEPS = 200
 
 
 def _dyadic(x) -> tuple[int, int]:
     """(m, e) with x == m * 2**e exactly, for a double or an mpf."""
-    if isinstance(x, mpmath.mpf):
-        sign, man, exp, _ = x._mpf_  # man_exp would drop the sign
+    mpf = getattr(x, "_mpf_", None)  # an mpmath mpf, without importing mpmath
+    if mpf is not None:
+        sign, man, exp, _ = mpf  # man_exp would drop the sign
         if man or not exp:
             return (-man if sign else man), exp
     elif math.isfinite(x):
@@ -55,7 +60,8 @@ def _integer_rows(h) -> tuple[list[list[int]], int]:
     """(A, e) with h == 2**e * A, A an integer lattice matrix; h holds doubles or mpf."""
     if isinstance(h, np.ndarray) and (h.ndim != 2 or h.shape[0] != h.shape[1]):
         raise InvalidSpecError(f"expected a square matrix, got shape {h.shape}")
-    entries = [[_dyadic(x) for x in row] for row in h]
+    rows = h.tolist() if isinstance(h, np.ndarray) else h  # floats convert faster
+    entries = [[_dyadic(x) for x in row] for row in rows]
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise InvalidSpecError("expected a square matrix")
@@ -85,61 +91,195 @@ def charpoly_coefficients(h) -> list[Fraction]:
         (-1) ** (n + 1) * (gamma * math.prod(sub) + beta * math.prod(sup)),
     )
     # det(2^e A - lambda I) = sum_k a_k 2^(e(n-k)) lambda^k
-    return [c * Fraction(2) ** (e * (n - k)) for k, c in enumerate(p)]
+    scales = (e * (n - k) for k in range(n + 1))
+    return [Fraction(c << s) if s >= 0 else Fraction(c, 1 << -s) for c, s in zip(p, scales)]
+
+
+def _prec(dps: int) -> int:
+    """Bits of working precision for dps decimal digits, counted as mpmath does."""
+    return max(1, round((int(dps) + 1) * 3.3219280948873626))
+
+
+def _round(m: int, e: int, prec: int) -> tuple[int, int]:
+    """m * 2**e rounded to prec significant bits, ties to even, as (m', e')."""
+    drop = abs(m).bit_length() - prec
+    if drop <= 0:
+        return m, e
+    q, r = divmod(abs(m), 1 << drop)
+    half = 1 << (drop - 1)
+    if r > half or (r == half and q & 1):
+        q += 1
+    return (q if m > 0 else -q), e + drop
+
+
+def _round_sum(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
+    """The exact sum of two dyadics (m, e), rounded to prec bits."""
+    (ma, ea), (mb, eb) = a, b
+    low = min(ea, eb)
+    return _round((ma << (ea - low)) + (mb << (eb - low)), low, prec)
+
+
+def _round_quotient(a: tuple[int, int], den: int, prec: int) -> tuple[int, int]:
+    """The dyadic a = (m, e) over a positive integer, rounded to prec bits."""
+    m, e = a
+    k = max(0, prec + 2 + den.bit_length() - abs(m).bit_length())
+    q, r = divmod(abs(m) << k, den)  # q has at least prec + 2 bits
+    q = q << 1 | bool(r)  # a sticky bit stands for the remainder
+    return _round(q if m >= 0 else -q, e - k - 1, prec)
+
+
+def _to_float(m: int, e: int) -> float:
+    """m * 2**e as a double: rounded to 53 bits, then scaled, as mpmath does."""
+    m, e = _round(m, e, 53)
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
+
+
+def _ratio(a: int, b: int, s: int) -> float:
+    """The double nearest a / (b 2^s): Python rounds an integer quotient correctly."""
+    return a / (b << s) if s >= 0 else (a << -s) / b
+
+
+def _fixed(x: float, bits: int) -> int:
+    """The double x scaled by 2**bits to an integer, exact unless below 2**-bits."""
+    num, den = float(x).as_integer_ratio()
+    shift = bits + 1 - den.bit_length()
+    return num << shift if shift >= 0 else num >> -shift
+
+
+def _horner(coeffs: list[int], zr: int, zi: int, bits: int) -> tuple[int, int]:
+    """A monic polynomial at z in fixed point, coeffs descending after the unit lead."""
+    vr, vi = 1 << bits, 0
+    for c in coeffs:
+        vr, vi = ((vr * zr - vi * zi) >> bits) + c, (vr * zi + vi * zr) >> bits
+    return vr, vi
+
+
+def _polish(monic: list[int], roots: list, bits: int, tol: int) -> int:
+    """Durand-Kerner (Kerner, Numer. Math. 8, 290 (1966)) in place; the steps taken.
+
+    monic are a monic factor's ascending coefficients, roots its starts as
+    pairs (re, im), all integers scaled by 2**bits.  Each root is updated in
+    turn from the others' newest values, and a zero divisor is skipped, as in
+    mpmath's polyroots.  The polish stops once the largest correction of a
+    step is below tol.
+    """
+    deg = len(monic) - 1
+    coeffs = monic[-2::-1]
+    err2 = 0
+    for step in range(_MAX_STEPS):
+        err2 = 0
+        for i in range(deg):
+            pr, pi = roots[i]
+            vr, vi = _horner(coeffs, pr, pi, bits)
+            # The product of the differences to the other roots, (qr + i qi) 2^e,
+            # rounded after each factor to `bits` significant bits; one
+            # division by it stands for polyroots' division by each.
+            qr, qi, e = 1, 0, 0
+            for j, (rr, ri) in enumerate(roots):
+                if j != i and (rr != pr or ri != pi):
+                    dr, di = pr - rr, pi - ri
+                    qr, qi = qr * dr - qi * di, qr * di + qi * dr
+                    s = max(abs(qr), abs(qi)).bit_length() - bits
+                    qr, qi = (qr >> s, qi >> s) if s >= 0 else (qr << -s, qi << -s)
+                    e += s - bits
+            den = (qr * qr + qi * qi) << max(e, 0)
+            vr, vi = (vr * qr + vi * qi) << max(-e, 0), (vi * qr - vr * qi) << max(-e, 0)
+            vr, vi = vr // den, vi // den
+            roots[i] = (pr - vr, pi - vi)
+            err2 = max(err2, vr * vr + vi * vi)
+        if err2 < tol * tol:
+            return step + 1
+    raise OracleError(
+        f"polynomial root finder stagnated: Didn't converge in maxsteps={_MAX_STEPS} steps.",
+        diagnostics={
+            "degree": deg,
+            "steps": _MAX_STEPS,
+            "error_estimate": _to_float(math.isqrt(err2), -bits),
+            "threshold": _to_float(tol, -bits),
+        },
+    )
 
 
 def _spectrum(coeffs: list[Fraction], dps: int) -> Spectrum:
     """All roots of exact dyadic coefficients, multiplicity included.
 
     The solver sees the polynomial centred on its mean root -c_{n-1}/(n c_n),
-    which is added back in mp; the centred roots must sum to zero, a trace
-    check with no double to overflow.  Each factor's roots lie within its
-    Fujiwara bound 2^bits; in y = x / 2^bits the monic factor's coefficients
-    fit in doubles, and np.roots of them, scaled back, starts polyroots.
-    polyroots stops on an absolute correction below 10^-dps: a factor whose
-    bound exceeds 1 gains its bits of working precision, and one whose bound
-    is below 1 is solved in y, its roots scaled back in mp, so that roots
-    below 10^-dps are not merged into their mean.
+    which is added back at the end; the centred roots must sum to zero, a
+    trace check with no double to overflow.  Each factor's roots lie within
+    its Fujiwara bound 2^bits; in y = x / 2^bits the monic factor's
+    coefficients fit in doubles, and np.roots of them starts the polish.
+    With prec bits for dps digits, the polish works on a fixed-point scale
+    of 3 prec bits and stops on an absolute correction below 2^(1-prec): a
+    factor whose bound exceeds 1 is solved in x, its scale gaining its bits,
+    and one whose bound is below 1 is solved in y, so that roots below
+    2^-prec are not merged into their mean.  Each root and the mean are
+    rounded to prec bits, and so is their sum, before it becomes a double:
+    the roundings of mpmath's polyroots, so that an exact root stays exact.
     """
+    prec = _prec(dps)
     n = len(coeffs) - 1
-    mean = -coeffs[-2] / (n * coeffs[-1]) if n else Fraction(0)
-    centred: list = []
-    for c in reversed(coeffs):  # Horner: centred(x) = p(x + mean)
-        centred = _add([c, *centred], [mean * a for a in centred])
-    roots = []
-    with mpmath.workdps(dps):
-        for f, k in _square_free(integer_polynomial(centred)):
-            if len(f) < 2:
-                continue
-            deg, lead = len(f) - 1, f[-1].bit_length()
-            bits = max((c.bit_length() - lead) // (deg - i) + 2 for i, c in enumerate(f[:-1]))
-            # The monic factor in y = x / 2^bits, its coefficients below 1/2.
-            y = [Fraction(c, f[-1]) / Fraction(2) ** (bits * (deg - i)) for i, c in enumerate(f)]
-            starts = np.roots([float(c) for c in reversed(y)])
-            up = max(bits, 0)  # solved in x, or in y where the bound is below 1
-            if bits < 0:
-                f = [c << (-bits * (deg - i)) for i, c in enumerate(f)]
-            try:
-                found, err = mpmath.polyroots(
-                    f[::-1],
-                    maxsteps=200,
-                    extraprec=2 * mpmath.mp.prec + up,
-                    error=True,
-                    roots_init=[mpmath.mpc(z) * mpmath.ldexp(1, up) for z in starts],
-                )
-            except mpmath.libmp.NoConvergence as exc:
-                raise OracleError(f"polynomial root finder stagnated: {exc}") from exc
-            if err > mpmath.mpf(10) ** (-12):
-                raise OracleError(
-                    f"polynomial roots uncertain (error estimate {mpmath.nstr(err, 3)})"
-                )
-            roots += [r * mpmath.ldexp(1, bits - up) for r in found] * k
-        shift = mpmath.mpf(mean.numerator) / mean.denominator
-        values = [r + shift for r in roots]
-        drift = abs(mpmath.fsum(roots))  # the trace gate of from_values, in mp
-        if drift > 1e-9 * max([1, *map(abs, values)]) * n:
-            raise ConsistencyError(f"eigenvalue sum differs from trace by {float(drift):.3e}")
-    return Spectrum.from_values([complex(v) for v in values], tol=1e-9)
+    a = integer_polynomial(coeffs)
+    mean = Fraction(-a[-2], n * a[-1]) if n else Fraction(0)
+    # With mean = P/Q, sum_k a_k Q^(n-k) (w + P)^k is an integer Taylor shift by
+    # P with the roots w = Q (x - mean); in z = x - mean = w / Q it is centred(z),
+    # its coefficient of z^j Q^j times that of w^j.
+    P, Q = mean.numerator, mean.denominator
+    b = [c * Q ** (n - k) for k, c in enumerate(a)]
+    for i in range(n if P else 0):
+        for j in range(n - 1, i - 1, -1):
+            b[j] += P * b[j + 1]
+    centred = [c * Q**j for j, c in enumerate(b)]
+    roots = []  # pairs of (m, e): the real and imaginary part, each of prec bits
+    for f, k in _square_free(centred):
+        if len(f) < 2:
+            continue
+        deg, lead = len(f) - 1, f[-1].bit_length()
+        bits = max((c.bit_length() - lead) // (deg - i) + 2 for i, c in enumerate(f[:-1]))
+        # The monic factor in y = x / 2^bits, its coefficients below 1/2,
+        # each the double nearest the exact quotient.
+        y = [_ratio(c, f[-1], bits * (deg - i)) for i, c in enumerate(f)]
+        starts = np.roots(y[::-1]).tolist()
+        up = max(bits, 0)  # solved in s = x / 2^(bits - up): x, or y where bits < 0
+        scale = 3 * prec + up
+        monic = [(c << (scale - (bits - up) * (deg - i))) // f[-1] for i, c in enumerate(f)]
+        zs = [(_fixed(z.real, scale + up), _fixed(z.imag, scale + up)) for z in starts]
+        tol = 1 << (scale + 1 - prec)
+        steps = _polish(monic, zs, scale, tol)
+        # polyroots' error estimate, max(last correction, 2^(1-prec)), is the
+        # latter once the polish has stopped: only a low dps fails it.
+        err = math.ldexp(1, 1 - prec)
+        if err > 1e-12:
+            text = f"{err:.3g}".replace("e-0", "e-")  # as mpmath's nstr(err, 3)
+            raise OracleError(
+                f"polynomial roots uncertain (error estimate {text})",
+                diagnostics={
+                    "degree": deg, "steps": steps, "error_estimate": err, "threshold": 1e-12
+                },
+            )
+        e = bits - up - scale  # the exponent of a root in x
+        for re, im in zs:
+            if re * re + im * im < tol * tol:
+                re = im = 0
+            elif abs(im) < tol:
+                im = 0
+            elif abs(re) < tol:
+                re = 0
+            roots += [(_round(re, e, prec), _round(im, e, prec))] * k
+    shift = _round_quotient(_round(mean.numerator, 0, prec), mean.denominator, prec)
+    values = [
+        complex(_to_float(*_round_sum(re, shift, prec)), _to_float(*im)) for re, im in roots
+    ]
+    # The trace gate of from_values, on the exact sum of the centred roots.
+    low = min([0] + [e for root in roots for _, e in root])
+    drift = math.hypot(
+        *(_to_float(sum(m << (e - low) for m, e in part), low) for part in zip(*roots))
+    )
+    if drift > 1e-9 * max([1, *map(abs, values)]) * n:
+        raise ConsistencyError(f"eigenvalue sum differs from trace by {drift:.3e}")
+    return Spectrum.from_values(values, tol=1e-9)
 
 
 def eigenvalues_charpoly_oracle(h, *, dps: int = ORACLE_DPS) -> Spectrum:
@@ -149,6 +289,8 @@ def eigenvalues_charpoly_oracle(h, *, dps: int = ORACLE_DPS) -> Spectrum:
 
 def model_oracle_eigenvalues(family, t: float, *, dps: int = ORACLE_DPS) -> Spectrum:
     """Oracle spectrum with entries built in mp precision from closed forms."""
+    import mpmath
+
     with mpmath.workdps(dps):
         rows = family.matrix_mp(t)
     return _spectrum(charpoly_coefficients(rows), dps)

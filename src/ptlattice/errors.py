@@ -65,7 +65,15 @@ class SolverError(NumericalError):
 
 
 class OracleError(NumericalError):
-    """The polynomial root finder behind the oracle stagnated."""
+    """The polynomial root finder behind the oracle stagnated or is uncertain.
+
+    Its diagnostics hold the factor's degree, the steps taken, the error
+    estimate and the threshold it failed.
+    """
+
+    def __init__(self, message: str, *, diagnostics: dict | None = None):
+        super().__init__(message)
+        self.diagnostics = dict(diagnostics or {})
 
 
 class DegenerateSpectrumError(NumericalError):

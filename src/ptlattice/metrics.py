@@ -43,7 +43,13 @@ from .intertwiner import (
 )
 from .lattice import check_square
 from .spectra import count_real, eigenvalues, left_right_pairs
-from .tolerances import EPS_METRIC, POSITIVITY_STEPS, check_bracket, grid_steps
+from .tolerances import (
+    EPS_METRIC,
+    MAX_GRID_POINTS,
+    POSITIVITY_STEPS,
+    check_bracket,
+    grid_steps,
+)
 
 
 class MetricProvenance(Enum):
@@ -350,7 +356,8 @@ class MetricSection:
     A projection that loses more than half the norm means the branch was
     lost and raises TrackingError.  The first lattice index lost on each
     side keeps its error, and every t at or past it yields a copy of it
-    without solving a kernel.
+    without solving a kernel.  The lattice holds at most MAX_GRID_POINTS
+    points on each side of the seed, as a grid does.
     """
 
     def __init__(self, family, *, t_seed: float = 0.0):
@@ -434,12 +441,21 @@ class MetricSection:
         TrackingError where the section cannot be continued to t; any other
         error propagates.  The points are taken a stack at a time, as the
         caller takes them: their lattice points first, then the kernels of
-        those off the lattice in one stack.
+        those off the lattice in one stack.  A t whose lattice point lies
+        more than MAX_GRID_POINTS from the seed raises InvalidSpecError
+        before any kernel is solved.
         """
         ts = [float(t) for t in ts]
+        lattice = [int((t - self._t_seed) / _SECTION_STEP) for t in ts]
+        for t, k in zip(ts, lattice):
+            if abs(k) > MAX_GRID_POINTS:
+                raise InvalidSpecError(
+                    f"the tracked section from t={self._t_seed} to t={t} would exceed "
+                    f"{MAX_GRID_POINTS} lattice points; give a narrower range"
+                )
         for start in range(0, len(ts), self._stack_steps):
             chunk = ts[start : start + self._stack_steps]
-            ks = [int((t - self._t_seed) / _SECTION_STEP) for t in chunk]
+            ks = lattice[start : start + self._stack_steps]
             for k in sorted({min(ks), max(ks)}, key=abs, reverse=True):
                 self._lattice_point(k)  # the far ends first: each side grows in one pass
             thetas, off = [], []

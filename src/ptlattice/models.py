@@ -10,7 +10,8 @@ Constants inside the entry expressions are integers and exact rationals so
 that the mp evaluation carries no double-rounding.
 
 numpy and mpmath are imported inside the functions that use them, so
-naming a model and checking its validity range loads neither.
+naming a model and checking its validity range loads neither; mpmath loads
+only with ``matrix_mp``, the entries of the exact-entry oracle.
 """
 
 from __future__ import annotations

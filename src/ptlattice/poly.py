@@ -117,8 +117,15 @@ def _quotient(a, b) -> list:
 
 
 def _square_free(p):
-    """Yun's decomposition: pairs (f, k), each f square-free, p ~ prod f^k."""
+    """Yun's decomposition: pairs (f, k), each f square-free, p ~ prod f^k.
+
+    A p that the modular test of square_free_part shows square-free is its
+    own decomposition, without the integer remainder sequence.
+    """
     dp = _derivative(p)
+    if len(p) > 1 and p[-1] % _PRIME and _gcd_degree_mod(p, dp, _PRIME) == 0:
+        yield _primitive(p), 1
+        return
     a = _gcd(p, dp)
     b, c = _quotient(p, a), _quotient(dp, a)
     k = 1

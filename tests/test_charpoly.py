@@ -1,5 +1,6 @@
 """Characteristic-polynomial oracle: coefficients and high-precision roots."""
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,11 +11,13 @@ import pytest
 from ptlattice import (
     InvalidSpecError,
     Model,
+    OracleError,
     charpoly_coefficients,
     eigenvalues_charpoly_oracle,
     get_family,
     matching_distance,
 )
+from ptlattice import charpoly
 from ptlattice.charpoly import model_oracle_eigenvalues
 from ptlattice.custom import load_custom_model
 
@@ -188,13 +191,88 @@ def test_polish_starts_from_double_precision_roots(monkeypatch, solve, model, t)
     # Durand-Kerner evaluates the factor once per root and step; from
     # double-precision starts it converges quadratically in 3 steps.
     evaluations = []
-    polyval = mpmath.mp.polyval
+    horner = charpoly._horner
 
-    def counted(coeffs, x, *args, **kwargs):
-        evaluations.append(len(coeffs) - 1)
-        return polyval(coeffs, x, *args, **kwargs)
+    def counted(coeffs, *args):
+        evaluations.append(len(coeffs))
+        return horner(coeffs, *args)
 
-    monkeypatch.setattr(mpmath.mp, "polyval", counted)
+    monkeypatch.setattr(charpoly, "_horner", counted)
     family = get_family(model)
     solve(family, t)
     assert evaluations and len(evaluations) <= 4 * family.n
+
+
+def _lattice_matrix(rng, n, *, ring=False, diag=None, coupling=1.0):
+    """A seeded lattice matrix: random band, signs and ring corners."""
+    h = np.diag(rng.normal(size=n) if diag is None else np.asarray(diag, dtype=float))
+    c = coupling * rng.normal(size=n - 1)
+    h[np.arange(n - 1), np.arange(1, n)] = c
+    h[np.arange(1, n), np.arange(n - 1)] = c * rng.choice([-1.0, 1.0], size=n - 1)
+    if ring:
+        h[0, n - 1], h[n - 1, 0] = coupling * rng.normal(size=2)
+    return h
+
+
+def _sympy_cases():
+    rng = np.random.default_rng(2027)
+    cases = {}
+    for i in range(18):
+        n = int(rng.integers(2, 9))
+        h = _lattice_matrix(rng, n, ring=n >= 3 and i % 3 == 1)
+        cases[f"random-{i}"] = h * (1.0, 1e150, 1e-150)[i % 3]
+    for i in range(3):
+        # Two equal blocks split by a zero coupling: every root is double.
+        block = _lattice_matrix(rng, 3)
+        h = np.zeros((6, 6))
+        h[:3, :3] = h[3:, 3:] = block
+        cases[f"repeated-{i}"] = h
+    for i in range(3):
+        # All roots within about 2^-60 of 1, below double resolution.
+        n = 4 + i
+        cases[f"cluster-{i}"] = _lattice_matrix(rng, n, diag=[1.0] * n, coupling=2.0**-60)
+    return cases
+
+
+SYMPY_CASES = _sympy_cases()
+
+
+@pytest.mark.parametrize("case", sorted(SYMPY_CASES))
+def test_oracle_values_are_the_doubles_nearest_sympy_roots(case):
+    # sympy's 80-digit roots of each square-free factor, in y with x = c + 2^k y,
+    # c the mean root and 2^k the scale of h - c; the oracle value is the
+    # double nearest each.
+    sp = pytest.importorskip("sympy")
+    h = SYMPY_CASES[case]
+    n = len(h)
+    c = sum(sp.Rational(*float(v).as_integer_ratio()) for v in np.diag(h)) / n
+    scale = sp.Integer(2) ** math.frexp(float(np.abs(h - float(c) * np.eye(n)).max()))[1]
+    x = sp.Symbol("x")
+    poly = sp.Poly(
+        sum(a * (c + scale * x) ** i for i, a in enumerate(_exact_charpoly(h))), x
+    )
+    expected = []
+    for factor, multiplicity in poly.sqf_list()[1]:
+        for root in factor.nroots(n=80):
+            re, im = root.as_real_imag()
+            expected += [complex(float(c + scale * re), float(scale * im))] * multiplicity
+    expected.sort(key=lambda z: (z.real, z.imag))
+    assert eigenvalues_charpoly_oracle(h).values.tolist() == expected
+
+
+def test_oracle_errors_carry_their_diagnostics(monkeypatch):
+    h = get_family(Model.EC4).matrix(0.31)
+    monkeypatch.setattr(charpoly, "_MAX_STEPS", 2)
+    with pytest.raises(OracleError, match="stagnated") as stalled:
+        eigenvalues_charpoly_oracle(h)
+    diagnostics = stalled.value.diagnostics
+    assert sorted(diagnostics) == ["degree", "error_estimate", "steps", "threshold"]
+    assert diagnostics["degree"] == 4 and diagnostics["steps"] == 2
+    # 50 digits are 169 bits; two steps from double starts reach about 2^-104.
+    assert diagnostics["threshold"] == 2.0**-168 < diagnostics["error_estimate"] < 2.0**-90
+    monkeypatch.undo()
+    with pytest.raises(OracleError, match=r"uncertain \(error estimate 1\.86e-9\)") as uncertain:
+        eigenvalues_charpoly_oracle(h, dps=8)
+    assert uncertain.value.diagnostics == {
+        "degree": 4, "steps": 1, "error_estimate": 2.0**-29, "threshold": 1e-12,
+    }

@@ -173,3 +173,20 @@ def test_exact_engine_loads_neither_numpy_nor_mpmath():
     proc = run_python("-c", probe, str(doc))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [False, 3, []]
+
+
+def test_float_lift_oracle_and_validate_load_no_mpmath():
+    # Only the exact-entry oracle, which builds mpf entries, loads mpmath.
+    probe = (
+        "import json, sys, ptlattice\n"
+        "from ptlattice.cli import main\n"
+        "h = ptlattice.get_family('ec4').matrix(0.31)\n"
+        "values = ptlattice.eigenvalues_charpoly_oracle(h).values\n"
+        "after_oracle = 'mpmath' in sys.modules\n"
+        "code = main(['validate', '--model', 'ec4', '--t-min', '0', '--t-max', '1.5'])\n"
+        "print(json.dumps([len(values), after_oracle, code, 'mpmath' in sys.modules]))"
+    )
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [4, False, 0, False]
+    assert "oracle-agreement: ok" in proc.stdout

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -409,6 +410,26 @@ class TestCli:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_tracked_section_beyond_the_lattice_bound_exits_2(self, tmp_path, capsys):
+        # A constant 2-site chain stays unbroken at every t, so its section
+        # would march 1e6 / h lattice points; it is refused before it does.
+        doc = {"name": "flat2", "n": 2, "topology": "open", "diag": ["1", "-1"],
+               "couplings": ["0.1"]}
+        path = tmp_path / "flat2.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        argv = ["metric", "--config", str(path), "--t-min", "0", "--track"]
+        start = time.perf_counter()
+        code, out, err = run(argv + ["--t-max", "1e6"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: the tracked section") and "100000 lattice points" in err
+
+        code, out, err = run(argv + ["--t-max", "10"], capsys)
+        assert code == 0 and err == ""
+        assert "\n# table: positivity_interval\nlo,hi\n0,10\n" in out
+        rows = out.split("\n# table: min_eig\nt,min_eig\n")[1].splitlines()
+        assert len(rows) == 1001 and rows[0] == "0,0.89999999999999958"
 
     def test_argparse_usage_error_is_2(self, capsys):
         code, _, err = run(
