@@ -1,30 +1,30 @@
 """Characteristic-polynomial spectra: exact coefficients, high-precision roots.
 
-Independent cross-check for the LAPACK eigensolver.  Doubles and mpf are
-dyadic, so one power of two makes the matrix an integer one, and the
-determinant recursion on the tridiagonal(+corner) lattice structure gives
-det(M - lambda I) exactly on Python ints; other matrices are refused.  The
-polynomial is centred on its mean root by an integer Taylor shift, and
-Yun's square-free decomposition (SYMSAC 1976) over a primitive integer
-remainder sequence leaves factors with simple roots only.  Each factor's
-double-precision roots (numpy's companion-matrix solve) start a
-Durand-Kerner iteration, the simultaneous Newton step of mpmath's
-polyroots, which polishes them to 50 digits in about three quadratically
-convergent steps.  It runs on Python integers: each root is a fixed-point
-Gaussian integer, and the roots are rounded to the working precision and
-then to doubles as mpmath rounds them, so the spectra are those polyroots
-gives, at a fraction of its cost.  The recursion, the remainder sequence and
-the square-free split live in ``poly``, which the exact reality engine
-(``exact``) shares without numpy or mpmath; this module keeps the root
-polishing, and imports mpmath only for the exact-entry path, whose entries
-are mpf.
+Independent cross-check for the LAPACK eigensolver.  Doubles are dyadic, so
+one power of two makes the matrix an integer one, and the determinant
+recursion on the tridiagonal(+corner) lattice structure gives det(M - lambda I)
+exactly on Python ints; other matrices are refused.  The polynomial is
+centred on its mean root by an integer Taylor shift, and Yun's square-free
+decomposition (SYMSAC 1976) over a primitive integer remainder sequence
+leaves factors with simple roots only.  Each factor's double-precision roots
+(numpy's companion-matrix solve) start a Durand-Kerner iteration, the
+simultaneous Newton step of mpmath's polyroots, which polishes them to 50
+digits in about three quadratically convergent steps.  It runs on Python
+integers: each root is a fixed-point Gaussian integer, and the roots are
+rounded to the working precision and then to doubles as mpmath rounds them,
+so the spectra are those polyroots gives, at a fraction of its cost, without
+mpmath.  The recursion, the remainder sequence and the square-free split
+live in ``poly``, which the exact reality engine (``exact``) shares without
+numpy; this module keeps the root polishing.
 
 Two entry paths exist on purpose.  Lifting a double-precision matrix is
-exact and cross-checks the eigensolver on that matrix.  Evaluating a model
-family's closed-form entries directly in working precision matters near
-high-order degeneracies: entry rounding of order u perturbs an order-k
-coalescence's roots by u^(1/k), which for k=6 is ~1e-2 and no polynomial
-solve on the rounded matrix can recover it.
+exact and cross-checks the eigensolver on that matrix.  A model family's
+closed-form entries matter near high-order degeneracies: entry rounding of
+order u perturbs an order-k coalescence's roots by u^(1/k), which for k=6 is
+~1e-2 and no polynomial solve on the rounded matrix can recover it.  So the
+exact-entry path takes the family's characteristic polynomial from the
+exact engine's fold into Q[t] (``exact.folded``), exact at the double t;
+a family that does not fold is lifted from its double-precision matrix.
 """
 
 from __future__ import annotations
@@ -37,27 +37,30 @@ import numpy as np
 from .errors import ConsistencyError, InvalidSpecError, OracleError
 from .poly import _bordered_charpoly, _square_free, integer_polynomial
 from .spectra import Spectrum
-from .tolerances import MAX_ORACLE_N, ORACLE_DPS
+from .tolerances import MAX_ORACLE_N
 
 # Durand-Kerner steps before the oracle gives up, as polyroots(maxsteps=200).
 _MAX_STEPS = 200
 
+# Bits of working precision for 50 decimal digits, counted as mpmath does.
+_PREC = round((50 + 1) * 3.3219280948873626)
+
 
 def _dyadic(x) -> tuple[int, int]:
-    """(m, e) with x == m * 2**e exactly, for a double or an mpf."""
-    mpf = getattr(x, "_mpf_", None)  # an mpmath mpf, without importing mpmath
-    if mpf is not None:
-        sign, man, exp, _ = mpf  # man_exp would drop the sign
-        if man or not exp:
-            return (-man if sign else man), exp
-    elif math.isfinite(x):
-        num, den = float(x).as_integer_ratio()
-        return num, 1 - den.bit_length()
-    raise InvalidSpecError("matrix entries must be finite")
+    """(m, e) with x == m * 2**e exactly, for a finite double."""
+    if not math.isfinite(x):
+        raise InvalidSpecError("matrix entries must be finite")
+    num, den = float(x).as_integer_ratio()
+    return num, 1 - den.bit_length()
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_ORACLE_N:
+        raise InvalidSpecError(f"oracle limited to n <= {MAX_ORACLE_N}, got {n}")
 
 
 def _integer_rows(h) -> tuple[list[list[int]], int]:
-    """(A, e) with h == 2**e * A, A an integer lattice matrix; h holds doubles or mpf."""
+    """(A, e) with h == 2**e * A, A an integer lattice matrix of the doubles in h."""
     if isinstance(h, np.ndarray) and (h.ndim != 2 or h.shape[0] != h.shape[1]):
         raise InvalidSpecError(f"expected a square matrix, got shape {h.shape}")
     rows = h.tolist() if isinstance(h, np.ndarray) else h  # floats convert faster
@@ -65,8 +68,7 @@ def _integer_rows(h) -> tuple[list[list[int]], int]:
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise InvalidSpecError("expected a square matrix")
-    if n > MAX_ORACLE_N:
-        raise InvalidSpecError(f"oracle limited to n <= {MAX_ORACLE_N}, got {n}")
+    _check_size(n)
     for i, j in ((i, j) for i in range(n) for j in range(n) if 1 < abs(i - j) < n - 1):
         if entries[i][j][0]:
             raise InvalidSpecError(
@@ -93,11 +95,6 @@ def charpoly_coefficients(h) -> list[Fraction]:
     # det(2^e A - lambda I) = sum_k a_k 2^(e(n-k)) lambda^k
     scales = (e * (n - k) for k in range(n + 1))
     return [Fraction(c << s) if s >= 0 else Fraction(c, 1 << -s) for c, s in zip(p, scales)]
-
-
-def _prec(dps: int) -> int:
-    """Bits of working precision for dps decimal digits, counted as mpmath does."""
-    return max(1, round((int(dps) + 1) * 3.3219280948873626))
 
 
 def _round(m: int, e: int, prec: int) -> tuple[int, int]:
@@ -157,8 +154,8 @@ def _horner(coeffs: list[int], zr: int, zi: int, bits: int) -> tuple[int, int]:
     return vr, vi
 
 
-def _polish(monic: list[int], roots: list, bits: int, tol: int) -> int:
-    """Durand-Kerner (Kerner, Numer. Math. 8, 290 (1966)) in place; the steps taken.
+def _polish(monic: list[int], roots: list, bits: int, tol: int) -> None:
+    """Durand-Kerner (Kerner, Numer. Math. 8, 290 (1966)), in place.
 
     monic are a monic factor's ascending coefficients, roots its starts as
     pairs (re, im), all integers scaled by 2**bits.  Each root is updated in
@@ -169,7 +166,7 @@ def _polish(monic: list[int], roots: list, bits: int, tol: int) -> int:
     deg = len(monic) - 1
     coeffs = monic[-2::-1]
     err2 = 0
-    for step in range(_MAX_STEPS):
+    for _ in range(_MAX_STEPS):
         err2 = 0
         for i in range(deg):
             pr, pi = roots[i]
@@ -191,7 +188,7 @@ def _polish(monic: list[int], roots: list, bits: int, tol: int) -> int:
             roots[i] = (pr - vr, pi - vi)
             err2 = max(err2, vr * vr + vi * vi)
         if err2 < tol * tol:
-            return step + 1
+            return
     raise OracleError(
         f"polynomial root finder stagnated: Didn't converge in maxsteps={_MAX_STEPS} steps.",
         diagnostics={
@@ -203,23 +200,23 @@ def _polish(monic: list[int], roots: list, bits: int, tol: int) -> int:
     )
 
 
-def _spectrum(coeffs: list[Fraction], dps: int) -> Spectrum:
-    """All roots of exact dyadic coefficients, multiplicity included.
+def _spectrum(coeffs: list) -> Spectrum:
+    """All roots of exact rational coefficients, multiplicity included.
 
     The solver sees the polynomial centred on its mean root -c_{n-1}/(n c_n),
     which is added back at the end; the centred roots must sum to zero, a
     trace check with no double to overflow.  Each factor's roots lie within
     its Fujiwara bound 2^bits; in y = x / 2^bits the monic factor's
     coefficients fit in doubles, and np.roots of them starts the polish.
-    With prec bits for dps digits, the polish works on a fixed-point scale
-    of 3 prec bits and stops on an absolute correction below 2^(1-prec): a
-    factor whose bound exceeds 1 is solved in x, its scale gaining its bits,
-    and one whose bound is below 1 is solved in y, so that roots below
-    2^-prec are not merged into their mean.  Each root and the mean are
-    rounded to prec bits, and so is their sum, before it becomes a double:
-    the roundings of mpmath's polyroots, so that an exact root stays exact.
+    With prec = _PREC bits, the polish works on a fixed-point scale of 3 prec
+    bits and stops on an absolute correction below 2^(1-prec): a factor whose
+    bound exceeds 1 is solved in x, its scale gaining its bits, and one whose
+    bound is below 1 is solved in y, so that roots below 2^-prec are not
+    merged into their mean.  Each root and the mean are rounded to prec
+    bits, and so is their sum, before it becomes a double: the roundings of
+    mpmath's polyroots, so that an exact root stays exact.
     """
-    prec = _prec(dps)
+    prec = _PREC
     n = len(coeffs) - 1
     a = integer_polynomial(coeffs)
     mean = Fraction(-a[-2], n * a[-1]) if n else Fraction(0)
@@ -247,18 +244,7 @@ def _spectrum(coeffs: list[Fraction], dps: int) -> Spectrum:
         monic = [(c << (scale - (bits - up) * (deg - i))) // f[-1] for i, c in enumerate(f)]
         zs = [(_fixed(z.real, scale + up), _fixed(z.imag, scale + up)) for z in starts]
         tol = 1 << (scale + 1 - prec)
-        steps = _polish(monic, zs, scale, tol)
-        # polyroots' error estimate, max(last correction, 2^(1-prec)), is the
-        # latter once the polish has stopped: only a low dps fails it.
-        err = math.ldexp(1, 1 - prec)
-        if err > 1e-12:
-            text = f"{err:.3g}".replace("e-0", "e-")  # as mpmath's nstr(err, 3)
-            raise OracleError(
-                f"polynomial roots uncertain (error estimate {text})",
-                diagnostics={
-                    "degree": deg, "steps": steps, "error_estimate": err, "threshold": 1e-12
-                },
-            )
+        _polish(monic, zs, scale, tol)
         e = bits - up - scale  # the exponent of a root in x
         for re, im in zs:
             if re * re + im * im < tol * tol:
@@ -282,15 +268,31 @@ def _spectrum(coeffs: list[Fraction], dps: int) -> Spectrum:
     return Spectrum.from_values(values, tol=1e-9)
 
 
-def eigenvalues_charpoly_oracle(h, *, dps: int = ORACLE_DPS) -> Spectrum:
+def eigenvalues_charpoly_oracle(h) -> Spectrum:
     """Oracle spectrum of a double-precision matrix (entries lifted exactly)."""
-    return _spectrum(charpoly_coefficients(h), dps)
+    return _spectrum(charpoly_coefficients(h))
 
 
-def model_oracle_eigenvalues(family, t: float, *, dps: int = ORACLE_DPS) -> Spectrum:
-    """Oracle spectrum with entries built in mp precision from closed forms."""
-    import mpmath
+def model_oracle_eigenvalues(family, t: float) -> Spectrum:
+    """Oracle spectrum of the model itself at the double t, exact in its entries.
 
-    with mpmath.workdps(dps):
-        rows = family.matrix_mp(t)
-    return _spectrum(charpoly_coefficients(rows), dps)
+    For a family whose entries fold into Q[t] (``exact.folded``), the
+    characteristic polynomial is exact at t = m / D: det(S H(t) - nu) on
+    integers, with S = D^W L, and its coefficient of nu^k times S^k has the
+    eigenvalues as roots.  A family that does not fold (a radical on the
+    diagonal, a sum of different radicals, a ring whose product of radicands
+    is not a square, ...) takes eigenvalues_charpoly_oracle(family.matrix(t)).
+    ModelDomainError is raised where the double-precision entries raise it.
+    """
+    from .exact import folded
+    from .models import FloatField
+
+    fold = folded(family)
+    if fold is None:
+        return eigenvalues_charpoly_oracle(family.matrix(t))
+    family._entries(t, FloatField)
+    if not math.isfinite(t):
+        raise InvalidSpecError("matrix entries must be finite")
+    _check_size(family.n)
+    coeffs, s = fold.charpoly_at(float(t))
+    return _spectrum([c * s**k for k, c in enumerate(coeffs)])

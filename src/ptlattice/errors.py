@@ -65,7 +65,7 @@ class SolverError(NumericalError):
 
 
 class OracleError(NumericalError):
-    """The polynomial root finder behind the oracle stagnated or is uncertain.
+    """The polynomial root finder behind the oracle stagnated.
 
     Its diagnostics hold the factor's degree, the steps taken, the error
     estimate and the threshold it failed.

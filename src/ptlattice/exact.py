@@ -17,13 +17,12 @@ cycle term -2 prod(c_i); so a family folds when its diagonal is in Q[t] and,
 on a ring, prod(r_i) is the square of some s in Q[t] without a root inside
 the validity range (there prod(c_i) = prod(a_i) |s| = +-prod(a_i) s).  A
 radical on the diagonal, a sum of different radicals, a nested sqrt, a
-division by a non-constant, a ring whose prod(r_i) is not such a square, or
-a discriminant that is identically 0 (an eigenvalue repeated at every t)
-does not fold.
-Nor does a family whose discriminant degree bound exceeds MAX_DISC_DEGREE,
-where a cold build costs more than the grid scan of a unit range.
-``reality_map`` returns None for those families, and their domains come from
-the float path of ``domains``.
+division by a non-constant or a ring whose prod(r_i) is not such a square
+does not fold, and ``folded`` returns None.  A family that folds has no map
+where its discriminant is identically 0 (an eigenvalue repeated at every t)
+or its degree bound exceeds MAX_DISC_DEGREE, where a cold build costs more
+than the grid scan of a unit range.  ``reality_map`` returns None for all
+those families, and their domains come from the float path of ``domains``.
 
 The discriminant is the resultant Res(P, dP/dlambda), taken at
 floor(w n (n - 1)) + 1 integer points and interpolated; w, the largest of
@@ -32,7 +31,7 @@ the degree (the cycle term's degree over n is the mean of the deg(c_i^2) / 2).
 The points may lie outside the validity range: the folded inputs are
 polynomials there too.
 
-The module imports neither numpy nor mpmath; maps are cached per family.
+The module imports no numpy; folds and maps are cached per family.
 """
 
 from __future__ import annotations
@@ -222,29 +221,49 @@ def _between(x, y) -> Fraction:
         k += 1
 
 
+def _homogeneous(p, m: int, d: int, e: int) -> int:
+    """p(m / d) * d**e, an integer for integer coefficients and e >= deg p."""
+    h, dk = 0, 1
+    for c in reversed(p):
+        h = h * m + c * dk
+        dk *= d
+    return h * d ** (e + 1 - len(p))
+
+
 @dataclass(frozen=True)
 class _Folded:
     """The inputs of the recurrence for det(L H(t) - mu) as integer polynomials in t.
 
     L is a common denominator of the folded entries.  Scaling H by L scales
     every eigenvalue by L, so the discriminant keeps its roots and every
-    real count stays the same, and at an integer t all arithmetic is on ints.
+    real count stays the same, and at a rational t all arithmetic is on ints.
     """
 
     diag: tuple  # L a_ii
     bands: tuple  # -L^2 c_i^2 for the band pairs
     gammabeta: tuple  # -L^2 c_n^2 on a ring, else zero
     cycle: tuple  # -2 L^n prod(c_i) on a ring, else zero
+    scale: int  # L
+    width: int  # W, the least integer >= w
     degree_bound: int  # floor(w n (n - 1)) >= the discriminant's degree in t
 
-    def charpoly_at(self, t) -> list:
-        """Coefficients of det(L H(t) - mu), ascending in mu, at an int or Fraction t."""
-        return _bordered_charpoly(
-            [_peval(p, t) for p in self.diag],
-            [_peval(p, t) for p in self.bands],
-            _peval(self.gammabeta, t),
-            _peval(self.cycle, t),
+    def charpoly_at(self, t) -> tuple[list, int]:
+        """(p, S): det(S H(t) - nu) = sum p_k nu^k on integers, at a rational t.
+
+        With t = m / D in lowest terms, S = D^W L.  Every input of the
+        recurrence is then an integer: a polynomial of degree at most kW
+        (k = 1 on the diagonal, 2 for a band pair, n for the cycle) at m / D
+        times D^(kW).  At an integer t, S is L.
+        """
+        m, d = t.as_integer_ratio()
+        w, n = self.width, len(self.diag)
+        p = _bordered_charpoly(
+            [_homogeneous(q, m, d, w) for q in self.diag],
+            [_homogeneous(q, m, d, 2 * w) for q in self.bands],
+            _homogeneous(self.gammabeta, m, d, 2 * w),
+            _homogeneous(self.cycle, m, d, n * w),
         )
+        return p, d**w * self.scale
 
 
 def _validity_sign(s, t_min: float, t_max: float) -> int:
@@ -261,7 +280,8 @@ def _validity_sign(s, t_min: float, t_max: float) -> int:
     return (value > 0) - (value < 0)
 
 
-def _fold(family) -> _Folded:
+def _fold(family, max_degree_bound=math.inf) -> _Folded:
+    """The folded inputs; a degree bound above max_degree_bound raises first."""
     n = family.n
     try:
         diag = [_coerce(x) for x in family.diag_fn(_T, ExactField)]
@@ -275,8 +295,8 @@ def _fold(family) -> _Folded:
     squares = [_pscale(_pmul(_pmul(c.a, c.a), c.r), -1) for c in upper]
     w = max([0] + [len(x.a) - 1 for x in diag] + [Fraction(len(p) - 1, 2) for p in squares])
     bound = math.floor(w * n * (n - 1))
-    if bound > MAX_DISC_DEGREE:
-        raise _NotFolding(f"discriminant degree bound {bound} above {MAX_DISC_DEGREE}")
+    if bound > max_degree_bound:
+        raise _NotFolding(f"discriminant degree bound {bound} above {max_degree_bound}")
     gammabeta, cycle = (), ()
     if family.topology is Topology.RING:
         gammabeta = squares[n - 1]
@@ -293,7 +313,16 @@ def _fold(family) -> _Folded:
     inputs += [(gammabeta, 2), (cycle, n)]
     scale = math.lcm(*(c.denominator for p, _ in inputs for c in p))
     polys = [tuple(int(c * scale**e) for c in p) for p, e in inputs]
-    return _Folded(tuple(polys[:n]), tuple(polys[n:-2]), *polys[-2:], bound)
+    return _Folded(tuple(polys[:n]), tuple(polys[n:-2]), *polys[-2:], scale, math.ceil(w), bound)
+
+
+@functools.lru_cache(maxsize=64)
+def folded(family) -> _Folded | None:
+    """The family's folded characteristic polynomial; None where it does not fold."""
+    try:
+        return _fold(family)
+    except _NotFolding:
+        return None
 
 
 def _resultant(a, b) -> int:
@@ -368,11 +397,11 @@ class RealityMap:
         return max(overlaps, key=lambda ab: ab[1] - ab[0], default=None)
 
 
-def _build(folded: _Folded) -> RealityMap | None:
-    xs = [(j + 1) // 2 * (-1) ** (j + 1) for j in range(folded.degree_bound + 1)]  # 0, 1, -1, ...
+def _build(fold: _Folded) -> RealityMap | None:
+    xs = [(j + 1) // 2 * (-1) ** (j + 1) for j in range(fold.degree_bound + 1)]  # 0, 1, -1, ...
     ys = []
     for x in xs:
-        p = folded.charpoly_at(x)
+        p, _ = fold.charpoly_at(x)
         ys.append(_resultant(p, _derivative(p)))
     disc = integer_polynomial(_interpolate(xs, ys))
     if not disc:
@@ -387,7 +416,7 @@ def _build(folded: _Folded) -> RealityMap | None:
     lows = [None] + [b for _, b in brackets]
     highs = [a for a, _ in brackets] + [None]
     counts = [
-        len(real_root_brackets(integer_polynomial(folded.charpoly_at(_between(x, y)))))
+        len(real_root_brackets(integer_polynomial(fold.charpoly_at(_between(x, y))[0])))
         for x, y in zip(lows, highs)
     ]
     return RealityMap(len(disc) - 1, tuple(core), tuple(roots), tuple(counts))
@@ -395,8 +424,8 @@ def _build(folded: _Folded) -> RealityMap | None:
 
 @functools.lru_cache(maxsize=64)
 def reality_map(family) -> RealityMap | None:
-    """The family's reality map, built on first use; None where it does not fold."""
+    """The family's reality map, built on first use; None where it has none."""
     try:
-        return _build(_fold(family))
+        return _build(_fold(family, MAX_DISC_DEGREE))
     except _NotFolding:
         return None

@@ -7,8 +7,8 @@ model in scope obeys this antisymmetric pattern, so the assembler
 deliberately does not accept independent lower couplings.  Every assembly
 path goes through it: :func:`build_matrix` checks the entry counts and
 builds the float matrix (``ModelFamily.matrix`` calls it), while
-``matrix_mp`` and ``matrices`` (a whole stack of matrices at once) lay out
-mpmath and vector entries directly.  numpy is imported where a matrix is
+``ModelFamily.matrices`` (a whole stack of matrices at once) lays out
+vector entries directly.  numpy is imported where a matrix is
 built, so the command line can name the model types without it.
 """
 
@@ -39,18 +39,18 @@ def is_ring_size(n: int) -> bool:
     return n % 2 == 0 and n >= 4
 
 
-def layout(n: int, diag, upper, topology: Topology, zero=None, rows=None):
+def layout(n: int, diag, upper, topology: Topology, rows=None):
     """Rows of the n x n lattice matrix; entries keep the type they come in.
 
     Diagonal a_i, band (i, i+1) = c_i and (i+1, i) = -c_i, and on a ring the
-    corners (1, n) = -c_n and (n, 1) = +c_n.  ``zero`` fills every other
-    entry of a new list of rows.  Given ``rows``, the entries are written
+    corners (1, n) = -c_n and (n, 1) = +c_n.  0.0 fills every other entry
+    of a new list of rows.  Given ``rows``, the entries are written
     into it instead and it is returned: an (n, n, m) view of a stack of m
     zero matrices takes each entry as a length-m vector, or as a scalar
     that numpy broadcasts along the stack.
     """
     if rows is None:
-        rows = [[zero] * n for _ in range(n)]
+        rows = [[0.0] * n for _ in range(n)]
     for i, a in enumerate(diag):
         rows[i][i] = a
     for i, c in enumerate(upper[: n - 1]):
@@ -82,7 +82,7 @@ def build_matrix(n: int, diag, upper, topology: Topology) -> np.ndarray:
         raise InvalidSpecError(f"ring requires an even n >= 4, got n={n}")
     import numpy as np
 
-    return np.array(layout(n, diag, upper, topology, 0.0), dtype=float)
+    return np.array(layout(n, diag, upper, topology), dtype=float)
 
 
 def parity(n: int) -> np.ndarray:

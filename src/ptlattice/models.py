@@ -2,16 +2,15 @@
 
 Every family exposes its entries as closed-form functions of t that can be
 evaluated in double precision (for LAPACK work), over a whole float64
-vector of t at once (for grid scans, ``ModelFamily.matrices``), in
-mpmath arbitrary precision (for the characteristic-polynomial oracle, where
-entry rounding would otherwise dominate near high-order degeneracies), or
-exactly, as polynomials in t (``exact.ExactField``, for the reality map).
-Constants inside the entry expressions are integers and exact rationals so
-that the mp evaluation carries no double-rounding.
+vector of t at once (for grid scans, ``ModelFamily.matrices``), or exactly,
+as polynomials in t (``exact.ExactField``, for the reality map and the
+exact-entry oracle, where entry rounding would otherwise dominate near
+high-order degeneracies).  Constants inside the entry expressions are
+integers and exact rationals, so that the exact evaluation folds them
+without rounding.
 
-numpy and mpmath are imported inside the functions that use them, so
-naming a model and checking its validity range loads neither; mpmath loads
-only with ``matrix_mp``, the entries of the exact-entry oracle.
+numpy is imported inside the functions that use it, so naming a model and
+checking its validity range does not load it.
 """
 
 from __future__ import annotations
@@ -70,35 +69,6 @@ class ArrayField:
         import numpy as np
 
         return np.asarray(t, dtype=float)
-
-
-class MpField:
-    """mpmath arithmetic namespace; precision is the caller's working dps.
-
-    mpmath is imported on first use, so that only the oracle paths pay for it.
-    """
-
-    @staticmethod
-    def sqrt(x):
-        import mpmath
-
-        # As math.sqrt: mpmath would return an mpc for a negative radicand.
-        if x < 0:
-            raise ValueError("math domain error")
-        return mpmath.sqrt(x)
-
-    @staticmethod
-    def num(text: str):
-        import mpmath
-
-        return mpmath.mpf(text)
-
-    @staticmethod
-    def lift(t):
-        import mpmath
-
-        # Exact binary lift: the mp matrix is the model at exactly this t.
-        return mpmath.mpf(t)
 
 
 @dataclass(frozen=True)
@@ -189,17 +159,12 @@ class ModelFamily:
                     return stack
         return np.stack([self.matrix(t) for t in ts])
 
-    def matrix_mp(self, t: float) -> list[list]:
-        """Entries evaluated in mp precision, assembled as nested lists of mpf."""
-        import mpmath
-
-        diag, upper = self._entries(t, MpField)
-        return layout(
-            self.n,
-            [mpmath.mpf(x) for x in diag],
-            [mpmath.mpf(x) for x in upper],
-            self.topology,
-            mpmath.mpf(0),
+    def matrix_mp(self, t: float):
+        # Kept only because perfbench/tracing.py wraps ModelFamily.matrix_mp by
+        # name; delete it together with that wrapper.
+        raise NotImplementedError(
+            "matrix_mp is gone: charpoly.model_oracle_eigenvalues(family, t) takes "
+            "the exact characteristic polynomial of the model's entries"
         )
 
 

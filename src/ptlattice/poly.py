@@ -11,7 +11,7 @@ integer Taylor shifts (Collins and Akritas, SYMSAC 1976), and each is
 refined by its sign alone, evaluated by integer Horner at dyadic points,
 until it is the correctly rounded double.
 
-The module imports neither numpy nor mpmath.
+The module imports no numpy.
 """
 
 from __future__ import annotations

@@ -34,9 +34,6 @@ EPS_METRIC = 1e-10
 # Eigenvector-angle acceptance at a located coalescence (radians).
 ANGLE_TOL = 1e-4
 
-# Working precision (decimal digits) of the characteristic-polynomial oracle.
-ORACLE_DPS = 50
-
 # Largest matrix the dense solvers take, and so the largest model document.
 MAX_DENSE_N = 64
 

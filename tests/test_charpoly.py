@@ -3,10 +3,11 @@
 import math
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
-import mpmath
 import numpy as np
 import pytest
+import yaml
 
 from ptlattice import (
     InvalidSpecError,
@@ -20,8 +21,30 @@ from ptlattice import (
 from ptlattice import charpoly
 from ptlattice.charpoly import model_oracle_eigenvalues
 from ptlattice.custom import load_custom_model
+from ptlattice.exact import folded, reality_map
+from ptlattice.lattice import layout
 
 DEMO_CHAIN = Path(__file__).resolve().parents[1] / "perfbench" / "demo-chain.yaml"
+
+
+def _chain(tmp_path, n, diag, couplings, topology="open"):
+    doc = {"name": f"chain{n}", "n": n, "topology": topology, "diag": diag, "couplings": couplings}
+    path = tmp_path / f"chain{n}.yaml"  # read at once, so a later chain may overwrite it
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return load_custom_model(str(path))
+
+
+def _affine_chain7(tmp_path):
+    # Degree bound 42, above the reality map's cap: no map, but it folds.
+    return _chain(tmp_path, 7, [str(k) for k in range(7)], ["t + 0.5"] * 6)
+
+
+def _radical_products(tmp_path):
+    # Products of the same radical and of two different radicals.
+    return _chain(
+        tmp_path, 4, ["-3", "-1", "1", "3"],
+        ["sqrt(1 - t) * sqrt(1 - t)", "sqrt(2) * sqrt(1 + t)", "t"],
+    )
 
 
 def test_coefficients_of_known_matrix():
@@ -62,64 +85,109 @@ def test_oracle_exact_zero_deflation():
     assert sorted(abs(v) for v in values) == pytest.approx([0.0, 2.0, 2.0])
 
 
-def test_oracle_rejects_oversized_input():
+def test_oracle_rejects_oversized_input(tmp_path):
     with pytest.raises(InvalidSpecError):
         eigenvalues_charpoly_oracle(np.eye(13))
+    chain13 = _chain(tmp_path, 13, ["0"] * 13, ["t"] * 12)
+    with pytest.raises(InvalidSpecError, match="n <= 12, got 13"):
+        model_oracle_eigenvalues(chain13, 0.5)
+
+
+@pytest.mark.parametrize(
+    "h, message",
+    [
+        (np.array([[1.0, np.inf], [-np.inf, 1.0]]), "entries must be finite"),
+        (np.zeros((2, 3)), r"square matrix, got shape \(2, 3\)"),
+        ([[1.0, 2.0], [3.0]], "expected a square matrix"),
+    ],
+    ids=["non-finite", "non-square", "ragged"],
+)
+def test_oracle_refuses_a_matrix_it_cannot_lift(h, message):
+    with pytest.raises(InvalidSpecError, match=message):
+        eigenvalues_charpoly_oracle(h)
 
 
 def test_model_oracle_beats_float_entry_rounding():
     # At t=0 the whole spectrum collapses; entry rounding scatters float
-    # roots to ~1e-2 while mp-built entries keep them at ~1e-8.
+    # roots to ~1e-2, while the model's exact characteristic polynomial is
+    # x^6, whose roots are six exact zeros.
     family = get_family(Model.MDG6_OPEN)
-    vals = model_oracle_eigenvalues(family, 0.0).values
-    assert float(np.abs(vals).max()) < 1e-6
+    assert model_oracle_eigenvalues(family, 0.0).values.tolist() == [0] * 6
 
 
-def test_model_oracle_agrees_with_float_path_away_from_degeneracy():
-    family = get_family(Model.EC4)
-    exact = model_oracle_eigenvalues(family, 0.5).values
-    floats = eigenvalues_charpoly_oracle(family.matrix(0.5)).values
-    assert matching_distance(exact, floats) < 1e-12
+def test_model_oracle_agrees_with_float_path_away_from_degeneracy(tmp_path):
+    chain7 = _affine_chain7(tmp_path)
+    assert reality_map(chain7) is None and folded(chain7) is not None
+    cases = [(get_family(Model.EC4), 0.5)]
+    cases += [(chain7, t) for t in (-2.2, 0.3, 1.7)]
+    cases += [(_radical_products(tmp_path), t) for t in (-0.6, 0.3)]
+    for family, t in cases:
+        exact = model_oracle_eigenvalues(family, t).values
+        floats = eigenvalues_charpoly_oracle(family.matrix(t)).values
+        assert matching_distance(exact, floats) < 1e-12, (family.name, t)
 
 
-def test_higher_dps_tightens_the_collapse():
-    family = get_family(Model.MDG6_OPEN)
-    coarse = np.abs(model_oracle_eigenvalues(family, 0.0, dps=30).values).max()
-    fine = np.abs(model_oracle_eigenvalues(family, 0.0, dps=80).values).max()
-    assert fine < coarse
+def test_model_oracle_of_a_document_that_does_not_fold_is_the_float_lift(tmp_path):
+    family = _chain(
+        tmp_path, 4, ["-3", "sqrt(t + 2)", "1", "3"], ["t", "t", "t", "t"], "ring"
+    )
+    assert folded(family) is None
+    for t in (-1.5, 0.3, 1.1):
+        assert (
+            model_oracle_eigenvalues(family, t).values.tolist()
+            == eigenvalues_charpoly_oracle(family.matrix(t)).values.tolist()
+        )
 
 
 def test_charpoly_leading_coefficient_is_unity():
     h = get_family(Model.MDG6_W1).matrix(0.1)
     coeffs = charpoly_coefficients(h)
-    assert coeffs[-1] == mpmath.mpf(1)
+    assert coeffs[-1] == 1
 
 
 def _exact_charpoly(rows):
-    """Ascending coefficients of det(M - x I) by sympy, from the exact entries."""
+    """Ascending coefficients of det(M - x I) by sympy, from the exact entries.
+
+    An entry is a sympy number or a double, taken at its exact value.
+    """
     sp = pytest.importorskip("sympy")
-
-    def rational(x):
-        if isinstance(x, mpmath.mpf):
-            man, exp = x.man_exp  # man_exp drops the sign
-            return (-1 if x < 0 else 1) * sp.Integer(man) * sp.Integer(2) ** exp
-        return sp.Rational(*float(x).as_integer_ratio())
-
-    m = sp.Matrix([[rational(x) for x in row] for row in rows])
+    m = sp.Matrix(
+        [[x if isinstance(x, sp.Basic) else sp.Rational(*float(x).as_integer_ratio())
+          for x in row] for row in rows]
+    )
     n = m.shape[0]
     # charpoly is det(x I - M), descending; det(M - x I) is (-1)^n times it.
-    return [(-1) ** n * c for c in reversed(m.charpoly().all_coeffs())]
+    return [(-1) ** n * sp.expand(c) for c in reversed(m.charpoly().all_coeffs())]
 
 
-@pytest.mark.parametrize("path", ["matrix", "matrix_mp"])
+def _model_rows(family, t):
+    """The family's entries at the double t as exact sympy numbers."""
+    sp = pytest.importorskip("sympy")
+    field = SimpleNamespace(sqrt=sp.sqrt, num=sp.Rational)
+    tf = sp.Rational(t)
+    return layout(family.n, family.diag_fn(tf, field), family.upper_fn(tf, field), family.topology)
+
+
+@pytest.mark.parametrize("path", ["matrix", "folded"])
 @pytest.mark.parametrize("t", [-0.4, 0.3, 0.9])
-def test_coefficients_equal_sympy_charpoly(path, t):
-    for family in [get_family(m) for m in Model] + [load_custom_model(str(DEMO_CHAIN))]:
-        with mpmath.workdps(50):
-            rows = getattr(family, path)(t)
-        exact = _exact_charpoly(rows)
-        coeffs = charpoly_coefficients(rows)
-        assert all(isinstance(c, Fraction) for c in coeffs)
+def test_coefficients_equal_sympy_charpoly(path, t, tmp_path):
+    families = [get_family(m) for m in Model] + [load_custom_model(str(DEMO_CHAIN))]
+    families += [_affine_chain7(tmp_path), _radical_products(tmp_path)]
+    for family in families:
+        if path == "matrix":
+            # The float matrix, lifted exactly: equal coefficient for coefficient.
+            rows = family.matrix(t)
+            exact = _exact_charpoly(rows)
+            coeffs = charpoly_coefficients(rows)
+            assert all(isinstance(c, Fraction) for c in coeffs)
+        else:
+            # The model's characteristic polynomial at t, up to a constant factor.
+            exact = _exact_charpoly(_model_rows(family, t))
+            exact = [c / exact[-1] for c in exact]
+            p, s = folded(family).charpoly_at(t)
+            coeffs = [c * s**k for k, c in enumerate(p)]
+            coeffs = [Fraction(c, coeffs[-1]) for c in coeffs]
+        assert all(c.is_Rational for c in exact), family.name
         assert [(c.numerator, c.denominator) for c in coeffs] == [
             (int(c.p), int(c.q)) for c in exact
         ], family.name
@@ -270,9 +338,3 @@ def test_oracle_errors_carry_their_diagnostics(monkeypatch):
     assert diagnostics["degree"] == 4 and diagnostics["steps"] == 2
     # 50 digits are 169 bits; two steps from double starts reach about 2^-104.
     assert diagnostics["threshold"] == 2.0**-168 < diagnostics["error_estimate"] < 2.0**-90
-    monkeypatch.undo()
-    with pytest.raises(OracleError, match=r"uncertain \(error estimate 1\.86e-9\)") as uncertain:
-        eigenvalues_charpoly_oracle(h, dps=8)
-    assert uncertain.value.diagnostics == {
-        "degree": 4, "steps": 1, "error_estimate": 2.0**-29, "threshold": 1e-12,
-    }

@@ -15,7 +15,8 @@ from ptlattice import (
     load_custom_model,
     parse_expression,
 )
-from ptlattice.models import FloatField, MpField
+from ptlattice.charpoly import model_oracle_eigenvalues
+from ptlattice.models import FloatField
 
 
 def write_yaml(tmp_path, doc, name="model.yaml"):
@@ -45,14 +46,6 @@ class TestGrammar:
     def test_unary_minus_and_precedence(self):
         ast = parse_expression("-t * 3 + 2")
         assert evaluate(ast, 1.0, FloatField) == pytest.approx(-1.0)
-
-    def test_mp_field_evaluation_is_high_precision(self):
-        import mpmath
-
-        ast = parse_expression("sqrt(2)")
-        with mpmath.workdps(40):
-            value = evaluate(ast, mpmath.mpf(0), MpField)
-            assert abs(value * value - 2) < mpmath.mpf(10) ** -38
 
     def test_scientific_notation(self):
         ast = parse_expression("1.5e-2 * t")
@@ -88,7 +81,7 @@ class TestExpressionLength:
         family = load_custom_model(write_yaml(tmp_path, doc))
         assert np.isfinite(family.matrices([0.25, 0.5])).all()
         assert np.isfinite(family.matrix(0.5)).all()
-        family.matrix_mp(0.5)
+        model_oracle_eigenvalues(family, 0.5)
 
     def test_one_token_more_is_rejected(self):
         with pytest.raises(ExprError) as err:
@@ -249,39 +242,30 @@ class TestLoading:
         assert "1.0e10" in message
         assert "lo < hi" not in message
 
-    def test_mp_lift_of_custom_model(self, tmp_path):
-        import mpmath
-
-        doc = {
-            "name": "chain",
-            "n": 3,
-            "topology": "open",
-            "diag": ["-1", "0", "1"],
-            "couplings": ["sqrt(1 - t)", "sqrt(1 + t)"],
-        }
-        family = load_custom_model(write_yaml(tmp_path, doc))
-        with mpmath.workdps(30):
-            hm = family.matrix_mp(0.5)
-        h = family.matrix(0.5)
-        assert abs(float(hm[0][1]) - h[0, 1]) < 1e-15
-
 
 class TestUndefinedEntries:
     """An explicit t_range may cover points where an entry has no value."""
 
-    @pytest.mark.parametrize("build", ["matrix", "matrix_mp"])
     @pytest.mark.parametrize(
-        "coupling, t",
-        [("sqrt(t*t - 4)", 0.5), ("1/t", 0.0)],
-        ids=["negative-radicand", "zero-divisor"],
+        "build",
+        [
+            pytest.param(lambda family, t: family.matrix(t), id="matrix"),
+            pytest.param(model_oracle_eigenvalues, id="model_oracle_eigenvalues"),
+        ],
     )
-    def test_undefined_entry_is_a_domain_error(self, tmp_path, build, coupling, t):
-        import mpmath
-
-        doc = dict(EC4_DOC, couplings=[coupling, "t", "t", "t"], t_range=[-1, 1])
+    @pytest.mark.parametrize(
+        "coupling, t, topology",
+        [("sqrt(t*t - 4)", 0.5, "ring"), ("1/t", 0.0, "ring"), ("sqrt(t*t - 4)", 0.5, "open")],
+        # On the open chain the entries fold into Q[t], where c^2 = t^2 - 4
+        # has a value at every t: the oracle must still refuse t = 0.5.
+        ids=["negative-radicand", "zero-divisor", "negative-radicand-open-chain"],
+    )
+    def test_undefined_entry_is_a_domain_error(self, tmp_path, build, coupling, t, topology):
+        couplings = [coupling, "t", "t", "t"][: 4 if topology == "ring" else 3]
+        doc = dict(EC4_DOC, topology=topology, couplings=couplings, t_range=[-1, 1])
         family = load_custom_model(write_yaml(tmp_path, doc))
-        with mpmath.workdps(30), pytest.raises(ModelDomainError) as err:
-            getattr(family, build)(t)
+        with pytest.raises(ModelDomainError) as err:
+            build(family, t)
         assert err.value.t == t
         assert f"undefined at t={t}" in str(err.value)
 
@@ -298,10 +282,3 @@ class TestUndefinedEntries:
         assert err.value.t == 1e10
         assert "not finite" in str(err.value) and "t=10000000000.0" in str(err.value)
         assert np.isfinite(family.matrix(10.0)).all()
-
-    def test_mp_sqrt_rejects_negative_radicand(self):
-        import mpmath
-
-        with pytest.raises(ValueError):
-            MpField.sqrt(mpmath.mpf(-1))
-        assert MpField.sqrt(mpmath.mpf(4)) == 2

@@ -175,18 +175,26 @@ def test_exact_engine_loads_neither_numpy_nor_mpmath():
     assert json.loads(proc.stdout) == [False, 3, []]
 
 
+ORACLE_PROBE = (
+    "import json, sys, ptlattice\n"
+    "loaded = lambda: sys.modules.get('mpmath') is not None\n"
+    "from ptlattice.cli import main\n"
+    "h = ptlattice.get_family('ec4').matrix(0.31)\n"
+    "values = ptlattice.eigenvalues_charpoly_oracle(h).values\n"
+    "after_oracle = loaded()\n"
+    "models = [ptlattice.model_oracle_eigenvalues(f, 0.25).values for f in ptlattice.iter_families()]\n"
+    "after_models = loaded()\n"
+    "code = main(['validate', '--model', 'ec4', '--t-min', '0', '--t-max', '1.5'])\n"
+    "print(json.dumps([len(values), after_oracle, len(models), after_models, code,\n"
+    "                  loaded()]))"
+)
+
+
 def test_float_lift_oracle_and_validate_load_no_mpmath():
-    # Only the exact-entry oracle, which builds mpf entries, loads mpmath.
-    probe = (
-        "import json, sys, ptlattice\n"
-        "from ptlattice.cli import main\n"
-        "h = ptlattice.get_family('ec4').matrix(0.31)\n"
-        "values = ptlattice.eigenvalues_charpoly_oracle(h).values\n"
-        "after_oracle = 'mpmath' in sys.modules\n"
-        "code = main(['validate', '--model', 'ec4', '--t-min', '0', '--t-max', '1.5'])\n"
-        "print(json.dumps([len(values), after_oracle, code, 'mpmath' in sys.modules]))"
-    )
-    proc = run_python("-c", probe)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [4, False, 0, False]
-    assert "oracle-agreement: ok" in proc.stdout
+    # Neither oracle needs mpmath.  The second probe blocks it with
+    # sys.modules['mpmath'] = None, where any import of it raises ImportError.
+    for prefix in ("", "import sys; sys.modules['mpmath'] = None\n"):
+        proc = run_python("-c", prefix + ORACLE_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [4, False, 6, False, 0, False]
+        assert "oracle-agreement: ok" in proc.stdout
