@@ -101,6 +101,16 @@ def _emit(args, bundle: ReportBundle) -> None:
         sys.stdout.write(bundle.to_csv())
 
 
+def _write_svg(args, title: str, y_label: str, curves) -> None:
+    """Write the --svg plot of t against y_label; curves holds (xs, ys, label, dashed)."""
+    from .svgplot import LinePlot
+
+    plot = LinePlot(title=title, x_label="t", y_label=y_label)
+    for xs, ys, label, dashed in curves:
+        plot.add_curve(xs, ys, label=label, dashed=dashed)
+    plot.write(args.svg)
+
+
 def _domain_report(args, family):
     from .domains import domain_report
 
@@ -147,22 +157,9 @@ def cmd_spectrum(args, family) -> int:
     bundle.add_table(Table(name="spectrum", columns=columns, rows=table_rows))
 
     if args.svg:
-        from .svgplot import LinePlot
-
-        plot = LinePlot(
-            title=f"{family.name}: eigenvalues vs t",
-            x_label="t",
-            y_label="E",
-        )
-        for k in range(n):
-            plot.add_curve(
-                grid, rows[:, k].real, label="Re E" if k == 0 else ""
-            )
-        for k in range(n):
-            plot.add_curve(
-                grid, rows[:, k].imag, label="Im E" if k == 0 else "", dashed=True
-            )
-        plot.write(args.svg)
+        curves = [(grid, rows[:, k].real, "Re E" if k == 0 else "", False) for k in range(n)]
+        curves += [(grid, rows[:, k].imag, "Im E" if k == 0 else "", True) for k in range(n)]
+        _write_svg(args, f"{family.name}: eigenvalues vs t", "E", curves)
     _emit(args, bundle)
     return 0
 
@@ -185,17 +182,13 @@ def cmd_domains(args, family) -> int:
     bundle.add_table(_ep_table("ep_markers", report))
 
     if args.svg:
-        from .svgplot import LinePlot
-
-        plot = LinePlot(
-            title=f"{family.name}: real eigenvalue count vs t",
-            x_label="t",
-            y_label="count",
-        )
         # A step curve: each interval of the partition at its count.
         vertices = [(t, count) for lo, hi, count in report.intervals for t in (lo, hi)]
-        plot.add_curve(*zip(*vertices), label="real count")
-        plot.write(args.svg)
+        xs, ys = zip(*vertices)
+        _write_svg(
+            args, f"{family.name}: real eigenvalue count vs t", "count",
+            [(xs, ys, "real count", False)],
+        )
     _emit(args, bundle)
     return 0
 
@@ -284,19 +277,11 @@ def cmd_metric(args, family) -> int:
     )
 
     if args.svg:
-        from .svgplot import LinePlot
-
-        plot = LinePlot(
-            title=f"{family.name}: metric minimum eigenvalue vs t",
-            x_label="t",
-            y_label="min eig",
+        ts, curve = report.min_eig_samples.T
+        _write_svg(
+            args, f"{family.name}: metric minimum eigenvalue vs t", "min eig",
+            [(ts, curve, "min eig", False)],
         )
-        plot.add_curve(
-            report.min_eig_samples[:, 0],
-            report.min_eig_samples[:, 1],
-            label="min eig",
-        )
-        plot.write(args.svg)
     _emit(args, bundle)
     return 0
 

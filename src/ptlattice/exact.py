@@ -23,6 +23,8 @@ where its discriminant is identically 0 (an eigenvalue repeated at every t)
 or its degree bound exceeds MAX_DISC_DEGREE, where a cold build costs more
 than the grid scan of a unit range.  ``reality_map`` returns None for all
 those families, and their domains come from the float path of ``domains``.
+It builds from the fold ``folded`` caches, which the oracle of ``charpoly``
+reads too, so each family is folded once.
 
 The discriminant is the resultant Res(P, dP/dlambda), taken at
 floor(w n (n - 1)) + 1 integer points and interpolated; w, the largest of
@@ -280,8 +282,8 @@ def _validity_sign(s, t_min: float, t_max: float) -> int:
     return (value > 0) - (value < 0)
 
 
-def _fold(family, max_degree_bound=math.inf) -> _Folded:
-    """The folded inputs; a degree bound above max_degree_bound raises first."""
+def _fold(family) -> _Folded:
+    """The folded inputs of the family's characteristic polynomial."""
     n = family.n
     try:
         diag = [_coerce(x) for x in family.diag_fn(_T, ExactField)]
@@ -295,8 +297,6 @@ def _fold(family, max_degree_bound=math.inf) -> _Folded:
     squares = [_pscale(_pmul(_pmul(c.a, c.a), c.r), -1) for c in upper]
     w = max([0] + [len(x.a) - 1 for x in diag] + [Fraction(len(p) - 1, 2) for p in squares])
     bound = math.floor(w * n * (n - 1))
-    if bound > max_degree_bound:
-        raise _NotFolding(f"discriminant degree bound {bound} above {max_degree_bound}")
     gammabeta, cycle = (), ()
     if family.topology is Topology.RING:
         gammabeta = squares[n - 1]
@@ -424,8 +424,8 @@ def _build(fold: _Folded) -> RealityMap | None:
 
 @functools.lru_cache(maxsize=64)
 def reality_map(family) -> RealityMap | None:
-    """The family's reality map, built on first use; None where it has none."""
-    try:
-        return _build(_fold(family, MAX_DISC_DEGREE))
-    except _NotFolding:
+    """The family's reality map, built on first use from its fold; None where it has none."""
+    fold = folded(family)
+    if fold is None or fold.degree_bound > MAX_DISC_DEGREE:
         return None
+    return _build(fold)

@@ -9,10 +9,13 @@ continuous section of the kernel along t.
 
 A tracked section (MetricSection) is transported along a fixed lattice of
 t from its seed, so Theta(t) depends on t alone.  positivity_interval and
-tracked_positivity_boundary sample it through MetricSection.values, which
-solves its kernels in stacks (intertwiner_bases); the metrics of a chunk
-take one stacked eigvalsh.  Bisection samples each new probe together with
-the probes of its next two levels, and keeps what it has sampled.
+tracked_positivity_boundary sample every candidate through
+MetricCandidate.values: a candidate built on a section's value method reads
+MetricSection.values, which solves its kernels in stacks
+(intertwiner_bases), and any other is evaluated point by point.  The
+metrics of a chunk take one stacked eigvalsh.  Bisection samples each new
+probe together with the probes of its next two levels, and keeps what it
+has sampled.
 """
 
 from __future__ import annotations
@@ -61,7 +64,11 @@ class MetricProvenance(Enum):
 
 @dataclass(frozen=True)
 class MetricCandidate:
-    """A symmetric metric candidate: a t-family, a point value, or both."""
+    """A symmetric metric candidate: a t-family, a point value, or both.
+
+    at(t) evaluates the family at one point; values(ts) samples it at many,
+    and is what every sampler of this module reads.
+    """
 
     provenance: MetricProvenance
     family: Callable[[float], np.ndarray] | None = None
@@ -73,6 +80,23 @@ class MetricCandidate:
                 f"{self.provenance.value} candidate carries no t-family"
             )
         return self.family(float(t))
+
+    def values(self, ts):
+        """Theta(t) at each t in order, or the error where a tracked section cannot be continued.
+
+        A candidate whose family is a MetricSection's bound value method
+        yields MetricSection.values, which solves the kernels of its points
+        in stacks; any other is evaluated through at, point by point.
+        """
+        section = getattr(self.family, "__self__", None)
+        if isinstance(section, MetricSection) and self.family == section.value:
+            yield from section.values(ts)
+            return
+        for t in ts:
+            try:
+                yield self.at(t)
+            except _SECTION_GAPS as exc:
+                yield exc.with_traceback(None)
 
 
 def _ec4_reference(t: float) -> np.ndarray:
@@ -198,89 +222,52 @@ class PositivityReport:
 _SECTION_GAPS = (BrokenPhaseError, DegenerateSpectrumError, TrackingError)
 
 
-def _sample(candidate: MetricCandidate, t: float):
-    """Theta(t), or the error where a tracked section cannot be continued."""
-    try:
-        return candidate.at(t)
-    except _SECTION_GAPS as exc:
-        return exc.with_traceback(None)
+def _min_eig_chunks(candidate: MetricCandidate, ts):
+    """The minimal eigenvalue of the candidate's metric at each t, a chunk at a time.
 
-
-def _positive(theta) -> bool:
-    """Whether a sampled metric is positive definite; a gap error is not."""
-    return not isinstance(theta, Exception) and bool(_min_eig(theta) > 0)
-
-
-def _tracked_section(candidate: MetricCandidate) -> "MetricSection | None":
-    """The section whose bound value method is the candidate's family, if any."""
-    section = getattr(candidate.family, "__self__", None)
-    if isinstance(section, MetricSection) and candidate.family == section.value:
-        return section
-    return None
-
-
-def _min_eig_chunks(thetas, grid: list, name: str):
-    """The minimal eigenvalue of each sampled metric, -inf in a gap, a chunk at a time.
-
-    Takes _CHUNK_POINTS metrics from thetas for each chunk of the grid and
-    yields their curve, from one stacked eigvalsh.  A metric entry that
-    overflowed raises ModelDomainError.
+    Samples the candidate through MetricCandidate.values and yields the
+    curve of each _CHUNK_POINTS points of ts, from one stacked eigvalsh;
+    -inf in a gap.  A metric entry that overflowed raises ModelDomainError.
     """
-    for start in range(0, len(grid), _CHUNK_POINTS):
+    thetas = candidate.values(ts)
+    for start in range(0, len(ts), _CHUNK_POINTS):
         chunk = list(islice(thetas, _CHUNK_POINTS))
         curve = np.full(len(chunk), -math.inf)
         alive = [k for k, theta in enumerate(chunk) if not isinstance(theta, Exception)]
         if alive:
             stack = np.stack([chunk[k] for k in alive])
             if not np.isfinite(stack).all():
-                t = float(grid[start + alive[np.isfinite(stack).all(axis=(1, 2)).argmin()]])
+                t = float(ts[start + alive[np.isfinite(stack).all(axis=(1, 2)).argmin()]])
                 raise ModelDomainError(
-                    f"{name} metric: an entry is not finite in double precision at t={t}", t=t
+                    f"{candidate.provenance.value} metric: an entry is not finite "
+                    f"in double precision at t={t}", t=t
                 )
             curve[alive] = _min_eig(stack)
         yield curve
 
 
-def _min_eig_curve(candidate: MetricCandidate, grid: np.ndarray) -> np.ndarray:
-    """The minimal eigenvalue of the candidate at each grid point, -inf in a gap.
-
-    A tracked section marches the grid through MetricSection.values; other
-    candidates are evaluated point by point.  Where a metric entry
-    overflowed (ModelDomainError), bisection stays between two finite grid
-    points, where the closed forms, growing with |t|, stay finite too.
-    """
-    section = _tracked_section(candidate)
-    if section is not None:
-        thetas = section.values(grid)
-    else:
-        thetas = (_sample(candidate, t) for t in grid)
-    chunks = _min_eig_chunks(thetas, grid, candidate.provenance.value)
-    return np.concatenate(list(chunks))
-
-
 def _bisect_positivity(candidate: MetricCandidate, inside: float, outside: float, tol: float):
     """bisect_edge on whether the candidate's sampled metric is positive.
 
-    On a tracked section, whose Theta depends on t alone, a probe not
-    sampled yet is sampled in one MetricSection.values call with the six
-    probes that may follow it in bisect_edge's next two levels, and the
-    results are kept; so about every third probe solves a stack of kernels.
+    Theta depends on t alone, so a probe not sampled yet is sampled in one
+    MetricCandidate.values call with the six probes that may follow it in
+    bisect_edge's next two levels, and the signs are kept; so about every
+    third probe takes one stacked eigvalsh, and on a tracked section solves
+    one stack of kernels.  The bracket lies between two finite grid points,
+    where the closed forms, growing with |t|, stay finite too.
     """
-    section = _tracked_section(candidate)
     bracket = [inside, outside]
     seen: dict[float, bool] = {}
 
     def keep(t: float) -> bool:
-        if section is None:
-            positive = _positive(_sample(candidate, t))
-        else:
-            if t not in seen:
-                # bisect_edge's next midpoint, after t is kept or not, and the next after it.
-                up, down = (t + bracket[1]) / 2, (bracket[0] + t) / 2
-                probes = [t, up, (up + bracket[1]) / 2, (t + up) / 2,
-                          down, (down + t) / 2, (bracket[0] + down) / 2]
-                seen.update(zip(probes, map(_positive, section.values(probes))))
-            positive = seen[t]
+        if t not in seen:
+            # bisect_edge's next midpoint, after t is kept or not, and the next after it.
+            up, down = (t + bracket[1]) / 2, (bracket[0] + t) / 2
+            probes = [t, up, (up + bracket[1]) / 2, (t + up) / 2,
+                      down, (down + t) / 2, (bracket[0] + down) / 2]
+            (curve,) = _min_eig_chunks(candidate, probes)
+            seen.update(zip(probes, (curve > 0).tolist()))
+        positive = seen[t]
         bracket[0 if positive else 1] = t
         return positive
 
@@ -299,18 +286,19 @@ def positivity_interval(
 
     The coarse scan locates sign runs of the minimal eigenvalue; each edge
     of the widest positive run is then bisected to the requested bracket.
-    If no sample is positive the report is empty (interval=None).  A
-    candidate built on a MetricSection's value method samples the coarse
-    grid through MetricSection.values, and its bisection solves the kernels
-    of its probes a few at a time (_bisect_positivity).  The grid sets only
-    where the section is sampled: Theta(t) itself does not depend on it.
+    If no sample is positive the report is empty (interval=None).  The
+    grid and the bisection probes are sampled through
+    MetricCandidate.values, where a gap counts as non-positive (-inf); a
+    grid metric with an entry that overflowed raises ModelDomainError.
+    The grid sets only where a tracked section is sampled: Theta(t) itself
+    does not depend on it.
     """
     check_bracket(lo, hi, tol)
     steps = grid_steps(
         lo, hi, coarse_steps if coarse_steps is not None else POSITIVITY_STEPS
     )
     grid = np.linspace(lo, hi, steps)
-    curve = _min_eig_curve(candidate, grid)
+    curve = np.concatenate(list(_min_eig_chunks(candidate, grid)))
     samples = np.column_stack([grid, curve])
     positive = curve > 0
     if not positive.any():
@@ -499,14 +487,15 @@ def tracked_positivity_boundary(
     section-independent and comparable across constructions.
     """
     check_bracket(0.0, search_max, tol)
-    section = MetricSection(family)
-    candidate = MetricCandidate(MetricProvenance.BASIS_COMBINATION, family=section.value)
+    candidate = MetricCandidate(
+        MetricProvenance.BASIS_COMBINATION, family=MetricSection(family).value
+    )
 
     ts = [0.0]
     while (t := len(ts) * _SECTION_STEP) < search_max:
         ts.append(t)
     ts.append(search_max)
-    chunks = _min_eig_chunks(section.values(ts[1:]), ts[1:], candidate.provenance.value)
+    chunks = _min_eig_chunks(candidate, ts[1:])
     for start, curve in zip(range(1, len(ts), _CHUNK_POINTS), chunks):
         if not (curve > 0).all():
             k = start + int((curve > 0).argmin())

@@ -34,7 +34,7 @@ from ptlattice import (
 )
 from ptlattice.domains import bisect_edge
 from ptlattice.errors import TrackingError
-from ptlattice.metrics import _SECTION_STEP, _positive
+from ptlattice.metrics import _SECTION_STEP, _min_eig
 
 EC4 = get_family(Model.EC4)
 STRONG = get_family(Model.EC4_STRONG_BOND)
@@ -224,6 +224,20 @@ def test_positivity_interval_strong_endpoints():
     lo, hi = report.interval
     assert hi == pytest.approx(1.0828543885250657, abs=1e-6)
     assert lo == pytest.approx(-1.0828543885250657, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "reference, lo, hi, expected",
+    [
+        (reference_metric_ec4, 0.0, 1.4, (0.0, 1.2247448713719848)),
+        (reference_metric_ec4, -1.6, 1.6, (-1.2247448713779447, 1.2247448713779447)),
+        (reference_metric_ec4_strong, 0.0, 1.6, (0.0, 1.082854388570786)),
+        (reference_metric_ec4_strong, -1.6, 1.6, (-1.082854388570786, 1.0828543885707855)),
+    ],
+)
+def test_closed_form_positivity_intervals_are_pinned(reference, lo, hi, expected):
+    report = positivity_interval(reference(0.0), lo, hi, 1e-10)
+    assert report.interval == expected
 
 
 def test_positivity_interval_empty_when_negative():
@@ -469,6 +483,37 @@ def test_positivity_on_a_section_equals_the_point_by_point_march(name, lo, hi, s
     assert report.min_eig_samples.tobytes() == expected.min_eig_samples.tobytes()
 
 
+def test_candidate_values_are_at_or_the_sections_values(monkeypatch):
+    closed = reference_metric_ec4_strong(0.0)
+    ts = [-1.3, 0.0, 0.4, 1.0828543885707855, 1.5]
+    for t, theta in zip(ts, closed.values(ts), strict=True):
+        assert np.array_equal(theta, closed.at(t))
+    # Across the EP at t = 0.96584, so the section's gap errors are yielded too.
+    family = get_family(Model.EC4_RECOUPLED)
+    grid = [0.9, 0.97, 1.1, 0.5, 0.9658, 1.3, 0.2]
+    section = MetricSection(family, t_seed=0.7)
+    stacked = _tracked_candidate(section.value)
+    fresh = MetricSection(family, t_seed=0.7)
+    pointwise = _tracked_candidate(lambda t: fresh.value(t))  # sampled through at
+    expected = list(MetricSection(family, t_seed=0.7).values(grid))
+    assert any(isinstance(theta, BrokenPhaseError) for theta in expected)
+    calls = []
+    values = MetricSection.values
+    monkeypatch.setattr(
+        MetricSection, "values", lambda self, ts: calls.append(len(ts)) or values(self, ts)
+    )
+    # The section-backed candidate asks its section once for the whole grid.
+    for candidate, asked in ((stacked, [len(grid)]), (pointwise, [1] * len(grid))):
+        calls.clear()
+        for theta, reference in zip(candidate.values(grid), expected, strict=True):
+            if isinstance(reference, Exception):
+                assert type(theta) is type(reference)
+                assert str(theta) == str(reference)
+            else:
+                assert np.array_equal(theta, reference)
+        assert calls == asked
+
+
 def test_positivity_on_a_section_solves_the_coarse_kernels_in_stacks(monkeypatch):
     import ptlattice.metrics as metrics
 
@@ -543,7 +588,7 @@ def _sequential_boundary(family, tol, search_max=1.2):
 
     def alive(t):
         try:
-            return _positive(section.value(t))
+            return bool(_min_eig(section.value(t)) > 0)
         except _GAPS:
             return False
 
