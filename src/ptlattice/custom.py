@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ExprError, ModelFileError
 from .lattice import Topology, coupling_count, is_ring_size
@@ -34,8 +34,7 @@ _TOKEN_RE = re.compile(
 MAX_EXPR_TOKENS = 256
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):  # not a dataclass, which would load inspect
     kind: str
     text: str
     column: int  # 1-based position in the expression string

@@ -10,8 +10,10 @@ entries fold into Q[t] and the discriminant degree bound is at most
 ``exact.MAX_DISC_DEGREE``), the partition is read off the family's
 reality map: its edges are the correctly rounded real roots of the
 discriminant where the exact real count changes, and every root inside the
-range is tested as an exceptional point at that root.  No grid is solved,
-and neither ``eps_real`` nor the grid size moves a count.
+range is tested as an exceptional point at that root, all roots in one
+stacked eigensolve per kind of marker.  No grid is solved or assembled (its
+entries are only checked), and neither ``eps_real`` nor the grid size moves
+a count.
 
 Every other family takes the float path.  It reads the partition off one
 coarse grid, refines the transition points by bisection, and tests strict
@@ -39,6 +41,7 @@ from .errors import (
 from .lattice import check_square
 from .spectra import (
     _EPS,
+    _frobenius_scales,
     _index_pairs,
     _largest_cluster,
     _perturbation_order,
@@ -223,52 +226,80 @@ def locate_coalescence_ep(
 
 
 def _coalescence_at(family, t_star: float) -> EPLocation:
-    """Accept t_star as an exceptional point where the closest eigenvectors align.
+    """The one-row call of _coalescences: the marker at t_star, or its EpNotFoundError."""
+    out = _coalescences(family.matrix(t_star)[None], [t_star])
+    if isinstance(out[0], Exception):
+        raise out.pop()  # popped, as in intertwiner_basis
+    return out[0]
 
-    The order is the cluster size at the u^(1/k) noise radius; the kind is
-    COMPLEX_COALESCENCE where the closest pair meets off the real axis.
+
+def _coalescences(stack, ts) -> list:
+    """Accept each t of ts as an exceptional point where the closest eigenvectors align.
+
+    stack holds the model's matrix at each t.  Entry k is the EPLocation at
+    ts[k], or the EpNotFoundError that rejects it.  The order is the cluster
+    size at the u^(1/k) noise radius, scaled by max(1, ||H||_F) as
+    _frobenius_scales takes it; the kind is COMPLEX_COALESCENCE where the
+    closest pair meets off the real axis.  One stacked eig solves every
+    row.  Its rows are complex wherever any row is, where a one-row call of
+    an all-real row is real; every quantity below takes the same value from
+    a real row as from that row with zero imaginary parts.
     """
-    h = family.matrix(t_star)
-    n = h.shape[0]
-    scale = max(1.0, float(np.linalg.norm(h)))
-    values, vectors = np.linalg.eig(h)
-    order = _perturbation_order(values, scale, n)
-    if order < 2:
-        raise EpNotFoundError(
-            f"no eigenvalue cluster at the gap minimum t={t_star!r}"
-        )
-    # The closest pair; on a tie, the first in row-major order.
+    n = stack.shape[1]
+    scales = _frobenius_scales(stack).tolist()
+    rows, bases = np.linalg.eig(stack)
     i, j = _index_pairs(n)
-    closest = np.abs(values[i] - values[j]).argmin()
-    i, j = i[closest], j[closest]
-    angle = vector_angle(vectors[:, i], vectors[:, j])
-    acceptance = max(ANGLE_TOL, 50.0 * _EPS ** (1.0 / order))
-    if angle > acceptance:
-        raise EpNotFoundError(
-            f"closest eigenvectors stay {angle:.3e} apart at t={t_star!r}; "
-            "the gap minimum is an avoided crossing"
+    out: list = []
+    for t_star, scale, values, vectors in zip(ts, scales, rows, bases):
+        order = _perturbation_order(values, scale, n)
+        if order < 2:
+            out.append(EpNotFoundError(f"no eigenvalue cluster at the gap minimum t={t_star!r}"))
+            continue
+        # The closest pair; on a tie, the first in row-major order.
+        closest = np.abs(values[i] - values[j]).argmin()
+        a, b = i[closest], j[closest]
+        angle = vector_angle(vectors[:, a], vectors[:, b])
+        acceptance = max(ANGLE_TOL, 50.0 * _EPS ** (1.0 / order))
+        if angle > acceptance:
+            out.append(
+                EpNotFoundError(
+                    f"closest eigenvectors stay {angle:.3e} apart at t={t_star!r}; "
+                    "the gap minimum is an avoided crossing"
+                )
+            )
+            continue
+        radius = float(np.abs(values).max())
+        off_axis = abs((values[a] + values[b]).imag) / 2 > EPS_REAL * max(1.0, radius)
+        out.append(
+            EPLocation(
+                t_star=float(t_star),
+                order=order,
+                kind=EPKind.COMPLEX_COALESCENCE if off_axis else EPKind.REAL_COALESCENCE,
+                residual=float(angle),
+            )
         )
-    radius = float(np.abs(values).max())
-    off_axis = abs((values[i] + values[j]).imag) / 2 > EPS_REAL * max(1.0, radius)
-    return EPLocation(
-        t_star=float(t_star),
-        order=order,
-        kind=EPKind.COMPLEX_COALESCENCE if off_axis else EPKind.REAL_COALESCENCE,
-        residual=float(angle),
-    )
+    return out
 
 
-def _boundary_ep(family, t_star: float, tol: float) -> EPLocation:
-    h = family.matrix(t_star)
-    scale = max(1.0, float(np.linalg.norm(h)))
-    values = np.linalg.eigvals(h)
-    order = max(2, _perturbation_order(values, scale, h.shape[0]))
-    return EPLocation(
-        t_star=float(t_star),
-        order=order,
-        kind=EPKind.COMPLEXIFICATION,
-        residual=float(tol),
-    )
+def _boundary_eps(stack, ts, tol: float) -> list:
+    """The complexification marker at each t of ts, where stack holds the model's matrices.
+
+    The order is the cluster size at the u^(1/k) noise radius, and at least
+    2.  One stacked eigvals solves every row; as in _coalescences, no order
+    depends on whether a row comes back real or complex.  Both paths of
+    domain_report mark their count changes here.
+    """
+    n = stack.shape[1]
+    scales = _frobenius_scales(stack).tolist()
+    return [
+        EPLocation(
+            t_star=float(t_star),
+            order=max(2, _perturbation_order(values, scale, n)),
+            kind=EPKind.COMPLEXIFICATION,
+            residual=float(tol),
+        )
+        for t_star, scale, values in zip(ts, scales, np.linalg.eigvals(stack))
+    ]
 
 
 def _exact_partition(family, rmap, lo: float, hi: float, tol: float) -> tuple:
@@ -277,22 +308,32 @@ def _exact_partition(family, rmap, lo: float, hi: float, tol: float) -> tuple:
     A root inside (lo, hi) where the count changes is an edge, marked as a
     complexification point; any other root inside is marked where the
     eigenvector-alignment test accepts it.  A root on lo or hi is an edge of
-    the range, not a cell, and takes no marker.
+    the range, not a cell, and takes no marker.  One stack of matrix(t) at
+    the roots serves every marker: for the few roots of a range, building
+    each matrix costs less than the fixed cost of a matrices call.
     """
-    edges, levels, markers = [float(lo)], [rmap.count_above(lo)], []
-    for root in rmap.roots_inside(lo, hi):
+    edges, levels, boundary, crossing = [float(lo)], [rmap.count_above(lo)], [], []
+    roots = rmap.roots_inside(lo, hi)
+    for k, root in enumerate(roots):
         count = rmap.count_above(root)
         if count != levels[-1]:
             edges.append(root)
             levels.append(count)
-            markers.append(_boundary_ep(family, root, tol))
+            boundary.append(k)
         else:
-            try:
-                markers.append(_coalescence_at(family, root))
-            except EpNotFoundError:
-                pass  # a crossing whose eigenvectors stay apart
+            crossing.append(k)
     edges.append(float(hi))
-    return tuple(zip(edges, edges[1:], levels)), tuple(markers)
+    found: dict = {}
+    if roots:
+        stack = np.stack([family.matrix(root) for root in roots])
+        if boundary:
+            found.update(zip(boundary, _boundary_eps(stack[boundary], edges[1:-1], tol)))
+        if crossing:
+            tested = _coalescences(stack[crossing], [roots[k] for k in crossing])
+            found.update(zip(crossing, tested))
+    # A crossing whose eigenvectors stay apart takes no marker.
+    eps = tuple(m for _, m in sorted(found.items()) if not isinstance(m, EpNotFoundError))
+    return tuple(zip(edges, edges[1:], levels)), eps
 
 
 def domain_report(
@@ -306,14 +347,16 @@ def domain_report(
 ) -> DomainReport:
     """Partition [lo, hi] into constant-real-count intervals with EP markers.
 
-    Every family's entries are assembled on the coarse grid of
+    Every family's entries are checked on the coarse grid of
     grid_steps(lo, hi, coarse_steps) points, so an entry undefined inside
-    the range raises at its first grid point.
+    the range raises at its first grid point.  Only the float path
+    assembles the grid's matrices.
 
     For a family the exact engine takes, the partition comes from its
     reality map (``_exact_partition``): edges are the correctly rounded
     discriminant roots where the real count changes, and boundary_tol
-    bounds their distance from the exact roots.
+    bounds their distance from the exact roots.  The markers take one
+    stack of the model's matrices at the roots.
 
     Otherwise the grid is the one scan: each interval takes the real count
     of the grid points it covers, so a window narrower than a grid cell may
@@ -326,16 +369,17 @@ def domain_report(
     check_eps_real(eps_real)
     grid = np.linspace(lo, hi, grid_steps(lo, hi, coarse_steps))
     # The ends first, so a range reaching past the validity interval is
-    # reported at its end; family.matrices checks every point.
+    # reported at its end; check_entries and matrices check every point.
     family.check_validity(float(lo))
     family.check_validity(float(hi))
-    stack = family.matrices(grid)
     from .exact import reality_map
 
     rmap = reality_map(family)
     if rmap is not None:
+        family.check_entries(grid)
         intervals, eps = _exact_partition(family, rmap, lo, hi, tol)
     else:
+        stack = family.matrices(grid)
         intervals, eps = _grid_partition(family, grid, stack, lo, hi, tol, eps_real)
     return DomainReport(
         lo=float(lo),
@@ -363,7 +407,10 @@ def _grid_partition(family, grid, stack, lo: float, hi: float, tol: float, eps_r
     levels = counts[[0, *(cells + 1)]].tolist()
     intervals = list(zip(map(float, edges), map(float, edges[1:]), levels))
 
-    markers = [_boundary_ep(family, b, tol) for b in boundaries]
+    markers = []
+    if boundaries:
+        stack = np.stack([family.matrix(b) for b in boundaries])
+        markers = _boundary_eps(stack, boundaries, tol)
 
     spacing = (hi - lo) / (len(grid) - 1)
     minima = 1 + np.flatnonzero((gaps[1:-1] < gaps[:-2]) & (gaps[1:-1] <= gaps[2:]))

@@ -2,12 +2,12 @@
 
 Every family exposes its entries as closed-form functions of t that can be
 evaluated in double precision (for LAPACK work), over a whole float64
-vector of t at once (for grid scans, ``ModelFamily.matrices``), or exactly,
-as polynomials in t (``exact.ExactField``, for the reality map and the
-exact-entry oracle, where entry rounding would otherwise dominate near
-high-order degeneracies).  Constants inside the entry expressions are
-integers and exact rationals, so that the exact evaluation folds them
-without rounding.
+vector of t at once (for grid scans, ``ModelFamily.matrices`` and
+``ModelFamily.check_entries``), or exactly, as polynomials in t
+(``exact.ExactField``, for the reality map and the exact-entry oracle, where
+entry rounding would otherwise dominate near high-order degeneracies).
+Constants inside the entry expressions are integers and exact rationals, so
+that the exact evaluation folds them without rounding.
 
 numpy is imported inside the functions that use it, so naming a model and
 checking its validity range does not load it.
@@ -16,12 +16,11 @@ checking its validity range does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ModelDomainError
-from .lattice import Topology, build_matrix, layout
+from .lattice import Topology, build_matrix, coupling_count, layout
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,7 +70,6 @@ class ArrayField:
         return np.asarray(t, dtype=float)
 
 
-@dataclass(frozen=True)
 class ModelFamily:
     """A t-parametrized Hamiltonian family with entry closed forms.
 
@@ -80,16 +78,55 @@ class ModelFamily:
     float64 vector and each entry is a vector or a constant scalar, so the
     closures must compute elementwise.  ``t_min``/``t_max`` bound
     the closed validity interval (infinite where unconstrained).
+
+    A family is immutable and compares and hashes by all eight fields, so
+    the caches of ``exact`` can key on it.  It is a plain class, not a
+    dataclass: ``dataclasses`` would load ``inspect`` on every start-up.
     """
 
-    name: str
-    n: int
-    topology: Topology
-    diag_fn: Callable = field(repr=False)
-    upper_fn: Callable = field(repr=False)
-    t_min: float = -math.inf
-    t_max: float = math.inf
-    radical: str | None = None
+    def __init__(
+        self,
+        name: str,
+        n: int,
+        topology: Topology,
+        diag_fn: Callable,
+        upper_fn: Callable,
+        t_min: float = -math.inf,
+        t_max: float = math.inf,
+        radical: str | None = None,
+    ):
+        # Through __dict__, since assignment raises.
+        self.__dict__.update(
+            name=name, n=n, topology=topology, diag_fn=diag_fn, upper_fn=upper_fn,
+            t_min=t_min, t_max=t_max, radical=radical,
+        )
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"cannot assign to field {key!r} of an immutable ModelFamily")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"cannot delete field {key!r} of an immutable ModelFamily")
+
+    def _key(self) -> tuple:
+        return (
+            self.name, self.n, self.topology, self.diag_fn, self.upper_fn,
+            self.t_min, self.t_max, self.radical,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(name={self.name!r}, n={self.n!r}, "
+            f"topology={self.topology!r}, t_min={self.t_min!r}, t_max={self.t_max!r}, "
+            f"radical={self.radical!r})"
+        )
 
     def contains(self, t: float) -> bool:
         return self.t_min <= t <= self.t_max
@@ -128,36 +165,68 @@ class ModelFamily:
             )
         return build_matrix(self.n, diag, upper, self.topology)
 
-    def matrices(self, ts) -> np.ndarray:
-        """The (len(ts), n, n) stack of matrix(t) for a vector of t, bit for bit.
+    def _vector_entries(self, ts):
+        """(diag, upper) of matrix(t) at every t of a float vector in one pass, or None.
 
         The entry closures run once over the whole vector in ArrayField
         arithmetic.  From finite t and finite literals an inf or nan can
         only come out of an operation numpy flags, and every such flag
         raises here, because a later operation may hide it: 1/(1/0) comes
-        back as a finite 0 where the scalar path raises.  On any t outside
-        the validity range, any exception or any non-finite entry, the stack
-        is built from matrix(t) at each t in order instead, so the result,
-        or the error with its t, is matrix's own.
+        back as a finite 0 where the scalar path raises.  The entries are
+        checked through their sum, which is finite, and a scalar or a vector
+        of len(ts), only where every entry is too; a sum of finite entries
+        that overflows raises as well, and leaves the decision to matrix(t).
+        None, so that matrix(t) decides at each t, on any t outside the
+        validity range, any exception, an entry count that build_matrix
+        rejects, or a sum that fails.
+        """
+        import numpy as np
+
+        if not np.all((self.t_min <= ts) & (ts <= self.t_max) & np.isfinite(ts)):
+            return None
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                diag = self.diag_fn(ts, ArrayField)
+                upper = self.upper_fn(ts, ArrayField)
+                total = sum(diag + upper)
+            counted = len(diag) == self.n and len(upper) == coupling_count(self.n, self.topology)
+            if counted and np.shape(total) in ((), ts.shape) and np.isfinite(total).all():
+                return diag, upper
+        except Exception:
+            # The closures may be any caller's; matrix(t) raises whatever
+            # is a genuine error of the model.
+            pass
+        return None
+
+    def check_entries(self, ts) -> None:
+        """Raise matrix(t)'s error at the first t of a vector that has one.
+
+        The entries are checked as matrices checks them, and no stack is
+        built: where the one pass fails, matrix(t) is built at each t in
+        order, so the error with its t is matrix's own.
+        """
+        ts = ArrayField.lift(ts).ravel()
+        if self._vector_entries(ts) is None:
+            for t in ts:
+                self.matrix(t)
+
+    def matrices(self, ts) -> np.ndarray:
+        """The (len(ts), n, n) stack of matrix(t) for a vector of t, bit for bit.
+
+        The stack is laid out from the entries of one vector pass
+        (``_vector_entries``).  Where that pass fails, the stack is built
+        from matrix(t) at each t in order instead, so the result, or the
+        error with its t, is matrix's own.
         """
         import numpy as np
 
         ts = ArrayField.lift(ts).ravel()
-        if np.all((self.t_min <= ts) & (ts <= self.t_max) & np.isfinite(ts)):
-            stack = np.zeros((ts.size, self.n, self.n))
-            try:
-                with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    diag = self.diag_fn(ts, ArrayField)
-                    upper = self.upper_fn(ts, ArrayField)
-                layout(self.n, diag, upper, self.topology, rows=stack.transpose(1, 2, 0))
-            except Exception:
-                # The closures may be any caller's; the scalar replay below
-                # raises whatever is a genuine error of the model.
-                pass
-            else:
-                if np.isfinite(stack).all():
-                    return stack
-        return np.stack([self.matrix(t) for t in ts])
+        entries = self._vector_entries(ts)
+        if entries is None:
+            return np.stack([self.matrix(t) for t in ts])
+        stack = np.zeros((ts.size, self.n, self.n))
+        layout(self.n, *entries, self.topology, rows=stack.transpose(1, 2, 0))
+        return stack
 
     def matrix_mp(self, t: float):
         # Kept only because perfbench/tracing.py wraps ModelFamily.matrix_mp by

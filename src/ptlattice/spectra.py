@@ -173,13 +173,34 @@ def _perturbation_order(values: np.ndarray, scale: float, n: int) -> int:
     cluster test uses a threshold with the same root: a genuine order-k
     collision keeps >= k eigenvalues inside it, while an avoided crossing
     separates much faster and drops out for large k.
+
+    One pass serves every k: the pairs merge in order of distance
+    (Kruskal's single-linkage order), and the largest cluster after the
+    first m pairs is recorded.  The pairs within threshold k are the first
+    ones of that order, since a nan distance sorts last and links at no
+    threshold, so k reads its cluster off the record.
     """
-    best = 1
-    for k in range(2, n + 1):
-        threshold = 10.0 * scale * _EPS ** (1.0 / k)
-        if _largest_cluster(values, threshold) >= k:
-            best = k
-    return best
+    i, j = _index_pairs(n)
+    gaps = np.abs(values[i] - values[j])
+    thresholds = [10.0 * scale * _EPS ** (1.0 / k) for k in range(2, n + 1)]
+    linked = (gaps <= np.array(thresholds)[:, None]).sum(axis=1).tolist()
+    reach = max(linked, default=0)
+    if not reach:
+        return 1  # no pair within any threshold
+    order = np.argsort(gaps, kind="stable")[:reach]
+    parent, size, largest = list(range(n)), [1] * n, [1]
+    for a, b in zip(i[order].tolist(), j[order].tolist()):
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            if size[a] > size[b]:
+                a, b = b, a
+            parent[a] = b
+            size[b] += size[a]
+        largest.append(max(largest[-1], size[b]))
+    return max([k for k, m in enumerate(linked, 2) if largest[m] >= k], default=1)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from ptlattice import (
     ConsistencyError,
     DegenerateSpectrumError,
     EPKind,
+    EPLocation,
     EpNotFoundError,
     InvalidSpecError,
     Model,
@@ -29,13 +30,17 @@ from ptlattice import (
     reality_islands,
     refine_reality_boundary,
     reference_metric_ec4,
+    vector_angle,
 )
 from ptlattice.cli import main
 from ptlattice.domains import bisect_edge
 from ptlattice.exact import reality_map
+from ptlattice.models import ModelFamily
 from ptlattice.poly import square_free_part
-from ptlattice.spectra import count_real_rows, min_pairwise_gaps
+from ptlattice.spectra import _perturbation_order, count_real_rows, min_pairwise_gaps
 from ptlattice.tolerances import (
+    ANGLE_TOL,
+    EPS_REAL,
     MAX_GRID_POINTS,
     POINTS_PER_UNIT,
     check_bracket,
@@ -537,3 +542,148 @@ def test_non_folding_document_keeps_the_grid_and_eps_real(tmp_path):
     assert wide.intervals == ((0.0, 1.0, 2),)
     exact = _load(tmp_path, WINDOW_DOC, "exact.yaml")
     assert domain_report(exact, 0.0, 1.0, eps_real=1.0).intervals[1] == (0.499, 0.501, 2)
+
+
+# Each family's reference.json range, the ranges of the benchmark's scan
+# workload, and the ranges of the README and CI commands.
+MARKER_RANGES = {
+    "mdg6-open": [(-1.0, 1.0)],
+    "mdg6-w1": [(-1.0, 1.0), (-0.4, 0.4), (0.2, 0.9)],
+    "mdg6-w2": [(-1.0, 1.0), (-0.7, 0.4)],
+    "ec4": [(-2.0, 2.0), (-1.6, 1.6), (1.0, 1.45), (0.0, 1.5), (-20.0, 20.0)],
+    "ec4-strongbond": [(-2.0, 2.0), (0.0, 1.6), (0.0002, 1.6002), (0.2, 1.0)],
+    "ec4-recoupled": [(-2.0, 2.0), (-1.6, 1.6), (0.0, 1.4)],
+    "demo-chain": [(-3.0, 3.0), (0.0, 3.0)],
+}
+
+
+def _one_root_marker(family, root: float, boundary: bool, tol: float):
+    """The marker at one root built alone: its own matrix, norm and eigensolve.
+
+    None where the eigenvector-alignment test rejects a crossing.
+    """
+    h = family.matrix(root)
+    n = h.shape[0]
+    scale = max(1.0, float(np.linalg.norm(h)))
+    if boundary:
+        order = max(2, _perturbation_order(np.linalg.eigvals(h), scale, n))
+        return EPLocation(float(root), order, EPKind.COMPLEXIFICATION, float(tol))
+    values, vectors = np.linalg.eig(h)
+    order = _perturbation_order(values, scale, n)
+    if order < 2:
+        return None
+    i, j = np.triu_indices(n, 1)
+    closest = np.abs(values[i] - values[j]).argmin()
+    i, j = i[closest], j[closest]
+    angle = vector_angle(vectors[:, i], vectors[:, j])
+    if angle > max(ANGLE_TOL, 50.0 * float(np.finfo(float).eps) ** (1.0 / order)):
+        return None
+    off_axis = abs((values[i] + values[j]).imag) / 2 > EPS_REAL * max(
+        1.0, float(np.abs(values).max())
+    )
+    kind = EPKind.COMPLEX_COALESCENCE if off_axis else EPKind.REAL_COALESCENCE
+    return EPLocation(float(root), order, kind, float(angle))
+
+
+def test_stacked_markers_equal_the_one_root_construction():
+    mixed = 0  # stacks whose rows come back complex where a row alone is real
+    for name, ranges in MARKER_RANGES.items():
+        family = _reference_family(name)
+        rmap = reality_map(family)
+        for lo, hi in ranges:
+            report = domain_report(family, lo, hi)
+            expected, rows = [], {True: [], False: []}
+            for root in rmap.roots_inside(lo, hi):
+                boundary = rmap.count_above(root) != rmap.count_above(np.nextafter(root, -np.inf))
+                rows[boundary].append(family.matrix(root))
+                expected.append(_one_root_marker(family, root, boundary, 1e-10))
+            assert [repr(ep) for ep in report.eps] == [
+                repr(ep) for ep in expected if ep is not None
+            ], (name, lo, hi)
+            for stack in filter(None, rows.values()):
+                real_alone = any(np.isrealobj(np.linalg.eigvals(h)) for h in stack)
+                mixed += real_alone and np.iscomplexobj(np.linalg.eigvals(np.stack(stack)))
+    assert mixed > 0
+
+
+def test_exact_path_checks_the_grid_without_assembling_it(monkeypatch):
+    lengths = []
+    matrices = ModelFamily.matrices
+
+    def spy(self, ts):
+        lengths.append(len(ts))
+        return matrices(self, ts)
+
+    monkeypatch.setattr(ModelFamily, "matrices", spy)
+    for name, ranges in MARKER_RANGES.items():
+        family = _reference_family(name)
+        assert reality_map(family) is not None
+        for lo, hi in ranges:
+            domain_report(family, lo, hi)
+            assert grid_steps(lo, hi) not in lengths, (name, lo, hi)
+
+
+# An entry that overflows a double for |t| < 0.45, inside the stated range.
+OVERFLOW_DOC = """\
+name: overflow
+n: 2
+topology: open
+diag: ["1", "-1"]
+couplings: ["1e308*(2 - t*t)"]
+t_range: [-1, 1]
+"""
+
+
+@pytest.mark.parametrize(
+    "doc, name, lo, hi, message, t",
+    [
+        (HOLE_DOC, None, -1.0, 1.0,
+         "model hole: an entry is undefined at t=-0.24987506246876567 (math domain error)",
+         -0.24987506246876567),
+        (OVERFLOW_DOC, None, -1.0, 1.0,
+         "model overflow: an entry is not finite in double precision at t=-0.4497751124437781",
+         -0.4497751124437781),
+        (None, "mdg6-w1", -0.4, 1.5,
+         "model mdg6-w1: t=1.5 outside validity range [-inf, 1.0]; "
+         "radical sqrt(1 - t) would be imaginary",
+         1.5),
+    ],
+    ids=["undefined-inside", "overflow-inside", "past-the-validity-interval"],
+)
+def test_exact_path_grid_errors_are_those_of_matrix(
+    tmp_path, capsys, doc, name, lo, hi, message, t
+):
+    # Message and t as the report gave them when it assembled the grid's stack.
+    if doc:
+        path = tmp_path / "model.yaml"
+        path.write_text(doc, encoding="utf-8")
+        family, source = load_custom_model(str(path)), ["--config", str(path)]
+    else:
+        family, source = get_family(name), ["--model", name]
+    assert reality_map(family) is not None
+    with pytest.raises(ModelDomainError) as err:
+        domain_report(family, lo, hi)
+    assert type(err.value) is ModelDomainError
+    assert (str(err.value), err.value.t) == (message, t)
+    code = main(["domains", *source, "--t-min", str(lo), "--t-max", str(hi)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+
+
+# ec4 times 1e200: ||H||_F overflows a dot product, not a double.
+HUGE_EC4_DOC = """\
+name: huge-ec4
+n: 4
+topology: ring
+diag: ["-3e200", "-1e200", "1e200", "3e200"]
+couplings: ["1e200*t", "1e200*t", "1e200*t", "1e200*t"]
+"""
+
+
+def test_marker_orders_of_a_huge_model_are_those_of_the_model(tmp_path):
+    # The cluster threshold scales with the finite norm of _frobenius_scales;
+    # an infinite scale would link every eigenvalue and read order 4.
+    report = domain_report(_load(tmp_path, HUGE_EC4_DOC), -2.0, 2.0)
+    assert [(ep.t_star, ep.order) for ep in report.eps] == [
+        (-1.5, 2), (-1.4142135623730951, 2), (1.4142135623730951, 2), (1.5, 2)
+    ]

@@ -58,6 +58,21 @@ def test_cli_import_loads_no_deferred_module():
     assert [m for m in modules if deferred(m)] == []
 
 
+def test_cli_import_and_model_documents_load_neither_dataclasses_nor_inspect(tmp_path):
+    # Together about a third of the import; the CLI module, what it loads
+    # at start-up and the document loader use neither.
+    doc = tmp_path / "demo.yaml"
+    doc.write_text(DEMO_DOC, encoding="utf-8")
+    proc = run_python(
+        "-c",
+        "import sys; before = set(sys.modules); import ptlattice.cli, ptlattice; "
+        f"ptlattice.load_custom_model({str(doc)!r}); "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # The documented usage exits: (argv, exit code).
 USAGE_EXITS = {
     "unknown-model": (["domains", "--model", "mdg6-w9", "--t-min", "0", "--t-max", "1"], 2),

@@ -228,3 +228,54 @@ def test_matrices_replays_an_infinite_t(tmp_path):
     with pytest.raises(ModelDomainError) as err:
         family.matrices([0.5, math.inf])
     assert err.value.t == math.inf
+
+
+def _ec4_copy(**changes):
+    return models.ModelFamily(**{**vars(get_family(Model.EC4)), **changes})
+
+
+def test_families_compare_and_hash_by_value():
+    ec4 = get_family(Model.EC4)
+    copy = _ec4_copy()
+    assert copy is not ec4 and copy == ec4 and hash(copy) == hash(ec4)
+    assert _ec4_copy(t_max=2.0) != ec4
+    assert _ec4_copy(upper_fn=lambda t, f: [t] * 4) != ec4
+    assert ec4 != "ec4"
+    # The exact engine's caches key on the family, so an equal copy hits them.
+    from ptlattice.exact import reality_map
+
+    assert reality_map(copy) is reality_map(ec4)
+
+
+def test_families_are_immutable_and_show_no_closures():
+    ec4 = get_family(Model.EC4)
+    with pytest.raises(AttributeError):
+        ec4.t_max = 2.0
+    with pytest.raises(AttributeError):
+        del ec4.name
+    assert ec4.t_max == math.inf
+    assert repr(ec4) == (
+        "ModelFamily(name='ec4', n=4, topology=<Topology.RING: 'ring'>, "
+        "t_min=-inf, t_max=inf, radical=None)"
+    )
+
+
+def test_check_entries_builds_no_stack(monkeypatch):
+    family = get_family(Model.MDG6_W1)
+    monkeypatch.setattr(models, "layout", None)  # the stack's layout step
+    family.check_entries(np.linspace(-0.4, 0.4, 1601))
+
+
+def test_check_entries_replays_a_non_finite_constant():
+    # No numpy flag marks a constant inf a closure returns; the check does.
+    family = models.ModelFamily(
+        name="inf-diag", n=2, topology=Topology.OPEN,
+        diag_fn=lambda t, f: [math.inf, 1.0], upper_fn=lambda t, f: [t],
+    )
+    for check in (family.check_entries, family.matrices):
+        with pytest.raises(ModelDomainError) as err:
+            check([0.25, 0.5])
+        assert err.value.t == 0.25
+        assert str(err.value) == (
+            "model inf-diag: an entry is not finite in double precision at t=0.25"
+        )

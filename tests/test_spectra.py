@@ -27,7 +27,13 @@ from ptlattice import (
     vector_angle,
 )
 from ptlattice.charpoly import eigenvalues_charpoly_oracle
-from ptlattice.spectra import _POLISH_REL, _frobenius_scales, canonical_sort, eigenvalue_rows
+from ptlattice.spectra import (
+    _POLISH_REL,
+    _frobenius_scales,
+    _perturbation_order,
+    canonical_sort,
+    eigenvalue_rows,
+)
 
 
 def test_eigenvalues_of_diagonal_matrix():
@@ -284,3 +290,60 @@ def test_eigenvalue_rows_gate_each_row_for_closure_and_trace(monkeypatch):
         assert type(errors[i]) is ConsistencyError
         assert str(errors[i]) == str(expected.value)
     assert "conjugate-paired" in str(errors[1]) and "trace" in str(errors[2])
+
+
+def _per_k_perturbation_order(values, scale, n):
+    """The order as one union-find pass per k, each at its own threshold."""
+    from collections import Counter
+
+    best = 1
+    for k in range(2, n + 1):
+        threshold = 10.0 * scale * float(np.finfo(float).eps) ** (1.0 / k)
+        parent = list(range(n))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        i, j = np.triu_indices(n, 1)
+        linked = np.abs(values[i] - values[j]) <= threshold
+        for a, b in zip(i[linked].tolist(), j[linked].tolist()):
+            parent[find(a)] = find(b)
+        if max(Counter(find(i) for i in range(n)).values()) >= k:
+            best = k
+    return best
+
+
+def _order_cases():
+    rng = np.random.default_rng(2024)
+    u = float(np.finfo(float).eps)
+    cases = []
+    for n in range(2, 13):
+        for _ in range(12):
+            spread = 10.0 ** rng.uniform(-12, 0)
+            cases.append((rng.normal(size=n) * spread, 1.0))
+            cases.append(((rng.normal(size=n) + 1j * rng.normal(size=n)) * spread, 3.5))
+        # Repeated values, and distances exactly at each k's threshold.
+        cases.append((rng.integers(0, 3, size=n) * 1e-9, 1.0))
+        for k in range(2, n + 1):
+            step = 10.0 * 2.0 * u ** (1.0 / k)
+            cases.append((np.cumsum(rng.choice([0.0, step, 2.0 * step], size=n)), 2.0))
+            cases.append((np.arange(n) * step, 2.0))
+        # inf and nan values, and infinite or nan scales.
+        for bad in (math.inf, -math.inf, math.nan, complex(math.nan, 1.0), complex(1.0, math.inf)):
+            values = rng.normal(size=n) * 1e-7 + 0j
+            values[rng.integers(0, n)] = bad
+            cases.append((values, 1.0))
+        cases.append((rng.normal(size=n) * 1e-7, math.inf))
+        cases.append((rng.normal(size=n) * 1e-7, math.nan))
+    return cases
+
+
+def test_perturbation_order_equals_the_per_k_construction():
+    with np.errstate(invalid="ignore"):
+        for values, scale in _order_cases():
+            n = len(values)
+            expected = _per_k_perturbation_order(values, scale, n)
+            assert _perturbation_order(values, scale, n) == expected, (values, scale)
