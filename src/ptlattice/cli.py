@@ -141,7 +141,7 @@ def cmd_spectrum(args, family) -> int:
     from .spectra import sweep_eigenvalues
 
     grid = np.linspace(args.t_min, args.t_max, args.steps)
-    rows = sweep_eigenvalues(family.matrices(grid))
+    rows = sweep_eigenvalues(family, grid)
     n = family.n
 
     bundle = _new_bundle(args, family, "spectrum")
@@ -349,7 +349,7 @@ def cmd_validate(args, family) -> int:
     from .spectra import (
         Spectrum,
         _frobenius_scales,
-        _perturbation_order,
+        _perturbation_orders,
         eigenvalue_rows,
         matching_distance,
     )
@@ -376,13 +376,16 @@ def cmd_validate(args, family) -> int:
     if family.n <= MAX_ORACLE_N:
         worst = 0.0
         widened: dict[int, int] = {}  # cluster order -> samples the wider bound passed
-        for (t, h), scale, spectrum in zip(points, _frobenius_scales(stack).tolist(), spectra):
-            oracle = eigenvalues_charpoly_oracle(h).values
+        scales = _frobenius_scales(stack)
+        oracles = np.array([eigenvalues_charpoly_oracle(h).values for h in stack])
+        # LAPACK resolves an order-k cluster of the oracle only to about
+        # u^(1/k), the rule by which domains orders a cluster.
+        orders = _perturbation_orders(oracles, scales).tolist()
+        for t, scale, spectrum, oracle, order in zip(
+            sample_ts, scales.tolist(), spectra, oracles, orders
+        ):
             dist = matching_distance(spectrum.values, oracle)
             worst = max(worst, dist / scale)
-            # LAPACK resolves an order-k cluster of the oracle only to about
-            # u^(1/k), the rule by which domains orders a cluster.
-            order = _perturbation_order(oracle, scale, family.n)
             if dist > max(1e-8, 10.0 * np.finfo(float).eps ** (1.0 / order)) * scale:
                 raise ConsistencyError(
                     f"eigensolver disagrees with the characteristic-polynomial "

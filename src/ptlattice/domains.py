@@ -11,7 +11,8 @@ entries fold into Q[t] and the discriminant degree bound is at most
 reality map: its edges are the correctly rounded real roots of the
 discriminant where the exact real count changes, and every root inside the
 range is tested as an exceptional point at that root, all roots in one
-stacked eigensolve per kind of marker.  No grid is solved or assembled (its
+stacked eigensolve and one stacked cluster count (``spectra``'s
+single-linkage rule) per kind of marker.  No grid is solved or assembled (its
 entries are only checked), and neither ``eps_real`` nor the grid size moves
 a count.
 
@@ -43,8 +44,8 @@ from .spectra import (
     _EPS,
     _frobenius_scales,
     _index_pairs,
-    _largest_cluster,
-    _perturbation_order,
+    _largest_clusters,
+    _perturbation_orders,
     count_real,
     count_real_rows,
     min_pairwise_gap,
@@ -153,11 +154,11 @@ def refine_reality_boundary(
 
 
 def degeneracy_order(h, tol: float) -> int:
-    """Largest eigenvalue-cluster size at linkage threshold tol * max(1, ||h||)."""
-    h = check_square(h)
+    """Largest eigenvalue-cluster size at linkage threshold tol * max(1, ||h||_F)."""
+    stack = check_square(h)[None]
     check_tol(tol)
-    scale = max(1.0, float(np.linalg.norm(h)))
-    return _largest_cluster(np.linalg.eigvals(h), tol * scale)
+    threshold = tol * float(_frobenius_scales(stack)[0])
+    return int(_largest_clusters(np.linalg.eigvals(stack), [[threshold]])[0, 0])
 
 
 # Singular values below this fraction of max(1, s_max) count as zero.
@@ -216,7 +217,7 @@ def locate_coalescence_ep(
 
     for endpoint in (lo, hi):
         h = family.matrix(endpoint)
-        scale = max(1.0, float(np.linalg.norm(h)))
+        scale = _frobenius_scales(h[None])[0]
         if min_pairwise_gap(np.linalg.eigvals(h)) <= EPS_GAP * scale:
             raise DegenerateSpectrumError(
                 f"spectrum already degenerate at bracket endpoint t={endpoint}"
@@ -245,13 +246,11 @@ def _coalescences(stack, ts) -> list:
     an all-real row is real; every quantity below takes the same value from
     a real row as from that row with zero imaginary parts.
     """
-    n = stack.shape[1]
-    scales = _frobenius_scales(stack).tolist()
     rows, bases = np.linalg.eig(stack)
-    i, j = _index_pairs(n)
+    orders = _perturbation_orders(rows, _frobenius_scales(stack)).tolist()
+    i, j = _index_pairs(stack.shape[1])
     out: list = []
-    for t_star, scale, values, vectors in zip(ts, scales, rows, bases):
-        order = _perturbation_order(values, scale, n)
+    for t_star, order, values, vectors in zip(ts, orders, rows, bases):
         if order < 2:
             out.append(EpNotFoundError(f"no eigenvalue cluster at the gap minimum t={t_star!r}"))
             continue
@@ -289,16 +288,15 @@ def _boundary_eps(stack, ts, tol: float) -> list:
     depends on whether a row comes back real or complex.  Both paths of
     domain_report mark their count changes here.
     """
-    n = stack.shape[1]
-    scales = _frobenius_scales(stack).tolist()
+    orders = _perturbation_orders(np.linalg.eigvals(stack), _frobenius_scales(stack))
     return [
         EPLocation(
             t_star=float(t_star),
-            order=max(2, _perturbation_order(values, scale, n)),
+            order=max(2, order),
             kind=EPKind.COMPLEXIFICATION,
             residual=float(tol),
         )
-        for t_star, scale, values in zip(ts, scales, np.linalg.eigvals(stack))
+        for t_star, order in zip(ts, orders.tolist())
     ]
 
 

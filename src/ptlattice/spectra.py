@@ -9,18 +9,22 @@ the row minima of the distance matrix sit in distinct columns they are that
 matching, and otherwise a threshold search with augmenting paths finds it.
 The real-count and gap rules classify a whole (m, n) array of eigenvalue
 rows at once (``count_real_rows``, ``min_pairwise_gaps``); ``count_real``
-and ``min_pairwise_gap`` are their one-row calls.  Near-degenerate sweep
-points are re-solved through the arbitrary-precision
-characteristic-polynomial path, because a backward-stable QR eigensolver
-can only resolve an order-k coalescence to about u^(1/k) (u = machine
-epsilon), while the polynomial of the same matrix loses nothing.
+and ``min_pairwise_gap`` are their one-row calls.  The order of an
+eigenvalue cluster is read by one single-linkage rule over a whole (m, n)
+array of rows and their distance thresholds at once (``_largest_clusters``).
+Near-degenerate sweep rows are re-read from the model's own
+characteristic-polynomial oracle (``charpoly.model_oracle_eigenvalues``),
+because a backward-stable QR eigensolver can only resolve an order-k
+coalescence to about u^(1/k) (u = machine epsilon), while the polynomial
+loses nothing, and is exact in the entries of a family that folds.  Every
+degeneracy gate scales by max(1, ||H||_F) as ``_frobenius_scales`` takes
+it, finite for every finite matrix.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -147,60 +151,51 @@ def min_pairwise_gap(values) -> float:
     return float(min_pairwise_gaps(values[None, :])[0])
 
 
-def _largest_cluster(values: np.ndarray, threshold: float) -> int:
-    """Largest single-linkage cluster size at the given distance threshold."""
-    n = len(values)
-    parent = list(range(n))
+def _largest_clusters(rows: np.ndarray, thresholds) -> np.ndarray:
+    """Largest single-linkage cluster of each row of an (m, n) array at each of its thresholds.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    thresholds is (m, K); entry (r, k) of the (m, K) result is the size of
+    the largest set of row r that links within thresholds[r, k], where
+    |lambda_i - lambda_j| <= threshold links i and j (Kruskal's single
+    linkage, Proc. AMS 7, 48 (1956)).  The links of every row and threshold
+    form one 0/1 (m, K, n, n) stack, squared until it holds the paths of up
+    to n // 2 links: every connected set of s indices has one within s // 2
+    links of all the others (the centre of a spanning tree), so the largest
+    row sum is the largest cluster.  A nan distance or threshold links
+    nothing, and every index is a cluster of at least 1.
+    """
+    n = rows.shape[1]
+    with np.errstate(invalid="ignore"):
+        gaps = np.abs(rows[:, :, None] - rows[:, None, :])
+        linked = gaps[:, None] <= np.asarray(thresholds)[:, :, None, None]
+    linked |= np.eye(n, dtype=bool)
+    # In float32 each product is a BLAS call, exact on 0/1 entries once clamped at 1.
+    paths = linked.astype(np.float32)
+    for _ in range((n // 2 - 1).bit_length()):
+        paths = np.minimum(paths @ paths, 1.0)
+    return paths.sum(axis=-1).max(axis=-1).astype(int)
 
-    i, j = _index_pairs(n)
-    linked = np.abs(values[i] - values[j]) <= threshold
-    for a, b in zip(i[linked].tolist(), j[linked].tolist()):
-        parent[find(a)] = find(b)
-    return max(Counter(find(i) for i in range(n)).values())
 
-
-def _perturbation_order(values: np.ndarray, scale: float, n: int) -> int:
-    """Largest k for which a k-cluster survives at the k-th-root noise scale.
+def _perturbation_orders(rows: np.ndarray, scales) -> np.ndarray:
+    """Largest k for which a k-cluster survives at the k-th-root noise scale, per row.
 
     An order-k exceptional point perturbed at relative machine noise u
     scatters its eigenvalues over a radius ~ scale * u**(1/k), so the
-    cluster test uses a threshold with the same root: a genuine order-k
-    collision keeps >= k eigenvalues inside it, while an avoided crossing
-    separates much faster and drops out for large k.
-
-    One pass serves every k: the pairs merge in order of distance
-    (Kruskal's single-linkage order), and the largest cluster after the
-    first m pairs is recorded.  The pairs within threshold k are the first
-    ones of that order, since a nan distance sorts last and links at no
-    threshold, so k reads its cluster off the record.
+    cluster test of row r uses the threshold 10 * scales[r] * u**(1/k): a
+    genuine order-k collision keeps >= k eigenvalues inside it, while an
+    avoided crossing separates much faster and drops out for large k.
     """
-    i, j = _index_pairs(n)
-    gaps = np.abs(values[i] - values[j])
-    thresholds = [10.0 * scale * _EPS ** (1.0 / k) for k in range(2, n + 1)]
-    linked = (gaps <= np.array(thresholds)[:, None]).sum(axis=1).tolist()
-    reach = max(linked, default=0)
-    if not reach:
-        return 1  # no pair within any threshold
-    order = np.argsort(gaps, kind="stable")[:reach]
-    parent, size, largest = list(range(n)), [1] * n, [1]
-    for a, b in zip(i[order].tolist(), j[order].tolist()):
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        if a != b:
-            if size[a] > size[b]:
-                a, b = b, a
-            parent[a] = b
-            size[b] += size[a]
-        largest.append(max(largest[-1], size[b]))
-    return max([k for k, m in enumerate(linked, 2) if largest[m] >= k], default=1)
+    ks = np.arange(2, rows.shape[1] + 1)
+    roots = np.array([_EPS ** (1.0 / k) for k in ks.tolist()])
+    with np.errstate(over="ignore"):  # an inf threshold links every finite gap
+        thresholds = 10.0 * np.asarray(scales)[:, None] * roots
+    sizes = _largest_clusters(rows, thresholds)
+    return ((sizes >= ks) * ks).max(axis=1, initial=1)
+
+
+def _perturbation_order(values, scale: float, n: int) -> int:
+    """The one-row call of _perturbation_orders, for n values."""
+    return int(_perturbation_orders(np.reshape(values, (1, n)), [scale])[0])
 
 
 @dataclass(frozen=True)
@@ -341,37 +336,31 @@ def _frobenius_scales(stack: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, norms)
 
 
-def sweep_eigenvalues(stack) -> np.ndarray:
-    """Eigenvalues of an (m, n, n) matrix stack, one canonically sorted row each.
+def sweep_eigenvalues(family, ts) -> np.ndarray:
+    """Eigenvalues of a model family at each t of ts, one canonically sorted row each.
 
-    The rows are those of eigenvalue_rows, one stacked LAPACK call behind
-    the closure and trace gates; the first row error is raised.  Rows whose
-    minimal eigenvalue gap falls below _POLISH_REL * max(1, ||H||_F) sit
-    near a coalescence where QR accuracy degrades to u^(1/k); those rows are
-    re-solved through the exact characteristic polynomial of the same
-    matrix, where n <= MAX_ORACLE_N.  Larger matrices keep the LAPACK rows,
-    as validate skips its oracle check above that size.  The polish takes
-    lattice stacks only (band plus ring corners, as every model assembles);
-    a polished row with another non-zero entry raises InvalidSpecError.
+    The rows are those of eigenvalue_rows on family.matrices(ts), one
+    stacked LAPACK call behind the closure and trace gates; the first row
+    error is raised.  Rows whose minimal eigenvalue gap falls below
+    _POLISH_REL * max(1, ||H||_F) sit near a coalescence where QR accuracy
+    degrades to u^(1/k); those rows are re-read from the model's own oracle
+    (charpoly.model_oracle_eigenvalues), exact in the entries where the
+    family folds, where n <= MAX_ORACLE_N.  Larger matrices keep the LAPACK
+    rows, as validate skips its oracle check above that size.
     """
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise InvalidSpecError(
-            f"expected a stack of square matrices, got shape {stack.shape}"
-        )
-    if not np.all(np.isfinite(stack)):
-        raise InvalidSpecError("matrix entries must be finite")
+    ts = np.asarray(ts, dtype=float).ravel()
+    stack = family.matrices(ts)
     rows, errors = eigenvalue_rows(stack)
     failed = [k for k, error in enumerate(errors) if error is not None]
     if failed:
         raise errors.pop(failed[0])  # popped, as in intertwiner_basis
-    if stack.shape[1] > MAX_ORACLE_N:
+    if family.n > MAX_ORACLE_N:
         return rows
     scales = _frobenius_scales(stack)
     for i in np.flatnonzero(min_pairwise_gaps(rows) < _POLISH_REL * scales):
-        from .charpoly import eigenvalues_charpoly_oracle
+        from .charpoly import model_oracle_eigenvalues
 
-        rows[i] = eigenvalues_charpoly_oracle(stack[i]).values
+        rows[i] = model_oracle_eigenvalues(family, ts[i]).values
     return rows
 
 
@@ -449,7 +438,7 @@ def left_right_pairs(h) -> list[EigenPair]:
     """
     h = check_square(h)
     n = h.shape[0]
-    scale = max(1.0, float(np.linalg.norm(h)))
+    scale = float(_frobenius_scales(h[None])[0])
     try:
         w, vr = np.linalg.eig(h)
         wt, vl = np.linalg.eig(h.T)

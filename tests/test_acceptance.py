@@ -43,9 +43,9 @@ from ptlattice import (
     tracked_positivity_boundary,
     vector_angle,
 )
-from ptlattice.domains import _perturbation_order
 from ptlattice.exact import reality_map
 from ptlattice.poly import _gcd, _primitive
+from ptlattice.spectra import _perturbation_order
 
 SQRT2 = math.sqrt(2.0)
 
@@ -95,7 +95,7 @@ W1_UPPER_FACTOR = [
 def test_criterion_01_ec4_spectrum_matches_closed_form():
     family = get_family(Model.EC4)
     grid = np.linspace(-1.6, 1.6, 321)
-    rows = sweep_eigenvalues(family.matrices(grid))
+    rows = sweep_eigenvalues(family, grid)
     worst = max(
         matching_distance(row, ec4_closed_form(float(t)).values)
         for t, row in zip(grid, rows)

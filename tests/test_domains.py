@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,33 @@ def test_degeneracy_order_rejects_a_bad_tol(tol):
 def test_degeneracy_order_full_collapse():
     h = get_family(Model.MDG6_OPEN).matrix(0.0)
     assert degeneracy_order(h, 1e-2) == 6
+
+
+def test_degeneracy_order_survives_a_frobenius_norm_above_the_dot_product_range():
+    # ||1e200 H||_F overflows the one-dot-product norm; the scale must not.
+    h = get_family(Model.EC4).matrix(math.sqrt(2.0))
+    assert degeneracy_order(1e200 * h, 1e-6) == degeneracy_order(h, 1e-6) == 2
+
+
+def test_huge_entries_keep_the_coalescence_of_a_document_that_does_not_fold(
+    tmp_path, capsys
+):
+    # The ec4 ring, its corner bond written so that it does not fold, with
+    # every entry times 1e200: ||H||_F lies above the dot-product range.
+    path = tmp_path / "big.yaml"
+    path.write_text(
+        'name: big-ec4\nn: 4\ntopology: ring\n'
+        'diag: ["-3e200", "-1e200", "1e200", "3e200"]\n'
+        'couplings: ["1e200*t", "1e200*t", "1e200*t", "1e200*sqrt(sqrt(t*t*t*t))"]\n'
+        "t_range: [-10, 10]\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["ep", "--config", str(path), "--t-min", "-2", "--t-max", "2"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines() if "real-coalescence" in line]
+    assert len(rows) == 1 and abs(float(rows[0][0]) - math.sqrt(2.0)) < 1e-6
 
 
 def test_maximal_jordan_block_detection():

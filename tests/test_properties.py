@@ -147,6 +147,6 @@ def test_expression_evaluation_matches_python(a, b, t):
 @given(st.floats(min_value=-1.4, max_value=1.4))
 def test_sweep_single_point_matches_eigenvalues(t):
     family = get_family(Model.EC4)
-    row = sweep_eigenvalues(family.matrices([t]))[0]
+    row = sweep_eigenvalues(family, [t])[0]
     direct = eigenvalues(family.matrix(t)).values
     assert matching_distance(row, direct) < 1e-9

@@ -9,12 +9,12 @@ import pytest
 from ptlattice import (
     ConsistencyError,
     DegenerateSpectrumError,
-    InvalidSpecError,
     Model,
     ModelDomainError,
     SolverError,
     Spectrum,
     count_real,
+    degeneracy_order,
     ec4_closed_form,
     ec4_pair_vectors,
     eigenvalues,
@@ -26,11 +26,14 @@ from ptlattice import (
     sweep_eigenvalues,
     vector_angle,
 )
-from ptlattice.charpoly import eigenvalues_charpoly_oracle
+from ptlattice.charpoly import model_oracle_eigenvalues
+from ptlattice.custom import load_custom_model
 from ptlattice.spectra import (
     _POLISH_REL,
     _frobenius_scales,
+    _largest_clusters,
     _perturbation_order,
+    _perturbation_orders,
     canonical_sort,
     eigenvalue_rows,
 )
@@ -97,22 +100,55 @@ def test_count_real_rejects_odd_complex_count():
 def test_sweep_matches_closed_form_across_phases():
     family = get_family(Model.EC4)
     grid = np.linspace(-1.6, 1.6, 65)
-    rows = sweep_eigenvalues(family.matrices(grid))
+    rows = sweep_eigenvalues(family, grid)
     for t, row in zip(grid, rows):
         assert matching_distance(row, ec4_closed_form(float(t)).values) < 1e-9
 
 
 def test_sweep_polish_handles_exact_degeneracy():
-    family = get_family(Model.EC4)
-    rows = sweep_eigenvalues(family.matrices([1.5]))
+    rows = sweep_eigenvalues(get_family(Model.EC4), [1.5])
     assert matching_distance(rows[0], np.array([-1.0, 0.0, 0.0, 1.0])) < 1e-9
 
 
-def _one_row_sweep(h):
-    """A sweep row built alone: sorted eigenvalues, polished by the one-row rule."""
+def test_sweep_rereads_a_gated_row_from_the_model_oracle(monkeypatch):
+    from ptlattice import charpoly
+
+    model_oracle, reread = charpoly.model_oracle_eigenvalues, []
+
+    def spy(family, t):
+        reread.append(t)
+        return model_oracle(family, t)
+
+    def float_lift(h):
+        raise AssertionError("the sweep re-read a row from the rounded matrix")
+
+    monkeypatch.setattr(charpoly, "model_oracle_eigenvalues", spy)
+    monkeypatch.setattr(charpoly, "eigenvalues_charpoly_oracle", float_lift)
+    family = get_family(Model.EC4)
+    rows = sweep_eigenvalues(family, [1.0, 1.5])
+    assert reread == [1.5]
+    assert np.array_equal(rows[1], model_oracle(family, 1.5).values)
+
+
+def test_sweep_reads_the_model_where_its_rounded_matrix_is_degenerate(tmp_path):
+    # H = [[1/10, t], [-t, -1/10]] meets its EP at t = 1/10.  The double 0.1
+    # lies just past it, so the model's pair is complex there, while the
+    # rounded matrix, whose diagonal is that same double, reads a double zero.
+    path = tmp_path / "two.yaml"
+    path.write_text(
+        'name: two\nn: 2\ntopology: open\ndiag: ["0.1", "-0.1"]\n'
+        'couplings: ["t"]\nt_range: [-1, 1]\n'
+    )
+    rows = sweep_eigenvalues(load_custom_model(str(path)), [0.0, 0.1, 0.2])
+    assert rows[1].tolist() == [-1.0536712127723508e-09j, 1.0536712127723508e-09j]
+
+
+def _one_row_sweep(family, t):
+    """A sweep row built alone: sorted eigenvalues, re-read by the one-row rule."""
+    h = family.matrix(t)
     row = canonical_sort(np.linalg.eigvals(h))
     polish = min_pairwise_gap(row) < _POLISH_REL * max(1.0, float(np.linalg.norm(h)))
-    return (eigenvalues_charpoly_oracle(h).values if polish else row), polish
+    return (model_oracle_eigenvalues(family, t).values if polish else row), polish
 
 
 @pytest.mark.parametrize(
@@ -124,21 +160,13 @@ def _one_row_sweep(h):
     ],
 )
 def test_sweep_rows_equal_the_one_row_construction(model, grid, polished):
-    stack = get_family(model).matrices(grid)
-    rows = sweep_eigenvalues(stack)
-    reference = [_one_row_sweep(h) for h in stack]
-    assert rows.shape == (grid.size, stack.shape[1])
+    family = get_family(model)
+    rows = sweep_eigenvalues(family, grid)
+    reference = [_one_row_sweep(family, t) for t in grid]
+    assert rows.shape == (grid.size, family.n)
     for row, (expected, _) in zip(rows, reference):
         assert np.array_equal(row, expected)
     assert [k for k, (_, polish) in enumerate(reference) if polish] == polished
-
-
-@pytest.mark.parametrize(
-    "stack", [np.zeros((4, 4)), np.zeros((2, 3, 4)), np.full((2, 3, 3), np.nan)]
-)
-def test_sweep_rejects_a_bad_stack(stack):
-    with pytest.raises(InvalidSpecError):
-        sweep_eigenvalues(stack)
 
 
 def test_sweep_raises_the_closure_error_of_an_unpaired_complex_row(monkeypatch):
@@ -151,7 +179,7 @@ def test_sweep_raises_the_closure_error_of_an_unpaired_complex_row(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", unpaired)
     with pytest.raises(ConsistencyError, match="not conjugate-paired"):
-        sweep_eigenvalues(get_family(Model.EC4).matrices([0.3, 0.6, 0.9]))
+        sweep_eigenvalues(get_family(Model.EC4), [0.3, 0.6, 0.9])
 
 
 def test_frobenius_scales_survive_overflow():
@@ -294,26 +322,32 @@ def test_eigenvalue_rows_gate_each_row_for_closure_and_trace(monkeypatch):
 
 def _per_k_perturbation_order(values, scale, n):
     """The order as one union-find pass per k, each at its own threshold."""
-    from collections import Counter
-
     best = 1
     for k in range(2, n + 1):
         threshold = 10.0 * scale * float(np.finfo(float).eps) ** (1.0 / k)
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        i, j = np.triu_indices(n, 1)
-        linked = np.abs(values[i] - values[j]) <= threshold
-        for a, b in zip(i[linked].tolist(), j[linked].tolist()):
-            parent[find(a)] = find(b)
-        if max(Counter(find(i) for i in range(n)).values()) >= k:
+        if _union_find_cluster(values, threshold) >= k:
             best = k
     return best
+
+
+def _union_find_cluster(values, threshold):
+    """Largest single-linkage cluster of one row: a union-find with path halving."""
+    from collections import Counter
+
+    n = len(values)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    i, j = np.triu_indices(n, 1)
+    linked = np.abs(values[i] - values[j]) <= threshold
+    for a, b in zip(i[linked].tolist(), j[linked].tolist()):
+        parent[find(a)] = find(b)
+    return max(Counter(find(i) for i in range(n)).values())
 
 
 def _order_cases():
@@ -347,3 +381,42 @@ def test_perturbation_order_equals_the_per_k_construction():
             n = len(values)
             expected = _per_k_perturbation_order(values, scale, n)
             assert _perturbation_order(values, scale, n) == expected, (values, scale)
+
+
+def test_stacked_orders_equal_the_per_k_construction():
+    by_n: dict = {}
+    for values, scale in _order_cases():
+        by_n.setdefault(len(values), []).append((values, scale))
+    with np.errstate(invalid="ignore"):
+        for n, cases in by_n.items():
+            rows = np.array([values for values, _ in cases], dtype=complex)
+            scales = np.array([scale for _, scale in cases])
+            expected = [_per_k_perturbation_order(v, s, n) for v, s in cases]
+            assert _perturbation_orders(rows, scales).tolist() == expected, n
+
+
+def test_largest_clusters_equal_the_union_find_at_every_distance():
+    with np.errstate(invalid="ignore"):
+        for values, _ in _order_cases():
+            values = np.asarray(values, dtype=complex)
+            i, j = np.triu_indices(len(values), 1)
+            # Each threshold lies exactly on a distance of the row.
+            thresholds = np.unique(np.abs(values[i] - values[j]))
+            sizes = _largest_clusters(values[None], thresholds[None])[0]
+            expected = [_union_find_cluster(values, float(d)) for d in thresholds]
+            assert sizes.tolist() == expected, values
+
+
+def test_degeneracy_order_equals_the_union_find_at_every_distance():
+    for values, _ in _order_cases():
+        values = np.real_if_close(values)
+        if np.iscomplexobj(values) or not np.isfinite(values).all():
+            continue
+        # ||H||_F <= 1/2 keeps the scale max(1, ||H||_F) at 1, so the
+        # threshold is the distance itself.
+        h = np.diag(values / (2.0 * max(1.0, float(np.linalg.norm(values)))))
+        d = np.diag(h)
+        i, j = np.triu_indices(len(d), 1)
+        for distance in np.unique(np.abs(d[i] - d[j])).tolist():
+            if distance > 0:
+                assert degeneracy_order(h, distance) == _union_find_cluster(d, distance)
