@@ -35,6 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConsistencyError, InvalidSpecError, OracleError
+from .lattice import determinant_inputs
 from .poly import _bordered_charpoly, _square_free, integer_polynomial
 from .spectra import Spectrum
 from .tolerances import MAX_ORACLE_N
@@ -83,15 +84,7 @@ def charpoly_coefficients(h) -> list[Fraction]:
     """Exact ascending coefficients of det(M - lambda I) of a lattice matrix M."""
     rows, e = _integer_rows(h)
     n = len(rows)
-    sup = [rows[i][i + 1] for i in range(n - 1)]
-    sub = [rows[i + 1][i] for i in range(n - 1)]
-    gamma, beta = (rows[0][n - 1], rows[n - 1][0]) if n >= 3 else (0, 0)
-    p = _bordered_charpoly(
-        [rows[i][i] for i in range(n)],
-        [s * u for s, u in zip(sub, sup)],
-        gamma * beta,
-        (-1) ** (n + 1) * (gamma * math.prod(sub) + beta * math.prod(sup)),
-    )
+    p = _bordered_charpoly(*determinant_inputs(rows))
     # det(2^e A - lambda I) = sum_k a_k 2^(e(n-k)) lambda^k
     scales = (e * (n - k) for k in range(n + 1))
     return [Fraction(c << s) if s >= 0 else Fraction(c, 1 << -s) for c, s in zip(p, scales)]

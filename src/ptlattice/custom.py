@@ -4,9 +4,10 @@ A document names the family, fixes the size and topology, and gives one
 closed-form expression per diagonal and coupling entry.  Expressions use a
 small grammar: numeric literals, the parameter ``t``, the operators
 ``+ - * /``, ``sqrt(...)``, and parentheses.  When every sqrt radicand
-folds to a polynomial of degree <= 1 in t, the validity interval is
-inferred from the radicand signs; otherwise the document must state an
-explicit ``t_range``.
+folds exactly, as the exact engine folds the entries (``exact``), to a
+polynomial of degree <= 1 in t, the validity interval is inferred from the
+radicand signs, each end the correctly rounded root; otherwise the document
+must state an explicit ``t_range``.
 """
 
 from __future__ import annotations
@@ -186,44 +187,6 @@ def evaluate(node: tuple, t, field) -> object:
     raise ExprError(f"unknown AST node {head!r}")
 
 
-def _poly(node: tuple) -> dict[int, float] | None:
-    """Fold an AST into {degree: coefficient} when it is polynomial in t."""
-    head = node[0]
-    if head == "num":
-        return {0: float(node[1])}
-    if head == "t":
-        return {1: 1.0}
-    if head == "neg":
-        inner = _poly(node[1])
-        return None if inner is None else {d: -c for d, c in inner.items()}
-    if head == "sqrt":
-        inner = _poly(node[1])
-        if inner is not None and set(inner) <= {0} and inner.get(0, 0.0) >= 0:
-            return {0: math.sqrt(inner.get(0, 0.0))}
-        return None
-    left = _poly(node[1])
-    right = _poly(node[2])
-    if left is None or right is None:
-        return None
-    if head in ("add", "sub"):
-        sign = 1.0 if head == "add" else -1.0
-        out = dict(left)
-        for d, c in right.items():
-            out[d] = out.get(d, 0.0) + sign * c
-        return {d: c for d, c in out.items() if c != 0.0}
-    if head == "mul":
-        out: dict[int, float] = {}
-        for d1, c1 in left.items():
-            for d2, c2 in right.items():
-                out[d2 + d1] = out.get(d1 + d2, 0.0) + c1 * c2
-        return {d: c for d, c in out.items() if c != 0.0}
-    if head == "div":
-        if set(right) <= {0} and right.get(0, 0.0) != 0.0:
-            return {d: c / right[0] for d, c in left.items()}
-        return None
-    return None
-
-
 def _radicands(node: tuple) -> list[tuple]:
     head = node[0]
     if head in ("num", "t"):
@@ -236,33 +199,42 @@ def _radicands(node: tuple) -> list[tuple]:
 def infer_validity(asts: list[tuple], field_name: str = "model") -> tuple[float, float]:
     """Validity interval of t from affine sqrt radicands.
 
-    Each radicand a + b*t >= 0 clips the interval.  A radicand that does
-    not fold to degree <= 1 makes inference impossible and raises; the
-    caller then needs an explicit range.
+    Each radicand is folded exactly by the exact engine's ``ExactField``,
+    as the engine folds a family's entries.  A radicand a + b*t >= 0 clips
+    the interval at the correctly rounded root -a/b.  A radicand that does
+    not fold to a polynomial of degree <= 1 makes inference impossible and
+    raises; the caller then needs an explicit range.
     """
+    radicands = [r for ast in asts for r in _radicands(ast)]
+    if radicands:
+        from .exact import polynomial  # deferred: only a radicand needs the fold
     lo, hi = -math.inf, math.inf
-    for ast in asts:
-        for radicand in _radicands(ast):
-            poly = _poly(radicand)
-            if poly is None or max(poly, default=0) > 1:
+    for radicand in radicands:
+        poly = polynomial(lambda t, field, node=radicand: evaluate(node, t, field))
+        if poly is None or len(poly) > 2:
+            raise ModelFileError(
+                f"{field_name}: a sqrt radicand is not affine in t; "
+                "state an explicit t_range",
+                field=field_name,
+            )
+        a, b = (poly + [0, 0])[:2]
+        if b == 0:
+            if a < 0:
                 raise ModelFileError(
-                    f"{field_name}: a sqrt radicand is not affine in t; "
-                    "state an explicit t_range",
+                    f"{field_name}: a sqrt radicand is the negative "
+                    f"constant {float(a)}; the model is valid nowhere",
                     field=field_name,
                 )
-            a = poly.get(0, 0.0)
-            b = poly.get(1, 0.0)
-            if b == 0.0:
-                if a < 0.0:
-                    raise ModelFileError(
-                        f"{field_name}: a sqrt radicand is the negative "
-                        f"constant {a}; the model is valid nowhere",
-                        field=field_name,
-                    )
-            elif b > 0.0:
-                lo = max(lo, -a / b)
-            else:
-                hi = min(hi, -a / b)
+            continue
+        root = -a / b
+        try:
+            root = float(root) if root else (-0.0 if b > 0 else 0.0)  # 0 signed as -0.0 / b
+        except OverflowError:  # beyond the doubles, on the side of its sign
+            root = math.inf if root > 0 else -math.inf
+        if b > 0:
+            lo = max(lo, root)
+        else:
+            hi = min(hi, root)
     if lo > hi:
         raise ModelFileError(
             f"{field_name}: sqrt radicand constraints leave no valid t",

@@ -53,15 +53,15 @@ class ExprError(ModelFileError):
 
 
 class NumericalError(PtLatticeError):
-    """Base class for failures of numerical procedures."""
-
-
-class SolverError(NumericalError):
-    """The dense eigensolver failed; carries whatever diagnostics exist."""
+    """Base class for failures of numerical procedures; carries whatever diagnostics exist."""
 
     def __init__(self, message: str, *, diagnostics: dict | None = None):
         super().__init__(message)
         self.diagnostics = dict(diagnostics or {})
+
+
+class SolverError(NumericalError):
+    """The dense eigensolver failed."""
 
 
 class OracleError(NumericalError):
@@ -70,10 +70,6 @@ class OracleError(NumericalError):
     Its diagnostics hold the factor's degree, the steps taken, the error
     estimate and the threshold it failed.
     """
-
-    def __init__(self, message: str, *, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
 
 
 class DegenerateSpectrumError(NumericalError):

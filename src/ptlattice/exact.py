@@ -9,27 +9,31 @@ eigenvalues of every cell between two roots exactly, at a short dyadic t
 inside the cell.  That is a family's *reality map*; ``domain_report`` reads
 its intervals and exceptional points off it.
 
-Folding.  ``ExactField`` runs a family's entry closures on elements
-a(t) * sqrt(r(t)) with a, r in Q[t], and parses each literal exactly as the
-document states it.  The lattice sign rule makes det(H(t) - lambda) a
-function of the diagonal, the squares c_i^2 = a^2 r and, on a ring, the
-cycle term -2 prod(c_i); so a family folds when its diagonal is in Q[t] and,
-on a ring, prod(r_i) is the square of some s in Q[t] without a root inside
-the validity range (there prod(c_i) = prod(a_i) |s| = +-prod(a_i) s).  A
-radical on the diagonal, a sum of different radicals, a nested sqrt, a
-division by a non-constant or a ring whose prod(r_i) is not such a square
-does not fold, and ``folded`` returns None.  A family that folds has no map
-where its discriminant is identically 0 (an eigenvalue repeated at every t)
-or its degree bound exceeds MAX_DISC_DEGREE, where a cold build costs more
-than the grid scan of a unit range.  ``reality_map`` returns None for all
-those families, and their domains come from the float path of ``domains``.
-It builds from the fold ``folded`` caches, which the oracle of ``charpoly``
+Folding.  ``ExactField``, the package's one folder of entry expressions
+(``custom`` infers a document's validity with it too), runs a family's entry
+closures on elements a(t) * sqrt(r(t)) with a, r in Q[t], and parses each
+literal exactly as the document states it.  The fold lays the entries out
+with ``lattice.layout`` and reads the inputs of det(H(t) - lambda) off the
+rows with ``lattice.determinant_inputs``, as the float-lift oracle does, so
+the lattice's signs are read from the layout, not restated here.  Band and
+corner products are in Q[t], since sqrt(r)^2 = r; a ring's cycle term
+a(t) sqrt(R(t)) folds where R is the square of some s in Q[t] without a
+root inside the validity range, where sqrt(R) = +-s.  A radical on the
+diagonal, a sum of different radicals, a nested sqrt, a division by a
+non-constant or a ring whose R is not such a square does not fold, and
+``folded`` returns None.  A family that folds has no map where its
+discriminant is identically 0 (an eigenvalue repeated at every t) or its
+degree bound exceeds MAX_DISC_DEGREE, where a cold build costs more than
+the grid scan of a unit range.  ``reality_map`` returns None for all those
+families, and their domains come from the float path of ``domains``.  It
+builds from the fold ``folded`` caches, which the oracle of ``charpoly``
 reads too, so each family is folded once.
 
 The discriminant is the resultant Res(P, dP/dlambda), taken at
 floor(w n (n - 1)) + 1 integer points and interpolated; w, the largest of
-deg a_ii and deg(c_i^2) / 2, bounds each eigenvalue's growth as |t|^w and so
-the degree (the cycle term's degree over n is the mean of the deg(c_i^2) / 2).
+deg a_ii and half the degree of each band and corner product, bounds each
+eigenvalue's growth as |t|^w and so the degree (the cycle term's degree over
+n is the mean of those halves).
 The points may lie outside the validity range: the folded inputs are
 polynomials there too.
 
@@ -41,10 +45,10 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .lattice import Topology
+from .lattice import determinant_inputs, layout
 from .poly import (
     _add,
     _bordered_charpoly,
@@ -232,8 +236,7 @@ def _homogeneous(p, m: int, d: int, e: int) -> int:
     return h * d ** (e + 1 - len(p))
 
 
-@dataclass(frozen=True)
-class _Folded:
+class _Folded(NamedTuple):
     """The inputs of the recurrence for det(L H(t) - mu) as integer polynomials in t.
 
     L is a common denominator of the folded entries.  Scaling H by L scales
@@ -242,9 +245,9 @@ class _Folded:
     """
 
     diag: tuple  # L a_ii
-    bands: tuple  # -L^2 c_i^2 for the band pairs
-    gammabeta: tuple  # -L^2 c_n^2 on a ring, else zero
-    cycle: tuple  # -2 L^n prod(c_i) on a ring, else zero
+    bands: tuple  # L^2 times each band product
+    gammabeta: tuple  # L^2 times the corner product
+    cycle: tuple  # L^n times the cycle term
     scale: int  # L
     width: int  # W, the least integer >= w
     degree_bound: int  # floor(w n (n - 1)) >= the discriminant's degree in t
@@ -292,28 +295,32 @@ def _fold(family) -> _Folded:
         # The closures may be any caller's; where they do not fold, the
         # float path evaluates them, and raises whatever is the model's error.
         raise _NotFolding(f"an entry does not fold: {exc!r}") from None
+    diag, bands, gammabeta, cycle = determinant_inputs(layout(n, diag, upper, family.topology))
     if any(x.r != _ONE for x in diag):
         raise _NotFolding("a radical on the diagonal")
-    squares = [_pscale(_pmul(_pmul(c.a, c.a), c.r), -1) for c in upper]
-    w = max([0] + [len(x.a) - 1 for x in diag] + [Fraction(len(p) - 1, 2) for p in squares])
+    bands = [x.a for x in bands]
+    gammabeta, cycle = _coerce(gammabeta).a, _coerce(cycle)
+    halves = [Fraction(len(p) - 1, 2) for p in bands + [gammabeta]]
+    w = max([0] + [len(x.a) - 1 for x in diag] + halves)
     bound = math.floor(w * n * (n - 1))
-    gammabeta, cycle = (), ()
-    if family.topology is Topology.RING:
-        gammabeta = squares[n - 1]
-        a, r = _ONE, _ONE
-        for c in upper:
-            a, r = _pmul(a, c.a), _pmul(r, c.r)
-        if a:
-            s = _poly_sqrt(r)
-            if s is None:
-                raise _NotFolding("the ring's product of radicands is not a square")
-            sign = _validity_sign(s, family.t_min, family.t_max)
-            cycle = _pscale(_pmul(a, s), -2 * sign)
-    inputs = [(x.a, 1) for x in diag] + [(p, 2) for p in squares[: n - 1]]
+    s = _poly_sqrt(cycle.r)  # (1,) where no radical is left
+    if s is None:
+        raise _NotFolding("the ring's product of radicands is not a square")
+    cycle = _pscale(_pmul(cycle.a, s), _validity_sign(s, family.t_min, family.t_max))
+    inputs = [(x.a, 1) for x in diag] + [(p, 2) for p in bands]
     inputs += [(gammabeta, 2), (cycle, n)]
     scale = math.lcm(*(c.denominator for p, _ in inputs for c in p))
     polys = [tuple(int(c * scale**e) for c in p) for p, e in inputs]
     return _Folded(tuple(polys[:n]), tuple(polys[n:-2]), *polys[-2:], scale, math.ceil(w), bound)
+
+
+def polynomial(expr) -> list | None:
+    """Ascending Fraction coefficients of expr(t, ExactField) in Q[t]; None where it leaves Q[t]."""
+    try:
+        x = _coerce(expr(_T, ExactField))
+    except _NotFolding:
+        return None
+    return list(x.a) if x.r == _ONE else None
 
 
 @functools.lru_cache(maxsize=64)
@@ -358,8 +365,7 @@ def _interpolate(xs, ys) -> list:
     return p
 
 
-@dataclass(frozen=True)
-class RealityMap:
+class RealityMap(NamedTuple):
     """The real roots of a family's discriminant and the real count between them.
 
     degree: the discriminant's degree in t.  core: ascending integer

@@ -28,6 +28,7 @@ from .lattice import check_square
 from .spectra import (
     _frobenius_scales,
     _index_pairs,
+    _norm,
     count_real,
     count_real_rows,
     eigenvalue_rows,
@@ -148,10 +149,10 @@ def intertwiner_residual(theta, h) -> float:
         raise InvalidSpecError(
             f"shape mismatch: theta {theta.shape} vs h {h.shape}"
         )
-    denom = float(np.linalg.norm(h)) * float(np.linalg.norm(theta))
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(h.T @ theta - theta @ h)) / denom
+    diff = h.T @ theta - theta @ h
+    with np.errstate(over="ignore"):  # for _norm
+        denom = _norm(h) * _norm(theta)
+        return 0.0 if denom == 0.0 else _norm(diff) / denom
 
 
 # Singular values below this fraction of max(1, s_max) span the kernel.

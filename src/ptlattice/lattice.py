@@ -8,12 +8,15 @@ deliberately does not accept independent lower couplings.  Every assembly
 path goes through it: :func:`build_matrix` checks the entry counts and
 builds the float matrix (``ModelFamily.matrix`` calls it), while
 ``ModelFamily.matrices`` (a whole stack of matrices at once) lays out
-vector entries directly.  numpy is imported where a matrix is
-built, so the command line can name the model types without it.
+vector entries directly.  Beside it, :func:`determinant_inputs` reads
+det(M - lambda I)'s inputs off the rows for the float-lift oracle and the
+exact fold alike.  numpy is imported where a matrix is built, so the
+command line can name the model types without it.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -61,6 +64,25 @@ def layout(n: int, diag, upper, topology: Topology, rows=None):
         rows[0][n - 1] = -corner
         rows[n - 1][0] = corner
     return rows
+
+
+def determinant_inputs(rows) -> tuple:
+    """The inputs of ``poly._bordered_charpoly``, off the rows of a lattice matrix M.
+
+    The diagonal, the band products sub * sup, the corner product gamma beta
+    (gamma = M[1, n], beta = M[n, 1], both 0 for n < 3) and the cycle term
+    (-1)^(n+1) (gamma prod(sub) + beta prod(sup)), in the entries' own type.
+    """
+    n = len(rows)
+    sup = [rows[i][i + 1] for i in range(n - 1)]
+    sub = [rows[i + 1][i] for i in range(n - 1)]
+    gamma, beta = (rows[0][n - 1], rows[n - 1][0]) if n >= 3 else (0, 0)
+    return (
+        [rows[i][i] for i in range(n)],
+        [s * u for s, u in zip(sub, sup)],
+        gamma * beta,
+        (-1) ** (n + 1) * (gamma * math.prod(sub) + beta * math.prod(sup)),
+    )
 
 
 def build_matrix(n: int, diag, upper, topology: Topology) -> np.ndarray:

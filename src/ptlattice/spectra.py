@@ -316,13 +316,23 @@ def eigenvalue_rows(stack: np.ndarray) -> tuple[np.ndarray, list]:
 _POLISH_REL = 1e-5
 
 
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x), or max|x| * ||x / max|x||| where its dot product overflows.
+
+    Each caller enters np.errstate(over="ignore") once for all its norms.
+    """
+    norm = float(np.linalg.norm(x))
+    if math.isinf(norm):
+        peak = float(np.abs(x).max())
+        norm = peak * float(np.linalg.norm(x / peak))
+    return norm
+
+
 def _frobenius_scales(stack: np.ndarray) -> np.ndarray:
     """max(1, ||H||_F) of each matrix H of a finite (m, n, n) stack.
 
-    Each norm as np.linalg.norm(h) takes it, the root of one dot product;
-    a norm over the stack axes sums in another order.  Where the dot
-    product overflows, the norm is max|h| * ||h / max|h|||_F instead, which
-    is inf only where the norm itself exceeds the largest double.
+    Each norm as _norm(h) takes it; a norm over the stack axes sums in
+    another order.
     """
     m, n, _ = stack.shape
     flat = stack.reshape(m, 1, n * n)
@@ -330,9 +340,7 @@ def _frobenius_scales(stack: np.ndarray) -> np.ndarray:
         norms = np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel()
         huge = np.isinf(norms)
         if huge.any():
-            peak = np.abs(flat[huge]).max(axis=(1, 2))
-            unit = flat[huge] / peak[:, None, None]
-            norms[huge] = peak * np.sqrt(unit @ unit.transpose(0, 2, 1)).ravel()
+            norms[huge] = [_norm(h) for h in stack[huge]]
     return np.maximum(1.0, norms)
 
 
@@ -458,19 +466,20 @@ def left_right_pairs(h) -> list[EigenPair]:
         )
     left_of = np.argsort(cols)
     pairs = []
-    for j in range(n):
-        lam = complex(w[j])
-        right = normalize_vector(vr[:, j])
-        left = normalize_vector(vl[:, left_of[j]])
-        res_r = float(np.linalg.norm(h @ right - lam * right))
-        res_l = float(np.linalg.norm(h.T @ left - np.conj(lam) * left))
-        bound = max(EPS_SPEC * scale, 64 * np.finfo(float).eps * scale)
-        if res_r > bound or res_l > bound:
-            raise SolverError(
-                f"eigenpair residual too large ({max(res_r, res_l):.3e})",
-                diagnostics={"eigenvalue": lam, "bound": bound},
-            )
-        pairs.append(EigenPair(eigenvalue=lam, right=right, left=left))
+    with np.errstate(over="ignore"):  # for _norm
+        for j in range(n):
+            lam = complex(w[j])
+            right = normalize_vector(vr[:, j])
+            left = normalize_vector(vl[:, left_of[j]])
+            res_r = _norm(h @ right - lam * right)
+            res_l = _norm(h.T @ left - np.conj(lam) * left)
+            bound = max(EPS_SPEC * scale, 64 * np.finfo(float).eps * scale)
+            if res_r > bound or res_l > bound:
+                raise SolverError(
+                    f"eigenpair residual too large ({max(res_r, res_l):.3e})",
+                    diagnostics={"eigenvalue": lam, "bound": bound},
+                )
+            pairs.append(EigenPair(eigenvalue=lam, right=right, left=left))
     pairs.sort(key=lambda p: (p.eigenvalue.real, p.eigenvalue.imag))
     return pairs
 

@@ -1,6 +1,7 @@
 """Characteristic-polynomial oracle: coefficients and high-precision roots."""
 
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -45,6 +46,34 @@ def _radical_products(tmp_path):
         tmp_path, 4, ["-3", "-1", "1", "3"],
         ["sqrt(1 - t) * sqrt(1 - t)", "sqrt(2) * sqrt(1 + t)", "t"],
     )
+
+
+def _seeded_documents(tmp_path, count=6):
+    # Open chains and rings whose couplings repeat radicands, or pair 2 - 2t
+    # with 0.5 - 0.5t, different radicands whose product is a square.  A
+    # ring places each radicand twice, so its product of radicands is a
+    # square and the ring folds.
+    rng = random.Random(33)
+    radicands = ["1 - t", "t + 2", "2 - 2*t", "3*t + 1.5"]
+    factors = ["1", "t", "2", "0.5*t + 1", "-1.5"]
+    families = []
+    for k in range(count):
+        ring = k % 2 == 0
+        n = rng.choice([4, 6]) if ring else rng.randint(3, 6)
+        if ring:
+            roots = [rng.choice(radicands) for _ in range(n // 2)]
+            pairs = [r.replace("2 - 2*t", "0.5 - 0.5*t") if rng.random() < 0.5 else r
+                     for r in roots]
+            roots += pairs
+            rng.shuffle(roots)
+        else:
+            roots = [rng.choice(radicands + ["1"]) for _ in range(n - 1)]
+        couplings = [f"({rng.choice(factors)})*sqrt({r})" for r in roots]
+        diag = [rng.choice(["-3", "-1", "0.5", "2", "t", "1 - t"]) for _ in range(n)]
+        families.append(
+            _chain(tmp_path, n, diag, couplings, "ring" if ring else "open")
+        )
+    return families
 
 
 def test_coefficients_of_known_matrix():
@@ -173,6 +202,7 @@ def _model_rows(family, t):
 def test_coefficients_equal_sympy_charpoly(path, t, tmp_path):
     families = [get_family(m) for m in Model] + [load_custom_model(str(DEMO_CHAIN))]
     families += [_affine_chain7(tmp_path), _radical_products(tmp_path)]
+    families += _seeded_documents(tmp_path)
     for family in families:
         if path == "matrix":
             # The float matrix, lifted exactly: equal coefficient for coefficient.

@@ -121,6 +121,23 @@ class TestValidityInference:
             )
 
 
+class TestExactInference:
+    """Radicands fold exactly, as the exact engine folds the entries."""
+
+    def test_an_inferred_end_is_the_correctly_rounded_root(self):
+        # -0.3 / -0.1 is 2.9999999999999996 in doubles; the root is 3.
+        lo, hi = infer_validity([parse_expression("sqrt(0.3 - 0.1*t)")])
+        assert lo == -np.inf and hi == 3.0
+
+    def test_an_irrational_constant_needs_an_explicit_range(self):
+        with pytest.raises(ModelFileError, match="t_range"):
+            infer_validity([parse_expression("sqrt(1 - sqrt(2)*t)")])
+
+    def test_a_literal_beyond_the_exact_range_needs_an_explicit_range(self):
+        with pytest.raises(ModelFileError, match="t_range"):
+            infer_validity([parse_expression("sqrt(1e500 - t)")])
+
+
 class TestLoading:
     def test_equivalent_to_registry_ec4(self, tmp_path):
         family = load_custom_model(write_yaml(tmp_path, EC4_DOC))

@@ -61,12 +61,22 @@ def test_cli_import_loads_no_deferred_module():
 def test_cli_import_and_model_documents_load_neither_dataclasses_nor_inspect(tmp_path):
     # Together about a third of the import; the CLI module, what it loads
     # at start-up and the document loader use neither.
+    # The second document infers its range through the exact fold.
     doc = tmp_path / "demo.yaml"
     doc.write_text(DEMO_DOC, encoding="utf-8")
+    radical = tmp_path / "radical.yaml"
+    radical.write_text(
+        DEMO_DOC.replace('"t", "t", "t"]', '"t", "sqrt(1 - t)", "t"]').replace(
+            "t_range: [-3.0, 3.0]\n", ""
+        ),
+        encoding="utf-8",
+    )
     proc = run_python(
         "-c",
         "import sys; before = set(sys.modules); import ptlattice.cli, ptlattice; "
         f"ptlattice.load_custom_model({str(doc)!r}); "
+        f"f = ptlattice.load_custom_model({str(radical)!r}); "
+        "assert (f.t_max, 'ptlattice.exact' in sys.modules) == (1.0, True); "
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))",
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Metric operators: kernel bases, closed forms, positivity, tracking."""
 
+import copy
 import math
 import warnings
 
@@ -33,7 +34,7 @@ from ptlattice import (
     vec_sym,
 )
 from ptlattice.domains import bisect_edge
-from ptlattice.errors import TrackingError
+from ptlattice.errors import NumericalError, TrackingError
 from ptlattice.metrics import _SECTION_STEP, _min_eig
 
 EC4 = get_family(Model.EC4)
@@ -123,6 +124,17 @@ def test_intertwiner_basis_equals_the_entrywise_construction(family):
         for theta in basis.elements:
             assert np.array_equal(theta, theta.T)
             assert intertwiner_residual(theta, h) < 1e-12
+
+
+def test_intertwiner_residual_survives_a_huge_matrix():
+    # ||H^T Theta - Theta H|| of a 1e200-scaled matrix overflows as one dot
+    # product; the relative residual does not depend on the scale.
+    h = EC4.matrix(0.8)
+    theta = np.eye(4) + 0.1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = intertwiner_residual(theta, 1e200 * h)
+    assert huge == pytest.approx(intertwiner_residual(theta, h), rel=1e-14)
 
 
 def test_intertwiner_basis_dimension_and_residuals():
@@ -628,6 +640,24 @@ def test_values_solve_no_stack_ahead_past_a_step_whose_kernel_fails(monkeypatch)
     failed = [any(isinstance(row, Exception) for row in rows) for rows in stacks]
     assert failed == [False] * (len(stacks) - 1) + [True]
     assert len(stacks) < math.ceil(280 / 32)
+
+
+def _subclasses(cls):
+    return [cls] + [s for sub in cls.__subclasses__() for s in _subclasses(sub)]
+
+
+def test_every_numerical_error_carries_diagnostics():
+    for cls in _subclasses(NumericalError):
+        assert cls("message").diagnostics == {}, cls.__name__
+        assert cls("message", diagnostics={"t": 0.5}).diagnostics == {"t": 0.5}, cls.__name__
+    # A lost section keeps the error of its first lost point and hands out copies.
+    section = MetricSection(EC4, t_seed=1.0)
+    (first,) = section.values([1.7])
+    assert isinstance(first, NumericalError) and first.diagnostics == {}
+    section._lost[1].diagnostics["t"] = 1.5
+    (again,) = section.values([1.8])
+    assert again is not section._lost[1] and again.diagnostics == {"t": 1.5}
+    assert copy.copy(again).diagnostics == {"t": 1.5}
 
 
 def test_positivity_past_a_lost_section_solves_its_first_steps_in_stacks(monkeypatch):

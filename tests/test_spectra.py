@@ -207,6 +207,20 @@ def test_left_right_pairs_satisfy_eigen_relations():
         assert np.linalg.norm(h.T @ pair.left - np.conj(lam) * pair.left) < 1e-10
 
 
+def test_left_right_pairs_and_pt_phase_survive_a_huge_matrix():
+    # The residual norms of a matrix above ||H|| ~ 1e154 overflow as one dot
+    # product; the eigenpairs themselves are fine.
+    h = get_family(Model.EC4).matrix(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = left_right_pairs(1e200 * h)
+        phase = pt_phase(1e200 * h)
+    expected = [1e200 * p.eigenvalue for p in left_right_pairs(h)]
+    assert [p.eigenvalue for p in pairs] == pytest.approx(expected, rel=1e-13)
+    assert phase.value is pt_phase(h).value
+    assert phase.max_defect < 1e-12
+
+
 def test_left_right_pairs_reject_near_degenerate():
     h = get_family(Model.EC4).matrix(1.5)
     with pytest.raises(DegenerateSpectrumError):
