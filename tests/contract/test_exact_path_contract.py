@@ -1,14 +1,15 @@
-"""The exact path gives the recorded intervals, markers, islands and folds."""
+"""The exact path gives the recorded intervals, markers, islands, folds and CLI outputs."""
 
 import json
 import re
 
 import pytest
 
-from exact_contract import CONTRACT, DEMO_CHAIN, contract, dumps
+from exact_contract import CONTRACT, DEMO_CHAIN, cli_contract, contract, dumps, split_residuals
 from ptlattice.cli import main
 
 STORED = json.loads(CONTRACT.read_text(encoding="utf-8"))
+FAMILIES = {name: entry for name, entry in STORED.items() if name != "cli"}
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +17,7 @@ def current():
     return contract()
 
 
-@pytest.mark.parametrize("name", sorted(STORED))
+@pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_exact_path_equals_the_stored_contract(name, current):
     stored, now = STORED[name], current[name]
     assert now["folded"] == stored["folded"]
@@ -34,7 +35,7 @@ def test_exact_path_equals_the_stored_contract(name, current):
 def test_contract_covers_every_registry_family_and_the_demo_chain():
     from ptlattice import Model
 
-    assert set(STORED) == {m.value for m in Model} | {"demo-chain"}
+    assert set(FAMILIES) == {m.value for m in Model} | {"demo-chain"}
     assert dumps(STORED) == CONTRACT.read_text(encoding="utf-8")  # as the script writes it
 
 
@@ -68,3 +69,39 @@ def test_readme_commands_print_their_pinned_rows(argv, pattern, capsys):
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert sum(bool(re.match(pattern, line)) for line in lines) == 1
+
+
+@pytest.fixture(scope="module")
+def current_cli():
+    return {record["id"]: record for record in cli_contract()}
+
+
+def _same_bundle(new, old, where):
+    # Byte for byte but each coalescence residual, a LAPACK angle, kept within 1e-6.
+    (new_text, new_residuals), (old_text, old_residuals) = map(split_residuals, (new, old))
+    assert new_text == old_text, where
+    assert new_residuals == pytest.approx(old_residuals, rel=1e-6), where
+
+
+@pytest.mark.parametrize("record", STORED["cli"], ids=lambda record: record["id"])
+def test_cli_commands_equal_the_stored_contract(record, current_cli):
+    now = current_cli[record["id"]]
+    assert now["command"] == record["command"]
+    for run in ("plain", "out"):
+        old, new = record[run], now[run]
+        where = (record["id"], run)
+        assert (new["code"], new["stderr"]) == (old["code"], old["stderr"]), where
+        _same_bundle(new["stdout"], old["stdout"], where)
+    assert now["out"]["svg"] == record["out"]["svg"], record["id"]
+    _same_bundle(now["out"]["file"], record["out"]["file"], record["id"])
+
+
+def test_split_residuals_cuts_out_only_coalescence_residuals():
+    text = (
+        "# table: eps\nt_star,order,kind,residual\n"
+        "1.5,2,complexification,1e-10\n"
+        "1.4142135623730951,2,real-coalescence,2.1794243779460445e-16\n"
+    )
+    masked, residuals = split_residuals(text)
+    assert residuals == [2.1794243779460445e-16]
+    assert masked == text.replace("2.1794243779460445e-16", "<residual>")
