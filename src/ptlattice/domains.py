@@ -12,16 +12,19 @@ reality map: its edges are the correctly rounded real roots of the
 discriminant where the exact real count changes, and every root inside the
 range is tested as an exceptional point at that root, all roots in one
 stacked eigensolve and one stacked cluster count (``spectra``'s
-single-linkage rule) per kind of marker.  No grid is solved or assembled (its
-entries are only checked), and neither ``eps_real`` nor the grid size moves
-a count.
+single-linkage rule).  No grid is solved or assembled: an interval
+enclosure proves the range's entries defined and finite, and only where it
+cannot are the grid's entries checked.  Neither ``eps_real`` nor the grid
+size moves a count, and ``reality_islands``, which reports no marker,
+solves nothing.
 
 Every other family takes the float path.  It reads the partition off one
-coarse grid, refines the transition points by bisection, and tests strict
-local minima of the eigenvalue gap by golden-section search.  A coarse grid
-is one batch: ``ModelFamily.matrices`` assembles its whole stack, one
-stacked LAPACK call solves it, and the row-wise rules of ``spectra`` give
-every real count and gap at once.  Bisection and golden-section search stay
+coarse grid, refines the transition points by bisection, and (for
+``domain_report``'s markers) tests strict local minima of the eigenvalue gap
+by golden-section search.  A coarse grid is one batch:
+``ModelFamily.matrices`` assembles its whole stack, one stacked LAPACK call
+solves it, and the row-wise rules of ``spectra`` give every real count and
+gap at once.  Bisection and golden-section search stay
 point by point, since each step depends on the one before.
 """
 
@@ -223,37 +226,56 @@ def locate_coalescence_ep(
                 f"spectrum already degenerate at bracket endpoint t={endpoint}"
             )
 
-    return _coalescence_at(family, _golden_minimize(gap_at, lo, hi, tol))
+    return _coalescence_at(family, _golden_minimize(gap_at, lo, hi, tol), tol)
 
 
-def _coalescence_at(family, t_star: float) -> EPLocation:
-    """The one-row call of _coalescences: the marker at t_star, or its EpNotFoundError."""
-    out = _coalescences(family.matrix(t_star)[None], [t_star])
+def _coalescence_at(family, t_star: float, tol: float) -> EPLocation:
+    """The one-row call of _markers at a crossing: the marker at t_star, or its EpNotFoundError."""
+    out = _markers(family.matrix(t_star)[None], [t_star], [True], tol)
     if isinstance(out[0], Exception):
         raise out.pop()  # popped, as in intertwiner_basis
     return out[0]
 
 
-def _coalescences(stack, ts) -> list:
-    """Accept each t of ts as an exceptional point where the closest eigenvectors align.
+def _markers(stack, ts, crossing, tol: float) -> list:
+    """The EP marker at each t of ts, where stack holds the model's matrices there.
 
-    stack holds the model's matrix at each t.  Entry k is the EPLocation at
-    ts[k], or the EpNotFoundError that rejects it.  The order is the cluster
+    A t where crossing is false is a count change, marked as a
+    complexification point whose residual is the bracket width tol.  Any
+    other t is a crossing, accepted where the closest eigenvectors align:
+    its entry is then the coalescence EPLocation, of kind
+    COMPLEX_COALESCENCE where the closest pair meets off the real axis, and
+    otherwise the EpNotFoundError that rejects it.  The order is the cluster
     size at the u^(1/k) noise radius, scaled by max(1, ||H||_F) as
-    _frobenius_scales takes it; the kind is COMPLEX_COALESCENCE where the
-    closest pair meets off the real axis.  One stacked eig solves every
-    row.  Its rows are complex wherever any row is, where a one-row call of
-    an all-real row is real; every quantity below takes the same value from
-    a real row as from that row with zero imaginary parts.
+    _frobenius_scales takes it, and at least 2 at a count change.
+
+    One stacked eig solves every row where any t is a crossing, else one
+    stacked eigvals.  The rows are complex wherever any row is, where a
+    one-row call of an all-real row is real; every quantity below takes the
+    same value from a real row as from that row with zero imaginary parts.
     """
-    rows, bases = np.linalg.eig(stack)
+    if any(crossing):
+        rows, bases = np.linalg.eig(stack)
+    else:
+        rows, bases = np.linalg.eigvals(stack), None
     orders = _perturbation_orders(rows, _frobenius_scales(stack)).tolist()
     i, j = _index_pairs(stack.shape[1])
     out: list = []
-    for t_star, order, values, vectors in zip(ts, orders, rows, bases):
+    for k, (t_star, order, crosses) in enumerate(zip(ts, orders, crossing)):
+        if not crosses:
+            out.append(
+                EPLocation(
+                    t_star=float(t_star),
+                    order=max(2, order),
+                    kind=EPKind.COMPLEXIFICATION,
+                    residual=float(tol),
+                )
+            )
+            continue
         if order < 2:
             out.append(EpNotFoundError(f"no eigenvalue cluster at the gap minimum t={t_star!r}"))
             continue
+        values, vectors = rows[k], bases[k]
         # The closest pair; on a tie, the first in row-major order.
         closest = np.abs(values[i] - values[j]).argmin()
         a, b = i[closest], j[closest]
@@ -280,28 +302,25 @@ def _coalescences(stack, ts) -> list:
     return out
 
 
-def _boundary_eps(stack, ts, tol: float) -> list:
-    """The complexification marker at each t of ts, where stack holds the model's matrices.
+def _grid_within(lo: float, hi: float, steps: int) -> bool:
+    """Whether every point of np.linspace(lo, hi, steps) lies in [lo, hi], for float ends.
 
-    The order is the cluster size at the u^(1/k) noise radius, and at least
-    2.  One stacked eigvals solves every row; as in _coalescences, no order
-    depends on whether a row comes back real or complex.  Both paths of
-    domain_report mark their count changes here.
+    Point i < steps - 1 is lo + i * ((hi - lo) / (steps - 1)) in doubles
+    (lo + (i / (steps - 1)) * (hi - lo) where that step underflows to 0),
+    and the last is hi.  Each operation rounds monotonically, so no point
+    lies below lo and the largest interior one is that at i = steps - 2.
+    Other ends linspace converts (an int) or takes in another precision (a
+    float32), so they are not decided here.
     """
-    orders = _perturbation_orders(np.linalg.eigvals(stack), _frobenius_scales(stack))
-    return [
-        EPLocation(
-            t_star=float(t_star),
-            order=max(2, order),
-            kind=EPKind.COMPLEXIFICATION,
-            residual=float(tol),
-        )
-        for t_star, order in zip(ts, orders.tolist())
-    ]
+    if not (isinstance(lo, float) and isinstance(hi, float)):
+        return False
+    div, delta, i = steps - 1, hi - lo, float(steps - 2)
+    step = delta / div
+    return lo + (i * step if step else i / div * delta) <= hi
 
 
 def _exact_partition(family, rmap, lo: float, hi: float, tol: float) -> tuple:
-    """Intervals and EP markers of [lo, hi] read off a reality map.
+    """(intervals, markers) of [lo, hi] read off a reality map; markers() gives the EP markers.
 
     A root inside (lo, hi) where the count changes is an edge, marked as a
     complexification point; any other root inside is marked where the
@@ -310,28 +329,50 @@ def _exact_partition(family, rmap, lo: float, hi: float, tol: float) -> tuple:
     the roots serves every marker: for the few roots of a range, building
     each matrix costs less than the fixed cost of a matrices call.
     """
-    edges, levels, boundary, crossing = [float(lo)], [rmap.count_above(lo)], [], []
+    edges, levels, crossing = [float(lo)], [rmap.count_above(lo)], []
     roots = rmap.roots_inside(lo, hi)
-    for k, root in enumerate(roots):
+    for root in roots:
         count = rmap.count_above(root)
-        if count != levels[-1]:
+        crossing.append(count == levels[-1])
+        if not crossing[-1]:
             edges.append(root)
             levels.append(count)
-            boundary.append(k)
-        else:
-            crossing.append(k)
     edges.append(float(hi))
-    found: dict = {}
-    if roots:
+
+    def markers() -> tuple:
+        if not roots:
+            return ()
         stack = np.stack([family.matrix(root) for root in roots])
-        if boundary:
-            found.update(zip(boundary, _boundary_eps(stack[boundary], edges[1:-1], tol)))
-        if crossing:
-            tested = _coalescences(stack[crossing], [roots[k] for k in crossing])
-            found.update(zip(crossing, tested))
-    # A crossing whose eigenvectors stay apart takes no marker.
-    eps = tuple(m for _, m in sorted(found.items()) if not isinstance(m, EpNotFoundError))
-    return tuple(zip(edges, edges[1:], levels)), eps
+        # A crossing whose eigenvectors stay apart takes no marker.
+        found = _markers(stack, roots, crossing, tol)
+        return tuple(m for m in found if not isinstance(m, EpNotFoundError))
+
+    return tuple(zip(edges, edges[1:], levels)), markers
+
+
+def _partition(family, lo, hi, coarse_steps, tol: float, eps_real: float) -> tuple:
+    """(intervals, markers) of [lo, hi]: the partition, and a function giving its EP markers.
+
+    The range and the options are checked, and the entries proved or
+    checked, as domain_report documents; no marker is solved until
+    markers() is called.
+    """
+    check_bracket(lo, hi, tol)
+    check_eps_real(eps_real)
+    steps = grid_steps(lo, hi, coarse_steps)
+    # The ends first, so a range reaching past the validity interval is
+    # reported at its end; check_entries and matrices check every point.
+    family.check_validity(float(lo))
+    family.check_validity(float(hi))
+    from .exact import reality_map
+
+    rmap = reality_map(family)
+    if rmap is not None:
+        if not (_grid_within(lo, hi, steps) and family.certify_entries(lo, hi)):
+            family.check_entries(np.linspace(lo, hi, steps))
+        return _exact_partition(family, rmap, lo, hi, tol)
+    grid = np.linspace(lo, hi, steps)
+    return _grid_partition(family, grid, family.matrices(grid), lo, hi, tol, eps_real)
 
 
 def domain_report(
@@ -345,16 +386,20 @@ def domain_report(
 ) -> DomainReport:
     """Partition [lo, hi] into constant-real-count intervals with EP markers.
 
-    Every family's entries are checked on the coarse grid of
-    grid_steps(lo, hi, coarse_steps) points, so an entry undefined inside
-    the range raises at its first grid point.  Only the float path
-    assembles the grid's matrices.
+    An entry undefined or not finite inside the range raises matrix(t)'s
+    error at its first point on the coarse grid of
+    grid_steps(lo, hi, coarse_steps) points.
 
     For a family the exact engine takes, the partition comes from its
     reality map (``_exact_partition``): edges are the correctly rounded
     discriminant roots where the real count changes, and boundary_tol
-    bounds their distance from the exact roots.  The markers take one
-    stack of the model's matrices at the roots.
+    bounds their distance from the exact roots.  No grid is solved: an
+    interval enclosure of the entries over the range
+    (``ModelFamily.certify_entries``) proves them defined and finite at
+    every double t of it, and only where it cannot are the grid's entries
+    checked (``ModelFamily.check_entries``), without building its stack.
+    The markers at the range's roots take one stack of the model's matrices
+    and one stacked eigensolve.
 
     Otherwise the grid is the one scan: each interval takes the real count
     of the grid points it covers, so a window narrower than a grid cell may
@@ -363,36 +408,20 @@ def domain_report(
     the interior of an interval are tested as coalescence candidates and
     kept only when the eigenvector-alignment test accepts them.
     """
-    check_bracket(lo, hi, tol)
-    check_eps_real(eps_real)
-    grid = np.linspace(lo, hi, grid_steps(lo, hi, coarse_steps))
-    # The ends first, so a range reaching past the validity interval is
-    # reported at its end; check_entries and matrices check every point.
-    family.check_validity(float(lo))
-    family.check_validity(float(hi))
-    from .exact import reality_map
-
-    rmap = reality_map(family)
-    if rmap is not None:
-        family.check_entries(grid)
-        intervals, eps = _exact_partition(family, rmap, lo, hi, tol)
-    else:
-        stack = family.matrices(grid)
-        intervals, eps = _grid_partition(family, grid, stack, lo, hi, tol, eps_real)
+    intervals, markers = _partition(family, lo, hi, coarse_steps, tol, eps_real)
     return DomainReport(
         lo=float(lo),
         hi=float(hi),
         intervals=intervals,
-        eps=eps,
+        eps=markers(),
         boundary_tol=float(tol),
     )
 
 
 def _grid_partition(family, grid, stack, lo: float, hi: float, tol: float, eps_real: float):
-    """Intervals and EP markers of [lo, hi] read off the grid's matrix stack."""
+    """(intervals, markers) of [lo, hi] read off the grid's matrix stack; markers() gives the EP markers."""
     rows = np.linalg.eigvals(stack)
     counts = count_real_rows(rows, eps_real)
-    gaps = min_pairwise_gaps(rows)
 
     # Each cell whose ends differ in count holds one boundary, so every
     # interval covers at least one grid point and takes its count from them.
@@ -403,27 +432,30 @@ def _grid_partition(family, grid, stack, lo: float, hi: float, tol: float, eps_r
     ]
     edges = [lo, *boundaries, hi]
     levels = counts[[0, *(cells + 1)]].tolist()
-    intervals = list(zip(map(float, edges), map(float, edges[1:]), levels))
+    intervals = tuple(zip(map(float, edges), map(float, edges[1:]), levels))
 
-    markers = []
-    if boundaries:
-        stack = np.stack([family.matrix(b) for b in boundaries])
-        markers = _boundary_eps(stack, boundaries, tol)
+    def markers() -> tuple:
+        found = []
+        if boundaries:
+            stack = np.stack([family.matrix(b) for b in boundaries])
+            found = _markers(stack, boundaries, [False] * len(boundaries), tol)
 
-    spacing = (hi - lo) / (len(grid) - 1)
-    minima = 1 + np.flatnonzero((gaps[1:-1] < gaps[:-2]) & (gaps[1:-1] <= gaps[2:]))
-    interior: list[EPLocation] = []
-    for a, b, _ in intervals:
-        for i in minima[(a < grid[minima - 1]) & (grid[minima + 1] < b)]:
-            try:
-                ep = locate_coalescence_ep(family, grid[i - 1], grid[i + 1], tol)
-            except (EpNotFoundError, DegenerateSpectrumError):
-                continue
-            if any(abs(ep.t_star - other.t_star) <= spacing for other in interior):
-                continue
-            interior.append(ep)
+        gaps = min_pairwise_gaps(rows)
+        spacing = (hi - lo) / (len(grid) - 1)
+        minima = 1 + np.flatnonzero((gaps[1:-1] < gaps[:-2]) & (gaps[1:-1] <= gaps[2:]))
+        interior: list[EPLocation] = []
+        for a, b, _ in intervals:
+            for i in minima[(a < grid[minima - 1]) & (grid[minima + 1] < b)]:
+                try:
+                    ep = locate_coalescence_ep(family, grid[i - 1], grid[i + 1], tol)
+                except (EpNotFoundError, DegenerateSpectrumError):
+                    continue
+                if any(abs(ep.t_star - other.t_star) <= spacing for other in interior):
+                    continue
+                interior.append(ep)
+        return tuple(sorted(found + interior, key=lambda e: e.t_star))
 
-    return tuple(intervals), tuple(sorted(markers + interior, key=lambda e: e.t_star))
+    return intervals, markers
 
 
 def reality_islands(
@@ -436,12 +468,16 @@ def reality_islands(
     tol: float = 1e-10,
     eps_real: float = EPS_REAL,
 ) -> tuple:
-    """Sub-intervals of [lo, hi] where exactly k eigenvalues are real."""
+    """Sub-intervals of [lo, hi] where exactly k eigenvalues are real.
+
+    They are the intervals of domain_report with that count, from the same
+    checks and the same partition.  No EP marker is solved: on the exact
+    path no matrix is built and nothing reaches LAPACK, and on the float
+    path no golden-section search runs.
+    """
     if k < 0 or k > family.n or (family.n - k) % 2 != 0:
         # Complex eigenvalues come in conjugate pairs, so the real count
         # has the parity of n.
         raise InvalidSpecError(f"unreachable real count {k} for n={family.n}")
-    report = domain_report(
-        family, lo, hi, coarse_steps=coarse_steps, tol=tol, eps_real=eps_real
-    )
-    return tuple((a, b) for a, b, count in report.intervals if count == k)
+    intervals, _ = _partition(family, lo, hi, coarse_steps, tol, eps_real)
+    return tuple((a, b) for a, b, count in intervals if count == k)

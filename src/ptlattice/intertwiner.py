@@ -142,15 +142,23 @@ class SolutionBasis:
 
 
 def intertwiner_residual(theta, h) -> float:
-    """Relative residual ||H^T Theta - Theta H||_F / (||H||_F ||Theta||_F)."""
+    """Relative residual ||H^T Theta - Theta H||_F / (||H||_F ||Theta||_F).
+
+    The residual does not change when H or Theta is scaled, so where the
+    difference is not finite (its products overflow) it is recomputed from
+    H and Theta divided by their largest entries; a finite difference keeps
+    its bits.
+    """
     theta = check_square(theta)
     h = check_square(h)
     if theta.shape != h.shape:
         raise InvalidSpecError(
             f"shape mismatch: theta {theta.shape} vs h {h.shape}"
         )
-    diff = h.T @ theta - theta @ h
-    with np.errstate(over="ignore"):  # for _norm
+    with np.errstate(over="ignore", invalid="ignore"):  # for the products and _norm
+        diff = h.T @ theta - theta @ h
+        if not np.isfinite(diff).all():
+            return intertwiner_residual(theta / np.abs(theta).max(), h / np.abs(h).max())
         denom = _norm(h) * _norm(theta)
         return 0.0 if denom == 0.0 else _norm(diff) / denom
 

@@ -201,7 +201,7 @@ def spectral_metric(h, weights) -> MetricCandidate:
             f"spectral metric not positive definite (min eig {min_eig:.3e})"
         )
     residual = intertwiner_residual(theta, h)
-    if residual > EPS_METRIC:
+    if not residual <= EPS_METRIC:  # a nan residual fails too
         raise ConsistencyError(
             f"spectral metric intertwiner residual {residual:.3e} above bound"
         )

@@ -1,9 +1,12 @@
 """The named parametric models and the model-family interface.
 
-Every family exposes its entries as closed-form functions of t that can be
-evaluated in double precision (for LAPACK work), over a whole float64
-vector of t at once (for grid scans, ``ModelFamily.matrices`` and
-``ModelFamily.check_entries``), or exactly, as polynomials in t
+Every family exposes its entries as closed-form functions of t, evaluated
+through one of four fields: ``FloatField`` in double precision (for LAPACK
+work), ``ArrayField`` over a whole float64 vector of t at once (for grid
+scans, ``ModelFamily.matrices`` and ``ModelFamily.check_entries``),
+``IntervalField`` over a whole range of t at once, bounding every double
+evaluation in it (``ModelFamily.certify_entries``, which proves a range's
+entries defined and finite without a grid), or exactly, as polynomials in t
 (``exact.ExactField``, for the reality map and the exact-entry oracle, where
 entry rounding would otherwise dominate near high-order degeneracies).
 Constants inside the entry expressions are integers and exact rationals, so
@@ -20,7 +23,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ModelDomainError
-from .lattice import Topology, build_matrix, coupling_count, layout
+from .lattice import Topology, build_matrix, coupling_count, is_ring_size, layout
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,6 +71,112 @@ class ArrayField:
         import numpy as np
 
         return np.asarray(t, dtype=float)
+
+
+class Interval:
+    """Bounds lo <= hi on every double that an entry takes over a range of t.
+
+    Each operation applies the double operation to the bounds, so the bounds
+    are doubles rounded as the scalar path rounds.  IEEE round-to-nearest of
+    +, -, *, / and sqrt is monotone, and the exact operation takes its
+    extremes over a box at its corners (with no divisor spanning 0), so the
+    corner results enclose every double evaluation whose operands lie inside
+    the operands' bounds (Moore, Interval Analysis, 1966).  A bound that is
+    not finite and a divisor whose bounds hold 0 raise ArithmeticError, and
+    a radicand whose lower bound is negative raises math.sqrt's ValueError.
+    Asking for a truth value or an order raises ArithmeticError too, since a
+    closure that branches on t has no single enclosure.
+    """
+
+    __slots__ = ("lo", "hi")
+    __array_ufunc__ = None  # numpy defers to the reflected operators below
+
+    def __init__(self, lo: float, hi: float):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ArithmeticError("an interval bound is not finite")
+        self.lo, self.hi = lo, hi
+
+    @staticmethod
+    def _of(values) -> Interval:
+        return Interval(min(values), max(values))
+
+    def __add__(self, other):
+        if isinstance(other, Interval):
+            return Interval(self.lo + other.lo, self.hi + other.hi)
+        if isinstance(other, (int, float)):
+            return Interval(self.lo + other, self.hi + other)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, Interval):
+            return Interval(self.lo - other.hi, self.hi - other.lo)
+        if isinstance(other, (int, float)):
+            return Interval(self.lo - other, self.hi - other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, (int, float)):
+            return Interval(other - self.hi, other - self.lo)
+        return NotImplemented
+
+    def __neg__(self):
+        return Interval(-self.hi, -self.lo)
+
+    def __mul__(self, other):
+        if isinstance(other, Interval):
+            return Interval._of(
+                (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
+            )
+        if isinstance(other, (int, float)):
+            return Interval._of((self.lo * other, self.hi * other))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def _nonzero(self) -> Interval:
+        if self.lo <= 0 <= self.hi:
+            raise ArithmeticError("a divisor's bounds hold 0")
+        return self
+
+    def __truediv__(self, other):
+        if isinstance(other, Interval):
+            d = other._nonzero()
+            return Interval._of((self.lo / d.lo, self.lo / d.hi, self.hi / d.lo, self.hi / d.hi))
+        if isinstance(other, (int, float)):
+            if other == 0:
+                raise ArithmeticError("a divisor is 0")
+            return Interval._of((self.lo / other, self.hi / other))
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, (int, float)):
+            d = self._nonzero()
+            return Interval._of((other / d.lo, other / d.hi))
+        return NotImplemented
+
+    def _undecided(self, *other):
+        raise ArithmeticError("an interval has no truth value or order")
+
+    __bool__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _undecided
+
+
+class IntervalField:
+    """Interval arithmetic over a range of t (``Interval``), for ``certify_entries``."""
+
+    @staticmethod
+    def sqrt(x):
+        if not isinstance(x, Interval):
+            return math.sqrt(x)
+        return Interval(math.sqrt(x.lo), math.sqrt(x.hi))  # a negative lo raises
+
+    num = staticmethod(ArrayField.num)  # a literal that is not a finite double raises
+
+    @staticmethod
+    def lift(t):
+        lo, hi = t
+        return Interval(float(lo), float(hi))
 
 
 class ModelFamily:
@@ -198,12 +307,48 @@ class ModelFamily:
             pass
         return None
 
+    def certify_entries(self, lo: float, hi: float) -> bool:
+        """Whether matrix(t) is proven defined and finite at every double t in [lo, hi].
+
+        The entry closures run once in IntervalField arithmetic over the
+        whole range, and their bounds enclose every double evaluation of
+        matrix(t) there.  True where the range lies in the validity
+        interval, every radicand's lower bound is >= 0, no divisor's bounds
+        hold 0, the entry counts fit n and every entry bound and the bounds
+        of the entries' sum are finite.  False on any exception, or where
+        the bounds prove nothing: it decides nothing about the range then,
+        and check_entries on a grid of it does.
+        """
+        if not (self.t_min <= lo and hi <= self.t_max):
+            return False
+        if self.n < 1 or (self.topology is Topology.RING and not is_ring_size(self.n)):
+            return False  # build_matrix refuses the shape
+        try:
+            t = IntervalField.lift((lo, hi))
+            diag = self.diag_fn(t, IntervalField)
+            upper = self.upper_fn(t, IntervalField)
+            counted = len(diag) == self.n and len(upper) == coupling_count(self.n, self.topology)
+            entries = diag + upper
+            finite = all(
+                isinstance(x, Interval) or (isinstance(x, (int, float)) and math.isfinite(x))
+                for x in entries
+            )
+            total = sum(entries)
+            return counted and finite and (
+                isinstance(total, Interval) or math.isfinite(total)
+            )
+        except Exception:
+            # The closures may be any caller's; the grid decides.
+            return False
+
     def check_entries(self, ts) -> None:
         """Raise matrix(t)'s error at the first t of a vector that has one.
 
         The entries are checked as matrices checks them, and no stack is
         built: where the one pass fails, matrix(t) is built at each t in
-        order, so the error with its t is matrix's own.
+        order, so the error with its t is matrix's own.  An exact-path
+        ``domain_report`` checks its grid here only where certify_entries
+        proves nothing about its range.
         """
         ts = ArrayField.lift(ts).ravel()
         if self._vector_entries(ts) is None:

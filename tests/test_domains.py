@@ -689,6 +689,7 @@ def test_exact_path_grid_errors_are_those_of_matrix(
     else:
         family, source = get_family(name), ["--model", name]
     assert reality_map(family) is not None
+    assert not family.certify_entries(lo, hi)  # so the grid is checked
     with pytest.raises(ModelDomainError) as err:
         domain_report(family, lo, hi)
     assert type(err.value) is ModelDomainError
@@ -696,6 +697,124 @@ def test_exact_path_grid_errors_are_those_of_matrix(
     code = main(["domains", *source, "--t-min", str(lo), "--t-max", str(hi)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+
+
+# A two-site chain whose inferred end 3.0 is the correctly rounded root of
+# its radicand, where 0.3 - 0.1*3.0 is -5.6e-17 in doubles.
+ROUNDED_ROOT_DOC = """\
+name: edge
+n: 2
+topology: open
+diag: ["1", "-1"]
+couplings: ["sqrt(0.3 - 0.1*t)"]
+"""
+
+
+def test_a_range_the_certificate_cannot_prove_takes_the_grid_check(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "edge.yaml"
+    path.write_text(ROUNDED_ROOT_DOC, encoding="utf-8")
+    family = load_custom_model(str(path))
+    assert reality_map(family) is not None and family.t_max == 3.0
+    checked = []
+    check_entries = ModelFamily.check_entries
+
+    def spy(self, ts):
+        checked.append(len(ts))
+        return check_entries(self, ts)
+
+    monkeypatch.setattr(ModelFamily, "check_entries", spy)
+    message = "model edge: an entry is undefined at t=3.0 (math domain error)"
+    with pytest.raises(ModelDomainError) as err:
+        domain_report(family, 0.0, 3.0)
+    assert (str(err.value), err.value.t) == (message, 3.0)
+    assert checked == [grid_steps(0.0, 3.0)]
+    code = main(["domains", "--config", str(path), "--t-min", "0", "--t-max", "3.0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+
+
+# The exact-path ranges of the README, the CI README step and the scan
+# workload; the interval enclosure proves each one's entries.
+CERTIFIED_RANGES = {
+    "mdg6-open": [(-1.0, 1.0)],
+    "mdg6-w1": [(-0.4, 0.4)],
+    "mdg6-w2": [(-0.7, 0.4)],
+    "ec4": [(-1.6, 1.6), (1.0, 1.45), (0.0, 1.5)],
+    "ec4-strongbond": [(0.0, 1.6), (0.0002, 1.6002)],
+    "ec4-recoupled": [(-1.6, 1.6)],
+    "demo-chain": [(0.0, 3.0)],
+}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("not to be called here")
+
+
+def _certified_cases():
+    for name, ranges in CERTIFIED_RANGES.items():
+        family = _reference_family(name)
+        for lo, hi in ranges:
+            yield family, lo, hi, range(family.n % 2, family.n + 1, 2)
+
+
+def test_certified_ranges_build_no_grid(monkeypatch):
+    expected = {
+        (family.name, lo, hi): (
+            domain_report(family, lo, hi), [reality_islands(family, lo, hi, k) for k in ks]
+        )
+        for family, lo, hi, ks in _certified_cases()
+    }
+    monkeypatch.setattr(np, "linspace", _refuse)
+    monkeypatch.setattr(ModelFamily, "check_entries", _refuse)
+    for family, lo, hi, ks in _certified_cases():
+        report, islands = expected[family.name, lo, hi]
+        assert domain_report(family, lo, hi) == report
+        assert [reality_islands(family, lo, hi, k) for k in ks] == islands
+
+
+def test_exact_path_islands_reach_no_eigensolver(monkeypatch):
+    expected = {
+        (family.name, lo, hi): [reality_islands(family, lo, hi, k) for k in ks]
+        for family, lo, hi, ks in _certified_cases()
+    }
+    for solver in ("eig", "eigvals", "eigh", "eigvalsh", "svd", "qr", "solve"):
+        monkeypatch.setattr(np.linalg, solver, _refuse)
+    monkeypatch.setattr(ModelFamily, "matrix", _refuse)
+    for family, lo, hi, ks in _certified_cases():
+        assert [reality_islands(family, lo, hi, k) for k in ks] == expected[family.name, lo, hi]
+
+
+# The ring of ec4 with its corner bond written sqrt(sqrt(t^4)) = |t|: the
+# nested sqrt does not fold, so the document takes the float path.
+SMALL_EC4_DOC = """\
+name: small-ec4
+n: 4
+topology: ring
+diag: ["-3", "-1", "1", "3"]
+couplings: ["t", "t", "t", "sqrt(sqrt(t*t*t*t))"]
+t_range: [-10, 10]
+"""
+
+
+def test_float_path_islands_run_no_golden_section_search(tmp_path, monkeypatch):
+    from ptlattice import domains
+
+    family = _load(tmp_path, SMALL_EC4_DOC)
+    assert reality_map(family) is None
+    located = []
+    locate = domains.locate_coalescence_ep
+
+    def spy(*args):
+        located.append(args[1:])
+        return locate(*args)
+
+    monkeypatch.setattr(domains, "locate_coalescence_ep", spy)
+    report = domain_report(family, -2.0, 2.0)
+    assert located  # the report tests its gap minima
+    monkeypatch.setattr(domains, "locate_coalescence_ep", _refuse)
+    for k in (0, 2, 4):
+        expected = tuple((a, b) for a, b, count in report.intervals if count == k)
+        assert reality_islands(family, -2.0, 2.0, k) == expected
 
 
 # ec4 times 1e200: ||H||_F overflows a dot product, not a double.
@@ -715,3 +834,23 @@ def test_marker_orders_of_a_huge_model_are_those_of_the_model(tmp_path):
     assert [(ep.t_star, ep.order) for ep in report.eps] == [
         (-1.5, 2), (-1.4142135623730951, 2), (1.4142135623730951, 2), (1.5, 2)
     ]
+
+
+def test_grid_within_agrees_with_linspace():
+    import random
+
+    from ptlattice.domains import _grid_within
+
+    rng = random.Random(35)
+    for _ in range(2000):
+        e = rng.randint(-30, 30)
+        hi = rng.uniform(-1.0, 1.0) * 2.0**e
+        lo = hi - rng.random() * 2.0 ** rng.randint(e - 55, e + 2)
+        if not lo < hi:
+            continue
+        steps = rng.randint(2, 3000)
+        grid = np.linspace(lo, hi, steps)
+        assert _grid_within(lo, hi, steps) == bool((lo <= grid).all() and (grid <= hi).all())
+    # linspace converts other ends, or computes in another precision.
+    assert not _grid_within(0, 1, 5)
+    assert not _grid_within(np.float32(0.0), np.float32(1.0), 5)

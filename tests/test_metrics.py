@@ -10,6 +10,7 @@ import pytest
 from ptlattice import (
     BracketError,
     BrokenPhaseError,
+    ConsistencyError,
     DegenerateSpectrumError,
     InvalidSpecError,
     MetricCandidate,
@@ -135,6 +136,50 @@ def test_intertwiner_residual_survives_a_huge_matrix():
         warnings.simplefilter("error")
         huge = intertwiner_residual(theta, 1e200 * h)
     assert huge == pytest.approx(intertwiner_residual(theta, h), rel=1e-14)
+
+
+def test_intertwiner_residual_recomputes_an_overflowing_difference():
+    # Both products overflow at 1e160; the residual is recomputed from H and
+    # Theta divided by their largest entries, without a warning.
+    h = EC4.matrix(0.8)
+    theta = spectral_metric(h, [1.0] * 4).matrix
+    big_theta, big_h = 1e160 * theta, 1e160 * h
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = intertwiner_residual(big_theta, big_h)
+        scaled = intertwiner_residual(
+            big_theta / np.abs(big_theta).max(), big_h / np.abs(big_h).max()
+        )
+    assert huge == scaled
+    assert huge == pytest.approx(intertwiner_residual(theta, h), abs=1e-15)
+    assert huge < 1e-12
+
+
+def test_intertwiner_residual_keeps_the_bits_of_a_finite_difference():
+    h = EC4.matrix(0.8)
+    theta = np.eye(4) + 0.1
+    diff = h.T @ theta - theta @ h
+    expected = np.linalg.norm(diff) / (np.linalg.norm(h) * np.linalg.norm(theta))
+    assert intertwiner_residual(theta, h) == expected
+
+
+def test_spectral_metric_of_a_huge_matrix_reads_a_finite_residual():
+    h = 1e160 * EC4.matrix(0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        candidate = spectral_metric(h, [1e160] * 4)
+        residual = intertwiner_residual(candidate.matrix, h)
+    assert residual < 1e-12
+
+
+def test_spectral_metric_gate_rejects_a_nan_residual(monkeypatch):
+    import ptlattice.metrics as metrics_module
+
+    monkeypatch.setattr(metrics_module, "intertwiner_residual", lambda theta, h: math.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConsistencyError, match="residual nan above bound"):
+            spectral_metric(EC4.matrix(0.8), [1.0] * 4)
 
 
 def test_intertwiner_basis_dimension_and_residuals():

@@ -279,3 +279,163 @@ def test_check_entries_replays_a_non_finite_constant():
         assert str(err.value) == (
             "model inf-diag: an entry is not finite in double precision at t=0.25"
         )
+
+
+# --------------------------------------------------- interval certificate
+
+
+def _expression_family(diag, couplings, topology):
+    from ptlattice.custom import evaluate, parse_expression
+
+    d = [parse_expression(text) for text in diag]
+    u = [parse_expression(text) for text in couplings]
+    return models.ModelFamily(
+        name="random", n=len(diag), topology=topology,
+        diag_fn=lambda t, f: [evaluate(a, t, f) for a in d],
+        upper_fn=lambda t, f: [evaluate(a, t, f) for a in u],
+    )
+
+
+def _coefficient(rng):
+    return f"{rng.uniform(-2.0, 2.0):.2f}"
+
+
+def _random_case(rng):
+    """A random chain or ring of entry expressions and a range of t.
+
+    Couplings are affine, affine or quadratic radicands, affine over a
+    constant divisor (now and then 0), a radicand holding a quotient of
+    affines, or 1e308 times a quadratic; diagonals now and then hold
+    literals near 1e308.
+    Half the cases with an affine radicand end their range on its correctly
+    rounded root, on the side where the radicand is positive (on_root).
+    """
+    from fractions import Fraction
+
+    from ptlattice.lattice import coupling_count
+
+    topology = rng.choice([Topology.OPEN, Topology.RING])
+    n = rng.choice([4, 6]) if topology is Topology.RING else rng.randint(2, 6)
+    diag = [
+        rng.choice(["1.7e308", "-8.9e307"]) if rng.random() < 0.1 else _coefficient(rng)
+        for _ in range(n)
+    ]
+    couplings, roots = [], []
+    for _ in range(coupling_count(n, topology)):
+        a, b, c = (_coefficient(rng) for _ in range(3))
+        kind = rng.randrange(6)
+        if kind == 0:
+            couplings.append(f"{a}*t + {b}")
+        elif kind == 1:
+            couplings.append(f"sqrt({a} + {b}*t)")
+            if Fraction(b):
+                roots.append((float(-Fraction(a) / Fraction(b)), Fraction(b) > 0))
+        elif kind == 2:
+            couplings.append(f"sqrt({a} + {b}*t - {c}*t*t)")
+        elif kind == 3:
+            couplings.append(f"({a}*t + {b})/{rng.choice([c, c, c, '0'])}")
+        elif kind == 4:
+            couplings.append(f"sqrt({a} + (t - {b})/(t - {c}))")
+        else:
+            couplings.append(f"1e308*({a} - {b}*t*t)")
+    width = rng.choice([0.01, 0.3, 2.0])
+    on_root = bool(roots) and rng.random() < 0.5
+    if on_root:
+        root, rising = rng.choice(roots)
+        lo, hi = (root, root + width) if rising else (root - width, root)
+    else:
+        lo = rng.uniform(-3.0, 3.0)
+        hi = lo + width
+    return _expression_family(diag, couplings, topology), lo, hi, on_root
+
+
+def test_certified_ranges_pass_check_entries_on_their_grids():
+    # The enclosure must hold at every double of a certified range: its grid
+    # (and its ends and seeded points inside it) must build without error.
+    import random
+
+    from ptlattice.domains import _grid_within
+    from ptlattice.tolerances import grid_steps
+
+    rng = random.Random(35)
+    certified = fell_back = raised = certified_on_root = 0
+    for _ in range(600):
+        family, lo, hi, on_root = _random_case(rng)
+        steps = grid_steps(lo, hi)
+        assert _grid_within(lo, hi, steps)
+        grid = np.linspace(lo, hi, steps)
+        if family.certify_entries(lo, hi):
+            certified += 1
+            certified_on_root += on_root
+            family.check_entries(grid)
+            for t in (lo, hi, *(rng.uniform(lo, hi) for _ in range(20))):
+                family.matrix(t)
+        else:
+            fell_back += 1
+            try:
+                family.check_entries(grid)
+            except ModelDomainError:
+                raised += 1
+    # Of 600 ranges, 107 certify (34 of them ending on a radicand root) and
+    # 493 fall back to the grid, where 483 raise: the set holds many ranges
+    # whose grid fails, and the certificate gives up on 10 whose grid passes.
+    assert (certified, certified_on_root, fell_back, raised) == (107, 34, 493, 483)
+
+
+def test_mdg6_open_certifies_up_to_its_radicand_root():
+    # 1 - 1.0 is 0.0: the radicand's lower bound is 0 at the range's end.
+    family = get_family(Model.MDG6_OPEN)
+    assert family.certify_entries(-1.0, 1.0)
+    assert not family.certify_entries(-1.0, math.nextafter(1.0, 2.0))
+
+
+def test_a_radicand_that_rounds_below_zero_at_its_root_is_not_certified(tmp_path):
+    # The inferred end 3.0 is the correctly rounded root, but 0.3 - 0.1*3.0
+    # is -5.6e-17 in doubles.
+    path = tmp_path / "edge.yaml"
+    path.write_text(
+        'name: edge\nn: 2\ntopology: open\ndiag: ["1", "-1"]\n'
+        'couplings: ["sqrt(0.3 - 0.1*t)"]\n',
+        encoding="utf-8",
+    )
+    family = load_custom_model(str(path))
+    assert family.t_max == 3.0
+    assert not family.certify_entries(0.0, 3.0)
+    assert family.certify_entries(0.0, 2.9)
+
+
+def test_certify_entries_keeps_to_the_validity_interval():
+    family = models.ModelFamily(
+        name="short", n=2, topology=Topology.OPEN,
+        diag_fn=lambda t, f: [t, 1.0], upper_fn=lambda t, f: [t], t_max=0.5,
+    )
+    assert family.certify_entries(0.0, 0.5)
+    assert not family.certify_entries(0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "diag, upper",
+    [
+        (lambda t, f: [t, 1.0], lambda t, f: [1.0 if t < 0.5 else 2.0]),  # branches on t
+        (lambda t, f: [float(t), 1.0], lambda t, f: [t]),  # leaves the field
+        (lambda t, f: [t, 1.0], lambda t, f: [t, t]),  # one coupling too many
+        (lambda t, f: [t, 1.0, 1.0], lambda t, f: []),  # one site too many, one bond too few
+        (lambda t, f: [math.inf, 1.0], lambda t, f: [t]),  # a constant inf
+        (lambda t, f: [f.num("1e400"), 1.0], lambda t, f: [t]),  # a literal past the doubles
+        (lambda t, f: [1e308 * t, 1e308 * t], lambda t, f: [t]),  # entries whose sum overflows
+        (lambda t, f: [t, 1.0], lambda t, f: [1 / (t - 0.25)]),  # a divisor spanning 0
+        # Radicands negative at t = 0 or 1, each inside one bound of X - Y
+        # or X / Y that two corners alone would miss.
+        (lambda t, f: [t, 1.0], lambda t, f: [f.sqrt((2 + t) - 2.5 * (1 - t))]),
+        (lambda t, f: [t, 1.0], lambda t, f: [f.sqrt(1.5 - (1 + t) / (1 + 3 * (1 - t)))]),
+    ],
+    ids=[
+        "branch", "float", "count", "shape", "inf", "literal", "sum", "divisor", "difference",
+        "quotient",
+    ],
+)
+def test_certify_entries_proves_nothing_it_cannot_bound(diag, upper):
+    family = models.ModelFamily(
+        name="odd", n=2, topology=Topology.OPEN, diag_fn=diag, upper_fn=upper,
+    )
+    assert not family.certify_entries(0.0, 1.0)
