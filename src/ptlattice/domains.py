@@ -24,8 +24,8 @@ coarse grid, refines the transition points by bisection, and (for
 by golden-section search.  A coarse grid is one batch:
 ``ModelFamily.matrices`` assembles its whole stack, one stacked LAPACK call
 solves it, and the row-wise rules of ``spectra`` give every real count and
-gap at once.  Bisection and golden-section search stay
-point by point, since each step depends on the one before.
+gap at once.  Bisection and golden-section search stay point by point,
+since each step depends on the one before.
 """
 
 from __future__ import annotations
@@ -419,7 +419,11 @@ def domain_report(
 
 
 def _grid_partition(family, grid, stack, lo: float, hi: float, tol: float, eps_real: float):
-    """(intervals, markers) of [lo, hi] read off the grid's matrix stack; markers() gives the EP markers."""
+    """(intervals, markers) of [lo, hi] read off the grid's matrix stack.
+
+    markers() gives the EP markers: the boundaries' and the accepted
+    golden-section minima of the gap.
+    """
     rows = np.linalg.eigvals(stack)
     counts = count_real_rows(rows, eps_real)
 
